@@ -7,114 +7,52 @@ sequential parametric-bootstrap tests whose statistics are the minimized
 clustering losses themselves.
 """
 
-from .blockmodels import (
-    Beta,
-    Constant,
-    DcbmParams,
-    PabmParams,
-    PowerLaw,
-    ProbMatrix,
-    SbmParams,
-    beta_ratio_omega,
-    fit_dcbm,
-    fit_sbm,
-    gen_dcbm,
-    gen_pabm,
-    gen_sbm,
-    prob_matrix,
-    sample_graph,
-)
-from .cluster import (
-    ClusterSolution,
-    minimize_q1,
-    minimize_q_subspace,
-    mislabel_rate,
-    osc,
-    q1_value,
-    q_subspace_value,
-    rsc_l,
-    sc_l,
-)
-from .errors import (
-    BlockselectError,
-    ConfigError,
-    DegenerateModelError,
-    EdgeListParseError,
-    InfeasibleModelError,
-    NumericalError,
-)
-from .modelselect import (
-    ModelKind,
-    TestResult,
-    WorkflowResult,
-    run_workflow,
-    test_dcbm_vs_pabm,
-    test_sbm_vs_dcbm,
-    workflow_report,
-)
-from .netcore import (
-    Graph,
-    avg_degree,
-    degrees,
-    density,
-    largest_connected_component,
-    load_edge_list,
-    load_labels,
-    write_edge_list,
-)
-from .spectral import Embedding, EmbeddingSource, ase, laplacian_embedding, top_eigenpairs
+from __future__ import annotations
+
+import importlib
+
+# Public names resolve on first use (PEP 562), so importing the package, or
+# ``blockselect.cli`` before its ``--threads`` pins BLAS, does not load numpy.
+_EXPORTS = {
+    "blockmodels": (
+        "Beta", "Constant", "DcbmParams", "PabmParams", "PowerLaw",
+        "ProbMatrix", "SbmParams", "beta_ratio_omega", "fit_dcbm", "fit_sbm",
+        "gen_dcbm", "gen_pabm", "gen_sbm", "prob_matrix", "sample_graph",
+    ),
+    "cluster": (
+        "ClusterSolution", "minimize_q1", "minimize_q_subspace",
+        "mislabel_rate", "osc", "q1_value", "q_subspace_value", "rsc_l",
+        "sc_l",
+    ),
+    "errors": (
+        "BlockselectError", "ConfigError", "DegenerateModelError",
+        "EdgeListParseError", "InfeasibleModelError", "NumericalError",
+    ),
+    "modelselect": (
+        "ModelKind", "TestResult", "WorkflowResult", "run_workflow",
+        "test_dcbm_vs_pabm", "test_sbm_vs_dcbm", "workflow_report",
+    ),
+    "netcore": (
+        "Graph", "avg_degree", "degrees", "density",
+        "largest_connected_component", "load_edge_list", "load_labels",
+        "write_edge_list",
+    ),
+    "spectral": (
+        "Embedding", "EmbeddingSource", "ase", "laplacian_embedding",
+        "top_eigenpairs",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Beta",
-    "BlockselectError",
-    "ClusterSolution",
-    "ConfigError",
-    "Constant",
-    "DcbmParams",
-    "DegenerateModelError",
-    "EdgeListParseError",
-    "Embedding",
-    "EmbeddingSource",
-    "Graph",
-    "InfeasibleModelError",
-    "ModelKind",
-    "NumericalError",
-    "PabmParams",
-    "PowerLaw",
-    "ProbMatrix",
-    "SbmParams",
-    "TestResult",
-    "WorkflowResult",
-    "ase",
-    "avg_degree",
-    "beta_ratio_omega",
-    "degrees",
-    "density",
-    "fit_dcbm",
-    "fit_sbm",
-    "gen_dcbm",
-    "gen_pabm",
-    "gen_sbm",
-    "laplacian_embedding",
-    "largest_connected_component",
-    "load_edge_list",
-    "load_labels",
-    "minimize_q1",
-    "minimize_q_subspace",
-    "mislabel_rate",
-    "osc",
-    "prob_matrix",
-    "q1_value",
-    "q_subspace_value",
-    "rsc_l",
-    "run_workflow",
-    "sample_graph",
-    "sc_l",
-    "test_dcbm_vs_pabm",
-    "test_sbm_vs_dcbm",
-    "top_eigenpairs",
-    "workflow_report",
-    "write_edge_list",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

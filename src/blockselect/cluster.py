@@ -3,20 +3,25 @@
 Three losses, one per blockmodel: squared distances to community centroids
 (k-means geometry), squared residuals to the best rank-1 subspace per
 community, and squared residuals to the best rank-K subspace per community.
-The rank-r losses are minimized by a greedy alternation: refit each
-community's subspace by SVD, reassign every point to the community whose
-subspace is closest, repeat until the labels stop changing.
+The rank-r losses are minimized by a greedy alternation (the k-plane
+algorithm of Bradley & Mangasarian 2000): refit each community's subspace
+as the top eigenvectors of its d x d scatter matrix, reassign every point
+to the community whose subspace is closest, repeat until the labels stop
+changing. The centroid loss is minimized by Lloyd's algorithm.
 
 All minimizers are restarted from multiple seeded initializations; the best
-objective wins, ties broken by restart index. Objectives are checked
-non-increasing at every iteration (between empty-cluster repairs); a
-violation raises ``NumericalError``.
+objective wins, ties broken by restart index. Seeding is per restart, but
+the descent advances a block of restarts together: one round is a few
+stacked matmuls and one batched ``eigh`` over every (restart, community)
+pair, and a restart drops out of the block when its labels stop changing.
+Objectives are checked non-increasing at every iteration of every restart
+(between empty-cluster repairs); a violation raises ``NumericalError``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,6 +33,12 @@ from .spectral import Embedding, EmbeddingSource, ase, laplacian_embedding, top_
 
 _MAX_ROUNDS = 100
 _MONOTONE_RTOL = 1e-10
+# restarts descend together in blocks whose per-round working arrays take
+# about this many bytes, so batching does not raise peak memory
+_BLOCK_BYTES = 1 << 20
+# restarts whose descent objective is within this share of the rows' total
+# energy of the lowest are scored with the exact loss
+_SCORE_MARGIN = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,32 +95,16 @@ def q_subspace_value(labels: np.ndarray, emb: Embedding, r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# centroid loss minimization (Lloyd + k-means++ restarts)
+# batched greedy descent shared by all minimizers
 # ---------------------------------------------------------------------------
 
-def _kmeanspp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = rows.shape[0]
-    centroids = np.empty((k, rows.shape[1]))
-    centroids[0] = rows[rng.integers(n)]
-    d2 = ((rows - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = rows[idx]
-        d2 = np.minimum(d2, ((rows - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+# per-restart state is a tuple of arrays whose leading axis is the restart
+Model = tuple[np.ndarray, ...]
 
 
-def _sq_dists(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        (rows**2).sum(axis=1)[:, None]
-        - 2.0 * rows @ centroids.T
-        + (centroids**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
+    """(m, k, n) float indicator of ``labels`` (m, n) with values in [1, k]."""
+    return (labels[:, None, :] == np.arange(1, k + 1)[:, None]).astype(np.float64)
 
 
 def _repair_empty(labels: np.ndarray, point_cost: np.ndarray, k: int) -> bool:
@@ -132,11 +127,181 @@ def _repair_empty(labels: np.ndarray, point_cost: np.ndarray, k: int) -> bool:
     return repaired
 
 
-def _check_monotone(prev: float, new: float) -> None:
-    if new > prev + _MONOTONE_RTOL * max(1.0, abs(prev)):
-        raise NumericalError(
-            f"objective increased within an iteration: {prev!r} -> {new!r}"
-        )
+def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of least cost (ties to the lowest community) for each restart
+    of an (m, n, k) cost stack, with empty communities repaired; also
+    returns which restarts needed a repair."""
+    labels = np.argmin(cost, axis=2) + 1
+    m, n = labels.shape
+    present = np.zeros((m, k + 1), dtype=bool)
+    present[np.arange(m)[:, None], labels] = True
+    repaired = np.zeros(m, dtype=bool)
+    points = np.arange(n)
+    for i in np.flatnonzero(~present[:, 1:].all(axis=1)):
+        repaired[i] = _repair_empty(labels[i], cost[i, points, labels[i] - 1], k)
+    return labels, repaired
+
+
+class _Descent(NamedTuple):
+    """Final state of a block of restarts, one row per restart."""
+
+    labels: np.ndarray
+    model: Model
+    objective: np.ndarray
+    rounds: np.ndarray
+    converged: np.ndarray
+    truncated: np.ndarray
+
+
+def _descend(
+    labels: np.ndarray,
+    model: Model,
+    prev_obj: np.ndarray,
+    cost: Callable[[Model], np.ndarray],
+    refit: Callable[[np.ndarray], tuple[Model, np.ndarray, np.ndarray]],
+    k: int,
+) -> _Descent:
+    """Alternate assignment and refit for a block of restarts.
+
+    ``labels`` (m, n) and ``model`` are each restart's start, ``prev_obj``
+    the objective of that start. ``cost(model)`` gives the (m, n, k) cost
+    of every point in every community; ``refit(labels)`` gives the model,
+    the objective and a truncation flag per restart. Each restart stops
+    when its labels repeat or after ``_MAX_ROUNDS`` rounds; only restarts
+    still running are advanced.
+    """
+    m = labels.shape[0]
+    out = _Descent(
+        labels.copy(), tuple(a.copy() for a in model), np.empty(m),
+        np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool),
+    )
+    active = np.arange(m)
+    while active.size:
+        new_labels, repaired = _assign(cost(model), k)
+        model, obj, truncated = refit(new_labels)
+        limit = prev_obj + _MONOTONE_RTOL * np.maximum(1.0, np.abs(prev_obj))
+        bad = np.flatnonzero(~repaired & (obj > limit))
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(
+                "objective increased within an iteration: "
+                f"{float(prev_obj[i])!r} -> {float(obj[i])!r}"
+            )
+        out.rounds[active] += 1
+        same = (new_labels == labels).all(axis=1)
+        done = same | (out.rounds[active] >= _MAX_ROUNDS)
+        labels, prev_obj = new_labels, obj
+        if not done.any():
+            continue
+        finished = active[done]
+        out.labels[finished] = new_labels[done]
+        for kept, a in zip(out.model, model):
+            kept[finished] = a[done]
+        out.objective[finished] = obj[done]
+        out.converged[finished] = same[done]
+        out.truncated[finished] = truncated[done]
+        running = ~done
+        active = active[running]
+        labels, prev_obj = new_labels[running], obj[running]
+        model = tuple(a[running] for a in model)
+    return out
+
+
+def _blocks(n_restarts: int, n: int, k: int, d: int) -> list[range]:
+    """Split the restarts into near-equal blocks within ``_BLOCK_BYTES``."""
+    per_restart = 8 * n * (3 * k + d + 2)
+    cap = max(1, _BLOCK_BYTES // per_restart)
+    n_blocks = -(-n_restarts // cap)
+    size = -(-n_restarts // n_blocks)
+    return [range(s, min(s + size, n_restarts)) for s in range(0, n_restarts, size)]
+
+
+class _Best(NamedTuple):
+    labels: np.ndarray
+    objective: float
+    model: Model
+    n_iters: int
+    degenerate: bool
+
+
+def _best_restart(
+    n_restarts: int,
+    rows: np.ndarray,
+    k: int,
+    start: Callable[[range], tuple[np.ndarray, Model, np.ndarray]],
+    cost: Callable[[Model], np.ndarray],
+    refit: Callable[[np.ndarray], tuple[Model, np.ndarray, np.ndarray]],
+    exact: Callable[[np.ndarray], float],
+) -> _Best:
+    """Descend all restarts, block by block, and keep the one of lowest
+    exact loss ``exact(labels)``, ties to the lowest restart index.
+
+    ``start(block)`` gives the block's start labels, model and objective.
+    The descent objective is accurate to about 1e-14 of the rows' total
+    energy, so only restarts within ``_SCORE_MARGIN`` of that energy of a
+    block's lowest can hold the lowest exact loss; only those are scored,
+    each distinct labeling once.
+    """
+    n, d = rows.shape
+    margin = _SCORE_MARGIN * float((rows**2).sum())
+    best: _Best | None = None
+    scored: dict[bytes, float] = {}
+    for block in _blocks(n_restarts, n, k, d):
+        run = _descend(*start(block), cost, refit, k)
+        for i in np.flatnonzero(run.objective <= run.objective.min() + margin):
+            key = run.labels[i].tobytes()
+            if key not in scored:
+                scored[key] = exact(run.labels[i])
+            if best is None or scored[key] < best.objective:
+                best = _Best(
+                    labels=run.labels[i].copy(),
+                    objective=scored[key],
+                    model=tuple(a[i] for a in run.model),
+                    n_iters=int(run.rounds[i]),
+                    degenerate=bool(run.truncated[i] or not run.converged[i]),
+                )
+    assert best is not None
+    return best
+
+
+# ---------------------------------------------------------------------------
+# centroid loss minimization (Lloyd + k-means++ restarts)
+# ---------------------------------------------------------------------------
+
+def _kmeanspp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = rows.shape[0]
+    centroids = np.empty((k, rows.shape[1]))
+    centroids[0] = rows[rng.integers(n)]
+    d2 = ((rows - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = rows[idx]
+        d2 = np.minimum(d2, ((rows - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _centroid_cost(rows: np.ndarray, row_sq: np.ndarray, model: Model) -> np.ndarray:
+    """(m, n, k) squared distances of every row to every centroid."""
+    (centroids,) = model
+    m, k, d = centroids.shape
+    # one (n, d) x (d, m*k) product; the result is laid out (n, m, k)
+    cross = (rows @ centroids.reshape(m * k, d).T).reshape(-1, m, k)
+    d2 = row_sq[:, :, None] - 2.0 * cross + (centroids**2).sum(axis=2)
+    return np.maximum(d2, 0.0).transpose(1, 0, 2)
+
+
+def _centroid_refit(rows: np.ndarray, labels: np.ndarray, k: int):
+    """Community means of every restart as one one-hot matmul, with the
+    centroid loss and an all-False truncation flag."""
+    m = labels.shape[0]
+    onehot = _one_hot(labels, k)
+    centroids = (onehot @ rows) / onehot.sum(axis=2)[:, :, None]
+    resid = rows - centroids[np.arange(m)[:, None], labels - 1]
+    return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
 def minimize_q1(
@@ -150,90 +315,75 @@ def minimize_q1(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    best: ClusterSolution | None = None
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(derive_seed(seed, "q1-restart", restart))
-        centroids = _kmeanspp_init(rows, k, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        prev_obj = np.inf
-        degenerate = False
-        for rounds in range(1, _MAX_ROUNDS + 1):
-            d2 = _sq_dists(rows, centroids)
-            new_labels = np.argmin(d2, axis=1) + 1
-            repaired = _repair_empty(
-                new_labels, d2[np.arange(n), new_labels - 1], k
-            )
-            for j in range(1, k + 1):
-                centroids[j - 1] = rows[new_labels == j].mean(axis=0)
-            obj = float(((rows - centroids[new_labels - 1]) ** 2).sum())
-            if not repaired:
-                _check_monotone(prev_obj, obj)
-            prev_obj = obj
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
-                break
-            labels = new_labels
-        else:
-            degenerate = True
-            rounds = _MAX_ROUNDS
-        objective = q1_value(labels, emb)
-        if best is None or objective < best.objective:
-            best = ClusterSolution(
-                labels=labels,
-                objective=objective,
-                centroids=centroids.copy(),
-                n_iters=rounds,
-                n_restarts_used=n_restarts,
-                degenerate=degenerate,
-            )
-    assert best is not None
-    return best
+    row_sq = (rows**2).sum(axis=1)[:, None]
+
+    def start(block: range):
+        centroids = np.stack([
+            _kmeanspp_init(rows, k, np.random.default_rng(
+                derive_seed(seed, "q1-restart", restart)))
+            for restart in block
+        ])
+        m = len(block)
+        return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
+
+    best = _best_restart(
+        n_restarts, rows, k, start,
+        lambda model: _centroid_cost(rows, row_sq, model),
+        lambda labels: _centroid_refit(rows, labels, k),
+        lambda labels: q1_value(labels, emb),
+    )
+    return ClusterSolution(
+        labels=best.labels,
+        objective=best.objective,
+        centroids=best.model[0].copy(),
+        n_iters=best.n_iters,
+        n_restarts_used=n_restarts,
+        degenerate=best.degenerate,
+    )
 
 
 # ---------------------------------------------------------------------------
 # subspace loss minimization (greedy projection / reassignment)
 # ---------------------------------------------------------------------------
 
-def _fit_bases(
-    rows: np.ndarray, labels: np.ndarray, k: int, r: int
-) -> tuple[list[np.ndarray], float, bool]:
-    """Per-cluster top-r left singular bases of the stacked points, the
-    resulting objective, and a truncation flag."""
-    bases: list[np.ndarray] = []
-    objective = 0.0
-    truncated = False
-    d = rows.shape[1]
-    for j in range(1, k + 1):
-        pts = rows[labels == j]
-        if pts.shape[0] == 0:
-            bases.append(np.zeros((d, 0)))
-            truncated = True
-            continue
-        _, svals, vt = np.linalg.svd(pts, full_matrices=False)
-        rank = min(r, svals.size)
-        if rank < r and d > pts.shape[0]:
-            truncated = True
-        bases.append(vt[:rank].T)
-        objective += float((svals[rank:] ** 2).sum())
-    return bases, objective, truncated
+def _subspace_cost(row_sq: np.ndarray, outer: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """(m, n, k) squared residuals of every row to every community's
+    subspace, from the (m, k, d, d) projectors and the (n, d, d) row outer
+    products."""
+    m, k, d, _ = proj.shape
+    n = outer.shape[0]
+    # one (n, d*d) x (d*d, m*k) product; the result is laid out (n, m, k)
+    sq_proj = (outer.reshape(n, d * d) @ proj.reshape(m * k, d * d).T).reshape(n, m, k)
+    return np.maximum(row_sq[:, :, None] - sq_proj, 0.0).transpose(1, 0, 2)
 
 
-def _residual_matrix(rows: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
-    row_sq = (rows**2).sum(axis=1)
-    res = np.empty((rows.shape[0], len(bases)))
-    for j, basis in enumerate(bases):
-        if basis.shape[1] == 0:
-            res[:, j] = row_sq
-        else:
-            proj = rows @ basis
-            res[:, j] = row_sq - (proj**2).sum(axis=1)
-    return np.maximum(res, 0.0)
+def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int):
+    """Each community's top min(r, n_k, d) scatter eigenvectors, for every
+    restart at once: one one-hot matmul gives the (m, k, d, d) scatter
+    matrices and one batched ``eigh`` their eigenpairs. Basis columns past
+    the rank are zeroed. Returns the model (projectors, eigenvectors,
+    ranks), the trailing-eigenvalue objective and the truncation flag."""
+    m, n = labels.shape
+    d = outer.shape[1]
+    full_rank = min(r, d)
+    onehot = _one_hot(labels, k)
+    counts = onehot.sum(axis=2)
+    scatter = (onehot.reshape(m * k, n) @ outer.reshape(n, d * d)).reshape(m, k, d, d)
+    evals, evecs = np.linalg.eigh(scatter)
+    rank = np.minimum(counts, full_rank).astype(np.int64)
+    kept = np.arange(d) >= d - rank[:, :, None]
+    basis = evecs * kept[:, :, None, :]
+    proj = basis @ basis.transpose(0, 1, 3, 2)
+    obj = np.where(kept, 0.0, evals).sum(axis=(1, 2))
+    return (proj, evecs, rank), obj, (counts < full_rank).any(axis=1)
 
 
 def _seed_labels(
-    rows: np.ndarray, k: int, r: int, rng: np.random.Generator
+    rows: np.ndarray, row_sq: np.ndarray, outer: np.ndarray, k: int, r: int,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Random initial assignment seeded by candidate subspaces.
+    """Random initial assignments seeded by candidate subspaces, one per
+    generator in ``rngs``.
 
     Draws k disjoint random point subsets, spans each, and assigns every
     point to its nearest candidate span. Uniform random labels make all
@@ -242,16 +392,11 @@ def _seed_labels(
     """
     n, d = rows.shape
     size = max(1, min(r, n // k))
-    idx = rng.permutation(n)
-    bases = []
-    for j in range(k):
-        pts = rows[idx[j * size:(j + 1) * size]]
-        q, _ = np.linalg.qr(pts.T)
-        bases.append(q[:, : min(pts.shape[0], d)])
-    res = _residual_matrix(rows, bases)
-    labels = (np.argmin(res, axis=1) + 1).astype(np.int64)
-    _repair_empty(labels, res[np.arange(n), labels - 1], k)
-    return labels
+    picks = np.stack([rng.permutation(n)[: k * size] for rng in rngs])
+    pts = rows[picks].reshape(len(rngs), k, size, d)
+    q, _ = np.linalg.qr(pts.transpose(0, 1, 3, 2))
+    proj = q @ q.transpose(0, 1, 3, 2)
+    return _assign(_subspace_cost(row_sq, outer, proj), k)[0]
 
 
 def minimize_q_subspace(
@@ -283,46 +428,36 @@ def minimize_q_subspace(
             raise ValueError("init_labels must have one entry per row")
         if len(np.unique(init_labels)) != k or init_labels.min() < 1 or init_labels.max() > k:
             raise ValueError("init_labels must use every community in [1, k]")
-    best: ClusterSolution | None = None
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-        if restart == 0 and init_labels is not None:
-            labels = init_labels.copy()
-        else:
-            labels = _seed_labels(rows, k, r, rng)
-        bases, prev_obj, truncated = _fit_bases(rows, labels, k, r)
-        rounds = 0
-        converged = False
-        while rounds < _MAX_ROUNDS:
-            rounds += 1
-            res = _residual_matrix(rows, bases)
-            new_labels = (np.argmin(res, axis=1) + 1).astype(np.int64)
-            repaired = _repair_empty(
-                new_labels, res[np.arange(n), new_labels - 1], k
-            )
-            bases, obj, truncated = _fit_bases(rows, new_labels, k, r)
-            if not repaired:
-                _check_monotone(prev_obj, obj)
-            prev_obj = obj
-            if np.array_equal(new_labels, labels):
-                converged = True
-                break
-            labels = new_labels
-        # truncated reflects the final fit; rank-deficient clusters at the
-        # solution and iteration-cap exits are both degeneracies
-        degenerate = truncated or not converged
-        objective = q_subspace_value(labels, emb, r)
-        if best is None or objective < best.objective:
-            best = ClusterSolution(
-                labels=labels,
-                objective=objective,
-                bases=bases,
-                n_iters=rounds,
-                n_restarts_used=n_restarts,
-                degenerate=degenerate,
-            )
-    assert best is not None
-    return best
+    row_sq = (rows**2).sum(axis=1)[:, None]
+    outer = rows[:, :, None] * rows[:, None, :]
+
+    def start(block: range):
+        starts = [init_labels[None]] if block[0] == 0 and init_labels is not None else []
+        rngs = [np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
+                for restart in block[len(starts):]]
+        if rngs:
+            starts.append(_seed_labels(rows, row_sq, outer, k, r, rngs))
+        labels = np.concatenate(starts)
+        model, obj, _ = _subspace_refit(outer, labels, k, r)
+        return labels, model, obj
+
+    best = _best_restart(
+        n_restarts, rows, k, start,
+        lambda model: _subspace_cost(row_sq, outer, model[0]),
+        lambda labels: _subspace_refit(outer, labels, k, r),
+        lambda labels: q_subspace_value(labels, emb, r),
+    )
+    _, evecs, rank = best.model
+    # degenerate: rank-deficient clusters at the solution or an
+    # iteration-cap exit
+    return ClusterSolution(
+        labels=best.labels,
+        objective=best.objective,
+        bases=[evecs[j][:, ::-1][:, : rank[j]].copy() for j in range(k)],
+        n_iters=best.n_iters,
+        n_restarts_used=n_restarts,
+        degenerate=best.degenerate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +495,7 @@ def osc(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolutio
 
 def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> float:
     """Minimum fraction of disagreeing nodes over all bijections of the
-    community labels. Exact: K! enumeration for K <= 8, otherwise the
-    Hungarian assignment on the confusion matrix."""
+    community labels, from an exact assignment on the confusion matrix."""
     est = np.asarray(est_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if est.shape != true.shape:
@@ -369,15 +503,7 @@ def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> fl
     for name, vec in (("est", est), ("true", true)):
         if vec.min() < 1 or vec.max() > k:
             raise ValueError(f"{name} labels must lie in [1, {k}]")
-    n = est.size
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (est - 1, true - 1), 1)
-    if k <= 8:
-        best_match = max(
-            sum(confusion[sigma[b], b] for b in range(k))
-            for sigma in itertools.permutations(range(k))
-        )
-    else:
-        rows_idx, cols_idx = linear_sum_assignment(-confusion)
-        best_match = int(confusion[rows_idx, cols_idx].sum())
-    return 1.0 - best_match / n
+    rows_idx, cols_idx = linear_sum_assignment(confusion, maximize=True)
+    return 1.0 - int(confusion[rows_idx, cols_idx].sum()) / est.size

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-
+import blockselect
 from blockselect.cli import main
 
 TWO_CLIQUES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
@@ -237,3 +240,20 @@ def test_cluster_pabm_on_generated_network(tmp_path, capsys):
     assert code == 0
     meta = json.loads((out / "cluster.json").read_text())
     assert meta["mislabel_rate"] <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# --threads
+# ---------------------------------------------------------------------------
+
+def test_importing_cli_leaves_numpy_unloaded():
+    # --threads sets the BLAS thread variables in main(); they only take
+    # effect if nothing has loaded numpy by then
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    code = "import sys, blockselect.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
