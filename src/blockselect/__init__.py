@@ -15,9 +15,10 @@ import importlib
 # ``blockselect.cli`` before its ``--threads`` pins BLAS, does not load numpy.
 _EXPORTS = {
     "blockmodels": (
-        "Beta", "Constant", "DcbmParams", "PabmParams", "PowerLaw",
-        "ProbMatrix", "SbmParams", "beta_ratio_omega", "fit_dcbm", "fit_sbm",
-        "gen_dcbm", "gen_pabm", "gen_sbm", "prob_matrix", "sample_graph",
+        "Beta", "Constant", "DcbmParams", "DcbmProb", "PabmParams",
+        "PabmProb", "PowerLaw", "ProbMatrix", "SbmParams", "beta_ratio_omega",
+        "edge_probs", "fit_dcbm", "fit_sbm", "gen_dcbm", "gen_pabm", "gen_sbm",
+        "prob_matrix", "sample_graph",
     ),
     "cluster": (
         "ClusterSolution", "minimize_q1", "minimize_q_subspace",

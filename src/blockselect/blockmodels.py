@@ -12,12 +12,18 @@ Three nested models over labels tau in [1..K]:
 Generators target an expected density (or average degree) by solving for a
 single multiplicative scalar; a target that would push any probability
 above 1 is an error, never a silent clamp.
+
+Edge probabilities are held factored, in O(nK): the SBM and DCBM as
+(theta, block matrix, labels), the PABM as (lambda, labels). Generators,
+plug-in fits and the sampler never build the n x n matrix; ``prob_matrix``
+does, for small n and tests.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Union
 
 import numpy as np
@@ -121,7 +127,7 @@ class SbmParams:
 def _validate_omega_nonneg(omega: np.ndarray, k: int) -> np.ndarray:
     """Symmetric nonnegative block matrix; entries may exceed 1 because
     under max-theta-1 normalization only the products theta_i omega theta_j
-    are probabilities (they are clamped at 1 in prob_matrix)."""
+    are probabilities (they are clamped at 1 in DcbmProb)."""
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (k, k):
         raise ValueError(f"omega must be {k}x{k}")
@@ -198,7 +204,11 @@ ModelParams = Union[SbmParams, DcbmParams, PabmParams]
 
 @dataclass(frozen=True)
 class ProbMatrix:
-    """Symmetric edge-probability matrix with zero diagonal."""
+    """Symmetric edge-probability matrix with zero diagonal.
+
+    The dense form takes n^2 floats; the samplers and fits use the factored
+    forms below, which hold O(nK).
+    """
 
     p: np.ndarray = field(repr=False)
 
@@ -219,29 +229,159 @@ class ProbMatrix:
     def n(self) -> int:
         return self.p.shape[0]
 
+    @cached_property
+    def row_bounds(self) -> np.ndarray:
+        return self.p.max(axis=1)
+
+    def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return self.p[i, j]
+
 
 # ---------------------------------------------------------------------------
-# probability matrices and sampling
+# factored edge probabilities
 # ---------------------------------------------------------------------------
+#
+# Both forms answer the two questions the sampler asks: an upper bound on
+# each row's probabilities, and the exact P_ij of given pairs i < j. The
+# bounds take the same floating-point products as P_ij with one operand
+# raised to its block maximum; rounding is monotone, so bound_i >= P_ij
+# holds exactly, not just up to rounding.
 
-def prob_matrix(params: ModelParams) -> ProbMatrix:
-    """Edge-probability matrix implied by the model parameters.
+def _validate_factor_labels(labels, k: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-d vector")
+    if labels.size and (labels.min() < 1 or labels.max() > k):
+        raise ValueError(f"labels must lie in [1, {k}]")
+    return labels
+
+
+@dataclass(frozen=True, eq=False)
+class DcbmProb:
+    """P_ij = min(1, theta_i * block[tau_i, tau_j] * theta_j) in O(n + K^2).
+
+    The degree-corrected form; the SBM is theta = 1, which gives
+    block[tau_i, tau_j] exactly. ``block`` may exceed 1 (plug-in endpoint
+    counts, or omega under max-theta-1 normalization); products past 1
+    are clamped.
+    """
+
+    theta: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        block = np.asarray(self.block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
+            raise ValueError("block matrix must be square")
+        if not np.array_equal(block, block.T) or block.min(initial=0.0) < 0.0:
+            raise ValueError("block matrix must be symmetric and nonnegative")
+        labels = _validate_factor_labels(self.labels, block.shape[0])
+        theta = np.asarray(self.theta, dtype=np.float64)
+        if theta.shape != labels.shape or theta.min(initial=0.0) < 0.0:
+            raise ValueError("theta must be one nonnegative entry per node")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
+
+    def _raw(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        t = self.labels - 1
+        return (self.theta[i] * self.block[t[i], t[j]]) * self.theta[j]
+
+    @cached_property
+    def row_bounds(self) -> np.ndarray:
+        t = self.labels - 1
+        top = np.zeros(self.block.shape[0])
+        np.maximum.at(top, t, self.theta)
+        return ((self.theta[:, None] * self.block[t]) * top).max(axis=1, initial=0.0)
+
+    def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.minimum(self._raw(i, j), 1.0)
+
+    def clamped_pairs(self) -> int:
+        """Number of pairs i < j whose product exceeds 1 before the clamp;
+        only rows whose bound exceeds 1 are scanned."""
+        count = 0
+        for i in np.flatnonzero(self.row_bounds > 1.0):
+            count += int((self._raw(i, np.arange(i + 1, self.n)) > 1.0).sum())
+        return count
+
+    def dense(self) -> np.ndarray:
+        t = self.labels - 1
+        p = self.theta[:, None] * self.block[np.ix_(t, t)] * self.theta[None, :]
+        return np.minimum(p, 1.0, out=p)
+
+
+@dataclass(frozen=True, eq=False)
+class PabmProb:
+    """P_ij = lam[i, tau_j] * lam[j, tau_i] in O(nK)."""
+
+    lam: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        lam = np.asarray(self.lam, dtype=np.float64)
+        if lam.ndim != 2:
+            raise ValueError("lambda must be an n x K matrix")
+        labels = _validate_factor_labels(self.labels, lam.shape[1])
+        if lam.shape[0] != labels.size:
+            raise ValueError("lambda must have one row per node")
+        if lam.size and (lam.min() < 0.0 or lam.max() > 1.0):
+            raise ValueError("lambda entries must lie in [0, 1]")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
+
+    @cached_property
+    def row_bounds(self) -> np.ndarray:
+        t = self.labels - 1
+        # top[b, a] = max of lam[j, a] over the nodes j of community b
+        top = np.zeros((self.lam.shape[1], self.lam.shape[1]))
+        np.maximum.at(top, t, self.lam)
+        return (self.lam * top[:, t].T).max(axis=1, initial=0.0)
+
+    def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        t = self.labels - 1
+        return self.lam[i, t[j]] * self.lam[j, t[i]]
+
+    def dense(self) -> np.ndarray:
+        popularity_toward = self.lam[:, self.labels - 1]  # [i, j] = lam[i, tau_j]
+        return popularity_toward * popularity_toward.T
+
+
+FactoredProb = Union[DcbmProb, PabmProb]
+EdgeProb = Union[ProbMatrix, DcbmProb, PabmProb]
+
+
+def edge_probs(params: ModelParams) -> FactoredProb:
+    """Factored edge probabilities of the model parameters; an SBM is the
+    DCBM form with theta = 1."""
+    if isinstance(params, SbmParams):
+        return DcbmProb(np.ones(params.n), params.omega, params.labels)
+    if isinstance(params, DcbmParams):
+        return DcbmProb(params.theta, params.omega, params.labels)
+    if isinstance(params, PabmParams):
+        return PabmProb(params.lam, params.labels)
+    raise TypeError(f"unsupported params type {type(params).__name__}")
+
+
+def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
+    """Dense edge-probability matrix of model parameters or of a factored
+    form (a plug-in fit, say); n^2 floats, for small n and tests.
 
     Degree-corrected products theta_i omega theta_j are clamped at 1: with
     block-wise max theta = 1, heavy-tailed degree draws can push a few
     top pairs past 1 at realistic density targets.
     """
-    t = params.labels - 1
-    if isinstance(params, SbmParams):
-        p = params.omega[np.ix_(t, t)].copy()
-    elif isinstance(params, DcbmParams):
-        p = params.theta[:, None] * params.omega[np.ix_(t, t)] * params.theta[None, :]
-        np.minimum(p, 1.0, out=p)
-    elif isinstance(params, PabmParams):
-        popularity_toward = params.lam[:, t]  # [i, j] = lam[i, tau_j]
-        p = popularity_toward * popularity_toward.T
-    else:
-        raise TypeError(f"unsupported params type {type(params).__name__}")
+    factored = params if isinstance(params, (DcbmProb, PabmProb)) else edge_probs(params)
+    p = factored.dense()
     np.fill_diagonal(p, 0.0)
     return ProbMatrix(p)
 
@@ -256,12 +396,52 @@ def expected_density(p: ProbMatrix) -> float:
     return expected_edge_count(p) / pairs if pairs else 0.0
 
 
-def sample_graph(p: ProbMatrix, seed: int) -> Graph:
-    """Independent Bernoulli draws on the upper triangle, mirrored."""
+# pairs per chunk of whole rows in ``sample_graph``
+_CHUNK_PAIRS = 1 << 20
+
+
+def sample_graph(p: EdgeProb, seed: int) -> Graph:
+    """Independent Bernoulli draws on the upper triangle.
+
+    One uniform per pair i < j in row-major order, drawn in chunks of
+    whole rows of about 1M pairs; pair (i, j) is an edge when
+    its uniform is below P_ij. Only uniforms below row i's bound are
+    candidates, and P_ij is evaluated for the candidates alone, so a
+    factored ``p`` is sampled in O(nK + m) memory plus one chunk, and the
+    graph is the same for every chunk size and for the dense form.
+    """
+    n = p.n
     rng = np.random.default_rng(seed)
-    i, j = np.triu_indices(p.n, 1)
-    hit = rng.random(i.size) < p.p[i, j]
-    return Graph(n=p.n, edges=np.column_stack([i[hit], j[hit]]))
+    if n < 2:
+        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
+    bound = p.row_bounds
+    row_pairs = np.arange(n - 1, -1, -1)  # row i holds pairs (i, i+1..n-1)
+    offsets = np.concatenate([[0], np.cumsum(row_pairs)])
+    rows, cols = [], []
+    buf = np.empty(min(offsets[-1], max(_CHUNK_PAIRS, n - 1)))
+    start = 0
+    while start < n - 1:
+        stop = int(np.searchsorted(offsets, offsets[start] + _CHUNK_PAIRS, side="right")) - 1
+        stop = min(max(stop, start + 1), n - 1)
+        local = offsets[start:stop + 1] - offsets[start]
+        u = rng.random(out=buf[:local[-1]])
+        row_bound, pairs = bound[start:stop], row_pairs[start:stop]
+        top = row_bound.max()
+        # one chunk-wide bound is a cheaper test per pair than the per-row
+        # bounds, unless it admits more than 1/16 of the pairs as extra
+        # candidates
+        if (top * local[-1] - row_bound @ pairs) * 16 < local[-1]:
+            cand = np.flatnonzero(u < top)
+        else:
+            cand = np.flatnonzero(u < np.repeat(row_bound, pairs))
+        row = np.searchsorted(local[1:], cand, side="right")
+        col = cand - local[row] + row + start + 1
+        row += start
+        hit = u[cand] < p.pair_probs(row, col)
+        rows.append(row[hit])
+        cols.append(col[hit])
+        start = stop
+    return Graph(n=n, edges=np.column_stack([np.concatenate(rows), np.concatenate(cols)]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +509,7 @@ def gen_sbm(
     pair_sum += float((base[iu] * cross[iu]).sum())
     omega = _scale_omega(base, pair_sum, _pair_target(n, target_density, target_avg_degree))
     params = SbmParams(k=k, omega=omega, labels=labels)
-    g = sample_graph(prob_matrix(params), derive_seed(seed, "graph"))
+    g = sample_graph(edge_probs(params), derive_seed(seed, "graph"))
     return g, params
 
 
@@ -391,11 +571,11 @@ def gen_dcbm(
         raise InfeasibleModelError("density target exceeds 1")
     omega = base * (target_pairs / pair_sum)
     params = DcbmParams(k=k, omega=omega, theta=theta, labels=labels)
+    probs = edge_probs(params)
     # heavy-tailed theta can push the very top pair products past 1; those
     # pairs become deterministic edges. A target that clamps more than 1%
     # of pairs is treated as infeasible rather than a changed model.
-    raw = params.theta[:, None] * params.omega[np.ix_(labels - 1, labels - 1)] * params.theta[None, :]
-    n_clamped = int((raw[np.triu_indices(n, 1)] > 1.0).sum())
+    n_clamped = probs.clamped_pairs()
     if n_clamped > 0.01 * n * (n - 1) / 2.0:
         raise InfeasibleModelError(
             f"density target clamps {n_clamped} pair probabilities (> 1% of pairs)"
@@ -406,7 +586,7 @@ def gen_dcbm(
             f"{'y' if n_clamped == 1 else 'ies'} at 1",
             stacklevel=2,
         )
-    g = sample_graph(prob_matrix(params), derive_seed(seed, "graph"))
+    g = sample_graph(probs, derive_seed(seed, "graph"))
     return g, params
 
 
@@ -439,6 +619,8 @@ def gen_pabm(
             lam[rows, col] = law.sample(rng, block)
     if density_scale is not None:
         params0 = PabmParams(k=k, lam=lam, labels=labels)
+        # the dense triangle sum fixes lambda to the last bit, and with it
+        # the sampled graph; keep it rather than a reordered factored sum
         current = expected_density(prob_matrix(params0))
         if current <= 0:
             raise InfeasibleModelError("zero base density, cannot scale")
@@ -451,7 +633,7 @@ def gen_pabm(
             )
         lam = np.clip(lam_scaled, 0.0, 1.0)
     params = PabmParams(k=k, lam=lam, labels=labels)
-    g = sample_graph(prob_matrix(params), derive_seed(seed, "graph"))
+    g = sample_graph(edge_probs(params), derive_seed(seed, "graph"))
     return g, params
 
 
@@ -473,12 +655,12 @@ def _block_edge_counts(g: Graph, labels: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
-def fit_sbm(g: Graph, labels: np.ndarray) -> ProbMatrix:
+def fit_sbm(g: Graph, labels: np.ndarray) -> DcbmProb:
     """Plug-in SBM fit: block-wise edge frequencies.
 
     omega_hat[k, l] = (edges between communities k, l) / (available pairs).
     A singleton community has no within pairs; its diagonal entry is set
-    to 0 with a warning.
+    to 0 with a warning. Returned in factored form with theta = 1.
     """
     labels = np.asarray(labels, dtype=np.int64)
     k = int(labels.max())
@@ -494,19 +676,16 @@ def fit_sbm(g: Graph, labels: np.ndarray) -> ProbMatrix:
         warnings.warn(
             "singleton community: within-block probability set to 0", stacklevel=2
         )
-    t = labels - 1
-    p = omega[np.ix_(t, t)].copy()
-    np.fill_diagonal(p, 0.0)
-    return ProbMatrix(np.clip(p, 0.0, 1.0))
+    return DcbmProb(np.ones(labels.size), omega, labels)
 
 
-def fit_dcbm(g: Graph, labels: np.ndarray) -> ProbMatrix:
+def fit_dcbm(g: Graph, labels: np.ndarray) -> DcbmProb:
     """Degree-ratio plug-in DCBM fit.
 
     theta_hat_i = deg(i) / (total degree of i's community);
     O_hat[k, l] = edge endpoints between communities k and l (twice the
-    within count on the diagonal); P_hat = theta theta^T O, clamped to
-    [0, 1] with zero diagonal.
+    within count on the diagonal); P_hat_ij = theta_i O[tau_i, tau_j]
+    theta_j clamped at 1, returned in factored form.
 
     Raises ``DegenerateModelError`` when a community has zero total degree.
     """
@@ -523,21 +702,12 @@ def fit_dcbm(g: Graph, labels: np.ndarray) -> ProbMatrix:
     theta = deg / block_deg[labels - 1]
     o_hat = _block_edge_counts(g, labels, k)
     o_hat = o_hat + np.diag(np.diag(o_hat))  # within-block endpoints count twice
-    t = labels - 1
-    p = theta[:, None] * o_hat[np.ix_(t, t)] * theta[None, :]
-    np.fill_diagonal(p, 0.0)
-    return ProbMatrix(np.clip(p, 0.0, 1.0))
+    return DcbmProb(theta, o_hat, labels)
 
 
 # ---------------------------------------------------------------------------
 # parameter serialization (experiment provenance)
 # ---------------------------------------------------------------------------
-
-def write_prob_matrix_csv(p: ProbMatrix, stream: IO[str]) -> None:
-    """Debug CSV dump of a fitted probability matrix, one row per line."""
-    for row in p.p:
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def _write_matrix(stream: IO[str], name: str, m: np.ndarray) -> None:
     stream.write(f"[{name}]\n")

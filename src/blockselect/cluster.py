@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._seeds import derive_seed
 from .errors import NumericalError
@@ -503,6 +502,10 @@ def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> fl
     for name, vec in (("est", est), ("true", true)):
         if vec.min() < 1 or vec.max() > k:
             raise ValueError(f"{name} labels must lie in [1, {k}]")
+    # scipy.optimize takes about a quarter of the package's import time
+    # and only this function needs it
+    from scipy.optimize import linear_sum_assignment
+
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (est - 1, true - 1), 1)
     rows_idx, cols_idx = linear_sum_assignment(confusion, maximize=True)

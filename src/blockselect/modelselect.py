@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._seeds import derive_seed
-from .blockmodels import ProbMatrix, fit_dcbm, fit_sbm, sample_graph
+from .blockmodels import EdgeProb, fit_dcbm, fit_sbm, sample_graph
 from .cluster import ClusterSolution, minimize_q1, minimize_q_subspace
 from .errors import DegenerateModelError, InfeasibleModelError, NumericalError
 from .netcore import Graph
@@ -36,7 +37,12 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TestResult:
-    """Observed statistic, bootstrap replicates, and the decision."""
+    """Observed statistic, bootstrap replicates, and the decision.
+
+    ``failures`` lists each failed bootstrap attempt as (replicate index,
+    exception class name), in the order the attempts ran; every failed
+    attempt was resampled.
+    """
 
     statistic: float
     boot_stats: np.ndarray = field(repr=False)
@@ -46,10 +52,15 @@ class TestResult:
     null_model: ModelKind
     alt_model: ModelKind
     seed: int
+    failures: tuple[tuple[int, str], ...] = ()
 
     @property
     def n_replicates(self) -> int:
         return int(self.boot_stats.size)
+
+    @property
+    def attempts(self) -> int:
+        return self.n_replicates + len(self.failures)
 
 
 def bootstrap_p_value(
@@ -77,6 +88,7 @@ def make_test_result(
     alt_model: ModelKind,
     seed: int,
     corrected: bool = False,
+    failures: Sequence[tuple[int, str]] = (),
 ) -> TestResult:
     boot = np.asarray(boot_stats, dtype=np.float64)
     p = bootstrap_p_value(statistic, boot, corrected=corrected)
@@ -89,6 +101,7 @@ def make_test_result(
         null_model=null_model,
         alt_model=alt_model,
         seed=seed,
+        failures=tuple(failures),
     )
 
 
@@ -96,13 +109,19 @@ _REPLICATE_ERRORS = (NumericalError, DegenerateModelError, np.linalg.LinAlgError
 
 
 def _bootstrap_statistics(
-    p_hat: ProbMatrix, n_boot: int, seed: int, stat_fn
+    p_hat: EdgeProb,
+    n_boot: int,
+    seed: int,
+    stat_fn,
+    failures: list[tuple[int, str]] | None = None,
 ) -> np.ndarray:
     """Replicate statistics under the fitted null.
 
     Failed replicates (eigensolver breakdown, degenerate clustering) are
     resampled from a fresh derived seed; more than 3 * R total attempts is
     an error, since silently dropping replicates would bias the p-value.
+    Each failed attempt is appended to ``failures`` as (replicate index,
+    exception class name).
     """
     stats = np.empty(n_boot)
     attempts = 0
@@ -120,8 +139,9 @@ def _bootstrap_statistics(
                 g_rep = sample_graph(p_hat, derive_seed(rep_seed, "graph"))
                 stats[r] = stat_fn(g_rep, derive_seed(rep_seed, "fit"))
                 break
-            except _REPLICATE_ERRORS:
-                continue
+            except _REPLICATE_ERRORS as exc:
+                if failures is not None:
+                    failures.append((r, type(exc).__name__))
     return stats
 
 
@@ -146,9 +166,11 @@ def test_sbm_vs_dcbm(
         rep_emb = ase(g_rep, k)
         return minimize_q1(rep_emb, k, n_restarts=restarts, seed=fit_seed).objective
 
-    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn)
+    failures: list[tuple[int, str]] = []
+    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
     result = make_test_result(
-        sol.objective, boot, alpha, ModelKind.SBM, ModelKind.DCBM, seed
+        sol.objective, boot, alpha, ModelKind.SBM, ModelKind.DCBM, seed,
+        failures=failures,
     )
     return result, sol
 
@@ -178,9 +200,11 @@ def test_dcbm_vs_pabm(
             rep_emb, k, r=1, n_restarts=restarts, seed=fit_seed
         ).objective
 
-    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn)
+    failures: list[tuple[int, str]] = []
+    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
     result = make_test_result(
-        sol.objective, boot, alpha, ModelKind.DCBM, ModelKind.PABM, seed
+        sol.objective, boot, alpha, ModelKind.DCBM, ModelKind.PABM, seed,
+        failures=failures,
     )
     return result, sol
 
@@ -319,6 +343,10 @@ def _test_dict(t: TestResult | None) -> dict | None:
         "alpha": t.alpha,
         "rejected": t.rejected,
         "n_replicates": t.n_replicates,
+        "attempts": t.attempts,
+        "failed_attempts": [
+            {"replicate": r, "error": name} for r, name in t.failures
+        ],
         "seed": t.seed,
         "boot_stats": [float(v) for v in t.boot_stats],
     }

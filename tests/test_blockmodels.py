@@ -1,19 +1,28 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockselect import blockmodels
 from blockselect.blockmodels import (
     Beta,
     Constant,
     DcbmParams,
+    DcbmProb,
     PabmParams,
+    PabmProb,
     PowerLaw,
     ProbMatrix,
     SbmParams,
     beta_ratio_omega,
+    edge_probs,
     expected_density,
     expected_edge_count,
     fit_dcbm,
@@ -28,6 +37,7 @@ from blockselect.blockmodels import (
 )
 from blockselect.errors import DegenerateModelError, InfeasibleModelError
 from blockselect.netcore import Graph, avg_degree, density
+from conftest import random_graph
 
 TABLE_OMEGA = np.array([[4.0, 2.0, 1.0], [2.0, 4.0, 1.0], [1.0, 1.0, 4.0]])
 
@@ -154,6 +164,140 @@ def test_expected_edge_count_matches_empirical_mean():
 
 
 # ---------------------------------------------------------------------------
+# the factored sampler against the dense triu_indices sampler it replaced
+# ---------------------------------------------------------------------------
+
+def triu_sample_graph(p: ProbMatrix, seed: int) -> Graph:
+    """Reference sampler: one uniform per pair i < j, all drawn at once in
+    ``triu_indices`` order, against the dense matrix."""
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(p.n, 1)
+    hit = rng.random(i.size) < p.p[i, j]
+    return Graph(n=p.n, edges=np.column_stack([i[hit], j[hit]]))
+
+
+def sample_in_chunks(p, seed: int, chunk_pairs: int) -> Graph:
+    with mock.patch.object(blockmodels, "_CHUNK_PAIRS", chunk_pairs):
+        return sample_graph(p, seed)
+
+
+def dense_fit(g: Graph, labels: np.ndarray, degree_corrected: bool) -> ProbMatrix:
+    """Reference plug-in fits from the dense adjacency. Block sums of A
+    count a within-block edge twice: the DCBM's endpoint count, and twice
+    the SBM's edge count, which is divided by twice its pair count."""
+    k = int(labels.max())
+    a = np.zeros((g.n, g.n))
+    a[g.edges[:, 0], g.edges[:, 1]] = 1.0
+    a += a.T
+    onehot = (labels[:, None] == np.arange(1, k + 1)).astype(np.float64)
+    sums = onehot.T @ a @ onehot
+    t = labels - 1
+    if degree_corrected:
+        theta = a.sum(axis=1) / sums.sum(axis=1)[t]
+        p = theta[:, None] * sums[np.ix_(t, t)] * theta[None, :]
+    else:
+        sizes = onehot.sum(axis=0)
+        pairs = np.outer(sizes, sizes) - np.diag(sizes)
+        omega = np.divide(sums, pairs, out=np.zeros_like(sums), where=pairs > 0)
+        p = omega[np.ix_(t, t)]
+    p = np.minimum(p, 1.0)
+    np.fill_diagonal(p, 0.0)
+    return ProbMatrix(p)
+
+
+@st.composite
+def _model_params(draw):
+    kind = draw(st.sampled_from(["sbm", "dcbm", "pabm"]))
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(1, min(3, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(
+        np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
+    )
+    # quarter steps give probabilities of exactly 0 and 1 and pairs that
+    # equal their row's bound
+    on_grid = draw(st.booleans())
+
+    def values(shape, high=1.0):
+        v = rng.integers(0, 5, shape) / 4 if on_grid else rng.uniform(0, 1, shape)
+        return high * v
+
+    def symmetric(m):
+        return np.triu(m) + np.triu(m, 1).T
+
+    if kind == "sbm":
+        return SbmParams(k=k, omega=symmetric(values((k, k))), labels=labels)
+    if kind == "dcbm":
+        # omega up to 3 clamps the top products at 1
+        theta = values(n)
+        for b in range(1, k + 1):
+            theta[np.flatnonzero(labels == b)[0]] = 1.0
+        omega = symmetric(values((k, k), high=3.0))
+        return DcbmParams(k=k, omega=omega, theta=theta, labels=labels)
+    return PabmParams(k=k, lam=values((n, k)), labels=labels)
+
+
+_CHUNKS = st.sampled_from([1, 2, 5, 1 << 20])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(params=_model_params(), seed=st.integers(0, 1000), chunk_pairs=_CHUNKS)
+def test_factored_sampler_matches_dense_oracle(params, seed, chunk_pairs):
+    dense = prob_matrix(params)
+    want = triu_sample_graph(dense, seed)
+    assert sample_in_chunks(edge_probs(params), seed, chunk_pairs) == want
+    assert sample_in_chunks(dense, seed, chunk_pairs) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 30), k=st.integers(1, 3), p=st.sampled_from([0.1, 0.4, 1.0]),
+    seed=st.integers(0, 1000), chunk_pairs=_CHUNKS,
+)
+def test_fit_samplers_match_dense_oracle(n, k, p, seed, chunk_pairs):
+    k = min(k, n)
+    g = random_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(
+        np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # singleton communities
+        fits = [(fit_sbm(g, labels), dense_fit(g, labels, degree_corrected=False))]
+    if np.bincount(labels[g.edges.ravel()], minlength=k + 1)[1:].all():
+        fits.append((fit_dcbm(g, labels), dense_fit(g, labels, degree_corrected=True)))
+    for fitted, want in fits:
+        np.testing.assert_array_equal(prob_matrix(fitted).p, want.p)
+        assert sample_in_chunks(fitted, seed, chunk_pairs) == triu_sample_graph(want, seed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_sampler_on_tiny_graphs(n):
+    labels = np.ones(n, dtype=np.int64)
+    rng = np.random.default_rng(n)
+    forms = [
+        DcbmProb(rng.uniform(0, 1, n), np.array([[2.5]]), labels),
+        PabmProb(rng.uniform(0, 1, (n, 1)), labels),
+        ProbMatrix(0.5 * (np.ones((n, n)) - np.eye(n))),
+    ]
+    for p in forms:
+        dense = p if isinstance(p, ProbMatrix) else prob_matrix(p)
+        for seed in range(20):
+            want = triu_sample_graph(dense, seed)
+            for chunk_pairs in (1, 1 << 20):
+                assert sample_in_chunks(p, seed, chunk_pairs) == want
+
+
+def test_factored_forms_validate():
+    with pytest.raises(ValueError, match="symmetric"):
+        DcbmProb(np.ones(2), np.array([[0.5, 0.1], [0.2, 0.5]]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="lie in"):
+        DcbmProb(np.ones(2), np.eye(2), np.array([1, 3]))
+    with pytest.raises(ValueError, match="one row per node"):
+        PabmProb(np.ones((3, 2)), np.array([1, 2]))
+
+
+# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -277,7 +421,7 @@ def test_unit_lambda_gives_complete_graph():
 
 def test_fit_sbm_hand_count():
     g = Graph.from_pairs(4, [(0, 1), (2, 3)])
-    p = fit_sbm(g, np.array([1, 1, 2, 2]))
+    p = prob_matrix(fit_sbm(g, np.array([1, 1, 2, 2])))
     assert p.p[0, 1] == 1.0  # within block 1: 1 edge / 1 pair
     assert p.p[2, 3] == 1.0
     assert p.p[0, 2] == 0.0
@@ -288,23 +432,23 @@ def test_fit_sbm_complete_and_empty():
     n = 5
     complete = Graph.from_pairs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     labels = np.array([1, 1, 2, 2, 2])
-    p = fit_sbm(complete, labels)
+    p = prob_matrix(fit_sbm(complete, labels))
     off = p.p[~np.eye(n, dtype=bool)]
     np.testing.assert_allclose(off, 1.0)
     empty = Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
-    np.testing.assert_allclose(fit_sbm(empty, labels).p, 0.0)
+    np.testing.assert_allclose(prob_matrix(fit_sbm(empty, labels)).p, 0.0)
 
 
 def test_fit_sbm_singleton_block_warns():
     g = Graph.from_pairs(3, [(0, 1)])
     with pytest.warns(UserWarning, match="singleton"):
-        p = fit_sbm(g, np.array([1, 1, 2]))
+        p = prob_matrix(fit_sbm(g, np.array([1, 1, 2])))
     assert p.p[2, 0] == 0.0
 
 
 def test_fit_dcbm_path_hand_computation():
     g = Graph.from_pairs(3, [(0, 1), (1, 2)])
-    p = fit_dcbm(g, np.array([1, 1, 2]))
+    p = prob_matrix(fit_dcbm(g, np.array([1, 1, 2])))
     # theta_hat = (1/3, 2/3, 1), endpoint counts [[2, 1], [1, 0]]
     assert p.p[0, 1] == pytest.approx(4 / 9)
     assert p.p[1, 2] == pytest.approx(2 / 3)
@@ -318,8 +462,8 @@ def test_fit_dcbm_degree_regular_blocks_match_fit_sbm():
     # (n_k - 1)/n_k finite-size factor relative to the pair-count fit
     g = Graph.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
     labels = np.array([1, 1, 1, 2, 2, 2])
-    dcbm = fit_dcbm(g, labels).p
-    sbm = fit_sbm(g, labels).p
+    dcbm = prob_matrix(fit_dcbm(g, labels)).p
+    sbm = prob_matrix(fit_sbm(g, labels)).p
     cross = labels[:, None] != labels[None, :]
     np.testing.assert_allclose(dcbm[cross], sbm[cross], atol=1e-12)
     within = (labels[:, None] == labels[None, :]) & ~np.eye(6, dtype=bool)
@@ -329,7 +473,7 @@ def test_fit_dcbm_degree_regular_blocks_match_fit_sbm():
 def test_fit_dcbm_clamps_at_one():
     g = Graph.from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     labels = np.array([1, 1, 2, 2])
-    p = fit_dcbm(g, labels)
+    p = prob_matrix(fit_dcbm(g, labels))
     # raw plug-in value for pair (0, 2) is (3/5)(2/3)*3 = 1.2
     assert p.p[0, 2] == 1.0
 
@@ -403,18 +547,56 @@ def test_fit_sbm_recovers_planted_omega_at_scale():
             2000, 3, [0.25, 0.25, 0.5], TABLE_OMEGA, target_density=0.05,
             seed=1000 + seed,
         )
-        fitted = fit_sbm(g, params.labels)
-        t = params.labels - 1
+        fitted = prob_matrix(fit_sbm(g, params.labels))
         err = np.abs(fitted.p - prob_matrix(params).p).max()
         if err <= 0.01:
             hits += 1
     assert hits >= 19
 
 
-def test_prob_matrix_csv_export():
-    from blockselect.blockmodels import write_prob_matrix_csv
+# ---------------------------------------------------------------------------
+# memory and scale
+# ---------------------------------------------------------------------------
 
-    p = ProbMatrix(np.array([[0.0, 0.25], [0.25, 0.0]]))
-    buf = io.StringIO()
-    write_prob_matrix_csv(p, buf)
-    assert buf.getvalue() == "0,0.25\n0.25,0\n"
+def test_generators_fits_and_sampler_hold_no_dense_matrix():
+    # at n=6000 one n x n float64 matrix is 288 MB; generating, fitting and
+    # redrawing must each peak under a quarter of it
+    n = 6000
+    cap = n * n * 8 / 4
+    runs = [
+        (lambda: gen_sbm(n, 3, [1 / 3] * 3, beta_ratio_omega(3, 0.2),
+                         target_avg_degree=20, seed=0), fit_sbm),
+        (lambda: gen_dcbm(n, 3, [1 / 3] * 3, beta_ratio_omega(3, 0.5), PowerLaw(1, 5),
+                          target_avg_degree=20, seed=0), fit_dcbm),
+    ]
+    for generate, fit in runs:
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # degree target clamped
+                g, params = generate()
+            gen_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sample_graph(fit(g, params.labels), seed=1)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen_peak < cap, gen_peak
+        assert fit_peak < cap, fit_peak
+
+
+def test_fit_and_sample_at_n20000():
+    # the bootstrap's refit-and-redraw at a scale the dense matrix (3.2 GB)
+    # could not reach; the refit of the redraw recovers the fit's block
+    # probabilities within 5 standard errors
+    n = 20_000
+    g, params = gen_sbm(n, 3, [1 / 3] * 3, beta_ratio_omega(3, 0.2),
+                        target_avg_degree=10, seed=0)
+    fitted = fit_sbm(g, params.labels)
+    redraw = sample_graph(fitted, seed=1)
+    assert redraw.n == n
+    refit = fit_sbm(redraw, params.labels)
+    sizes = np.bincount(params.labels)[1:].astype(np.float64)
+    pairs = np.outer(sizes, sizes) - np.diag(sizes * (sizes + 1) / 2)
+    se = np.sqrt(fitted.block * (1 - fitted.block) / pairs)
+    assert np.all(np.abs(refit.block - fitted.block) <= 5 * se)

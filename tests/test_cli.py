@@ -257,3 +257,15 @@ def test_importing_cli_leaves_numpy_unloaded():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_importing_modelselect_leaves_scipy_optimize_unloaded():
+    # only mislabel_rate needs scipy.optimize, a quarter of the import time
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    code = "import sys, blockselect.modelselect; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

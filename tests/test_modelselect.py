@@ -97,6 +97,41 @@ def test_bootstrap_resamples_failed_replicates():
     assert calls["n"] == 10  # every replicate needed exactly one retry
 
 
+def test_bootstrap_failures_are_recorded_in_result_and_report(monkeypatch):
+    g, _ = gen_sbm(60, 2, [0.5, 0.5], beta_ratio_omega(2, 0.2),
+                   target_avg_degree=10, seed=0)
+    clean = run_workflow(g, 2, n_boot=6, restarts=3, seed=1)
+    # call 1 is the observed fit; calls 3 and 6 are the first attempts of
+    # replicates 1 and 3, which are resampled from fresh seeds
+    original = ms.minimize_q1
+    calls = {"n": 0}
+
+    def flaky_q1(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise NumericalError("transient")
+        if calls["n"] == 6:
+            raise DegenerateModelError("empty community")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "minimize_q1", flaky_q1)
+    result = run_workflow(g, 2, n_boot=6, restarts=3, seed=1)
+    test = result.test_sbm_dcbm
+    assert test.failures == ((1, "NumericalError"), (3, "DegenerateModelError"))
+    assert test.n_replicates == 6 and test.attempts == 8
+    assert clean.test_sbm_dcbm.failures == () and clean.test_sbm_dcbm.attempts == 6
+    keep = [0, 2, 4, 5]  # replicates whose first attempt succeeded
+    np.testing.assert_array_equal(
+        test.boot_stats[keep], clean.test_sbm_dcbm.boot_stats[keep]
+    )
+    report = workflow_report(result)["test_sbm_vs_dcbm"]
+    assert report["attempts"] == 8
+    assert report["failed_attempts"] == [
+        {"replicate": 1, "error": "NumericalError"},
+        {"replicate": 3, "error": "DegenerateModelError"},
+    ]
+
+
 def test_bootstrap_exhaustion_raises():
     def always_fails(g_rep, fit_seed):
         raise NumericalError("broken")
