@@ -30,7 +30,7 @@ _EXPORTS = {
         "EdgeListParseError", "InfeasibleModelError", "NumericalError",
     ),
     "modelselect": (
-        "ModelKind", "TestResult", "WorkflowResult", "run_workflow",
+        "ModelKind", "TestResult", "WorkflowResult", "detect", "run_workflow",
         "test_dcbm_vs_pabm", "test_sbm_vs_dcbm", "workflow_report",
     ),
     "netcore": (

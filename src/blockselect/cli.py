@@ -177,9 +177,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    from .cluster import minimize_q1, minimize_q_subspace, mislabel_rate
+    from .cluster import mislabel_rate
+    from .modelselect import ModelKind, detect
     from .netcore import load_labels
-    from .spectral import ase
 
     graph, ids = _load_graph(args.edges, args.lcc)
     config = {
@@ -192,23 +192,9 @@ def cmd_cluster(args) -> int:
         "seed": args.seed,
         "lcc": args.lcc,
     }
-    if args.model == "sbm":
-        emb = ase(graph, args.k)
-        sol = minimize_q1(emb, args.k, n_restarts=args.restarts or 10, seed=args.seed)
-    elif args.model == "dcbm":
-        emb = ase(graph, args.k)
-        sol = minimize_q_subspace(
-            emb, args.k, r=1, n_restarts=args.restarts or 20, seed=args.seed
-        )
-    else:
-        if args.k * args.k > graph.n:
-            raise InfeasibleModelError(
-                f"K^2 = {args.k * args.k} exceeds n = {graph.n}"
-            )
-        emb = ase(graph, args.k * args.k, scaled=False)
-        sol = minimize_q_subspace(
-            emb, args.k, r=args.k, n_restarts=args.restarts or 100, seed=args.seed
-        )
+    sol = detect(
+        graph, args.k, ModelKind(args.model.upper()), args.restarts, seed=args.seed
+    )
     args.out.mkdir(parents=True, exist_ok=True)
     _write_labels_csv(args.out / "labels.csv", sol.labels, ids, config)
     meta = {
@@ -230,22 +216,13 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-_STUDY_LAYOUT = {
-    ("test_sbm_vs_dcbm", "sbm"): "SBM_NULL_REJECTION",
-    ("test_sbm_vs_dcbm", "dcbm"): "DCBM_ALT_REJECTION",
-    ("test_dcbm_vs_pabm", "dcbm"): "DCBM_NULL_REJECTION",
-    ("test_dcbm_vs_pabm", "pabm"): "PABM_ALT_REJECTION",
-}
-
-
 def cmd_simulate(args) -> int:
     from .simharness import (
-        Study,
-        TableLayout,
         emit_table,
         load_experiment_config,
         report_provenance,
         run_experiment,
+        table_layout,
     )
 
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -262,16 +239,7 @@ def cmd_simulate(args) -> int:
     report = run_experiment(spec, progress=progress)
     if not args.quiet:
         print(file=sys.stderr)
-    if spec.study is Study.COMM_DET_SBM:
-        layout = TableLayout.SBM_MISLABEL
-    elif spec.study is Study.COMM_DET_DCBM:
-        layout = TableLayout.DCBM_MISLABEL
-    elif spec.study is Study.COMM_DET_PABM:
-        layout = TableLayout.PABM_MISLABEL
-    else:
-        truth = spec.grid[0].true_model
-        layout = TableLayout[_STUDY_LAYOUT[(spec.study.value, truth)]]
-    csv_text, table_text = emit_table(report, layout)
+    csv_text, table_text = emit_table(report, table_layout(spec))
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "table.csv").write_text(csv_text, encoding="utf-8")
     header = (

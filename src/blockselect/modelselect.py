@@ -1,11 +1,11 @@
 """Parametric-bootstrap model selection across the blockmodel hierarchy.
 
-Two sequential tests share one pipeline: embed, minimize the null model's
-loss, use the minimized loss as the observed statistic, refit the null
-model's probability matrix from the estimated labels, and compare against
-the statistic recomputed on bootstrap graphs drawn from that fit. The
-p-value is the fraction of replicate statistics at least as large as the
-observed one.
+``detect`` embeds a graph and minimizes one model's loss. Two sequential
+tests share one pipeline: detect under the null model, use the minimized
+loss as the observed statistic, refit the null model's probability matrix
+from the estimated labels, and compare against the statistic recomputed
+on bootstrap graphs drawn from that fit. The p-value is the fraction of
+replicate statistics at least as large as the observed one.
 
 The workflow gate: if the centroid-loss test keeps the SBM, stop there;
 otherwise run the rank-1 subspace test; if that keeps the DCBM, stop;
@@ -33,6 +33,43 @@ class ModelKind(enum.Enum):
     SBM = "SBM"
     DCBM = "DCBM"
     PABM = "PABM"
+
+
+# restarts per minimization when the caller passes none: the rank-K loss
+# landscape has many more local minima than the other two
+DEFAULT_RESTARTS = {ModelKind.SBM: 10, ModelKind.DCBM: 20, ModelKind.PABM: 100}
+
+
+def _require_pabm_embedding(n: int, k: int) -> None:
+    if k * k > n:
+        raise InfeasibleModelError(f"K^2 = {k * k} exceeds n = {n}")
+
+
+def detect(
+    g: Graph,
+    k: int,
+    model: ModelKind,
+    restarts: int | None = None,
+    seed: int = 0,
+) -> ClusterSolution:
+    """Community detection under one model: minimize its loss over its
+    adjacency embedding.
+
+    SBM: centroid loss on the scaled K-dimensional embedding. DCBM: rank-1
+    subspace loss on the same embedding. PABM: rank-K subspace loss on the
+    unscaled K^2-dimensional embedding, which needs K^2 <= n. ``restarts``
+    defaults to ``DEFAULT_RESTARTS[model]``.
+    """
+    n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
+    if model is ModelKind.SBM:
+        return minimize_q1(ase(g, k), k, n_restarts=n_restarts, seed=seed)
+    if model is ModelKind.DCBM:
+        return minimize_q_subspace(ase(g, k), k, r=1, n_restarts=n_restarts, seed=seed)
+    _require_pabm_embedding(g.n, k)
+    # rank-K subspace structure lives in the orthonormal eigenvector rows
+    return minimize_q_subspace(
+        ase(g, k * k, scaled=False), k, r=k, n_restarts=n_restarts, seed=seed
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +124,10 @@ def make_test_result(
     null_model: ModelKind,
     alt_model: ModelKind,
     seed: int,
-    corrected: bool = False,
     failures: Sequence[tuple[int, str]] = (),
 ) -> TestResult:
     boot = np.asarray(boot_stats, dtype=np.float64)
-    p = bootstrap_p_value(statistic, boot, corrected=corrected)
+    p = bootstrap_p_value(statistic, boot)
     return TestResult(
         statistic=float(statistic),
         boot_stats=boot,
@@ -145,34 +181,50 @@ def _bootstrap_statistics(
     return stats
 
 
+def _run_test(
+    null: ModelKind,
+    alt: ModelKind,
+    fit,
+    g: Graph,
+    k: int,
+    n_boot: int,
+    alpha: float,
+    restarts: int | None,
+    seed: int,
+) -> tuple[TestResult, ClusterSolution]:
+    """Bootstrap test of ``null`` against ``alt``: the statistic is the
+    null model's minimized loss (``detect``), and replicates are drawn from
+    ``fit(g, labels)`` at the observed labels."""
+    if n_boot < 1:
+        raise ValueError("need at least one bootstrap replicate")
+    sol = detect(g, k, null, restarts, seed=derive_seed(seed, "observed"))
+    p_hat = fit(g, sol.labels)
+
+    def stat_fn(g_rep: Graph, fit_seed: int) -> float:
+        return detect(g_rep, k, null, restarts, seed=fit_seed).objective
+
+    failures: list[tuple[int, str]] = []
+    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
+    result = make_test_result(
+        sol.objective, boot, alpha, null, alt, seed, failures=failures
+    )
+    return result, sol
+
+
 def test_sbm_vs_dcbm(
     g: Graph,
     k: int,
     n_boot: int = 200,
     alpha: float = 0.05,
-    restarts: int = 10,
+    restarts: int | None = None,
     seed: int = 0,
 ) -> tuple[TestResult, ClusterSolution]:
     """Null: SBM; alternative: DCBM. Statistic: minimized centroid loss on
     the K-dimensional adjacency embedding. The null fit is the block-wise
     edge-frequency plug-in at the estimated labels."""
-    if n_boot < 1:
-        raise ValueError("need at least one bootstrap replicate")
-    emb = ase(g, k)
-    sol = minimize_q1(emb, k, n_restarts=restarts, seed=derive_seed(seed, "observed"))
-    p_hat = fit_sbm(g, sol.labels)
-
-    def stat_fn(g_rep: Graph, fit_seed: int) -> float:
-        rep_emb = ase(g_rep, k)
-        return minimize_q1(rep_emb, k, n_restarts=restarts, seed=fit_seed).objective
-
-    failures: list[tuple[int, str]] = []
-    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
-    result = make_test_result(
-        sol.objective, boot, alpha, ModelKind.SBM, ModelKind.DCBM, seed,
-        failures=failures,
+    return _run_test(
+        ModelKind.SBM, ModelKind.DCBM, fit_sbm, g, k, n_boot, alpha, restarts, seed
     )
-    return result, sol
 
 
 def test_dcbm_vs_pabm(
@@ -180,33 +232,15 @@ def test_dcbm_vs_pabm(
     k: int,
     n_boot: int = 200,
     alpha: float = 0.05,
-    restarts: int = 20,
+    restarts: int | None = None,
     seed: int = 0,
 ) -> tuple[TestResult, ClusterSolution]:
     """Null: DCBM; alternative: PABM. Statistic: minimized rank-1 subspace
     loss on the K-dimensional adjacency embedding. The null fit is the
     degree-ratio plug-in; a zero-degree community aborts the test."""
-    if n_boot < 1:
-        raise ValueError("need at least one bootstrap replicate")
-    emb = ase(g, k)
-    sol = minimize_q_subspace(
-        emb, k, r=1, n_restarts=restarts, seed=derive_seed(seed, "observed")
+    return _run_test(
+        ModelKind.DCBM, ModelKind.PABM, fit_dcbm, g, k, n_boot, alpha, restarts, seed
     )
-    p_hat = fit_dcbm(g, sol.labels)
-
-    def stat_fn(g_rep: Graph, fit_seed: int) -> float:
-        rep_emb = ase(g_rep, k)
-        return minimize_q_subspace(
-            rep_emb, k, r=1, n_restarts=restarts, seed=fit_seed
-        ).objective
-
-    failures: list[tuple[int, str]] = []
-    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
-    result = make_test_result(
-        sol.objective, boot, alpha, ModelKind.DCBM, ModelKind.PABM, seed,
-        failures=failures,
-    )
-    return result, sol
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,72 +289,44 @@ def run_workflow(
 ) -> WorkflowResult:
     """Sequential community detection and model selection.
 
-    ``restarts`` defaults to 10 for the centroid loss, 20 for the rank-1
-    loss, and 100 for the final rank-K loss (whose landscape has many more
-    local minima); passing an integer uses it for every minimization.
-    Requires K^2 <= n so the final embedding is well-defined.
+    ``restarts`` defaults to ``DEFAULT_RESTARTS`` of the model each
+    minimization is under; passing an integer uses it for every
+    minimization. Requires K^2 <= n so the final embedding is well-defined;
+    this is checked before the tests run.
     """
-    if k * k > g.n:
-        raise InfeasibleModelError(f"K^2 = {k * k} exceeds n = {g.n}")
-    q1_restarts = restarts if restarts is not None else 10
-    q2_restarts = restarts if restarts is not None else 20
-    q3_restarts = restarts if restarts is not None else 100
+    _require_pabm_embedding(g.n, k)
     timing: dict[str, float] = {}
+    dims: dict[str, int | None] = {"test1": k, "test2": None, "final": k}
+    test2: TestResult | None = None
 
     t0 = time.perf_counter()
-    test1, sol1 = test_sbm_vs_dcbm(
-        g, k, n_boot=n_boot, alpha=alpha, restarts=q1_restarts,
+    test1, sol = test_sbm_vs_dcbm(
+        g, k, n_boot=n_boot, alpha=alpha, restarts=restarts,
         seed=derive_seed(seed, "test1"),
     )
     timing["test_sbm_dcbm"] = time.perf_counter() - t0
-    dims: dict[str, int | None] = {"test1": k, "test2": None, "final": k}
+    selected = ModelKind.SBM
 
-    if not test1.rejected:
-        result = WorkflowResult(
-            selected_model=ModelKind.SBM,
-            labels=sol1.labels,
-            test_sbm_dcbm=test1,
-            test_dcbm_pabm=None,
-            embedding_dims=dims,
-            timing=timing,
-            k=k,
-            seed=seed,
+    if test1.rejected:
+        t0 = time.perf_counter()
+        test2, sol = test_dcbm_vs_pabm(
+            g, k, n_boot=n_boot, alpha=alpha, restarts=restarts,
+            seed=derive_seed(seed, "test2"),
         )
-        validate_workflow_result(result)
-        return result
+        timing["test_dcbm_pabm"] = time.perf_counter() - t0
+        dims["test2"] = k
+        selected = ModelKind.DCBM
 
-    t0 = time.perf_counter()
-    test2, sol2 = test_dcbm_vs_pabm(
-        g, k, n_boot=n_boot, alpha=alpha, restarts=q2_restarts,
-        seed=derive_seed(seed, "test2"),
-    )
-    timing["test_dcbm_pabm"] = time.perf_counter() - t0
-    dims["test2"] = k
+        if test2.rejected:
+            t0 = time.perf_counter()
+            sol = detect(g, k, ModelKind.PABM, restarts, seed=derive_seed(seed, "q3"))
+            timing["final_pabm"] = time.perf_counter() - t0
+            dims["final"] = k * k
+            selected = ModelKind.PABM
 
-    if not test2.rejected:
-        result = WorkflowResult(
-            selected_model=ModelKind.DCBM,
-            labels=sol2.labels,
-            test_sbm_dcbm=test1,
-            test_dcbm_pabm=test2,
-            embedding_dims=dims,
-            timing=timing,
-            k=k,
-            seed=seed,
-        )
-        validate_workflow_result(result)
-        return result
-
-    t0 = time.perf_counter()
-    emb = ase(g, k * k, scaled=False)
-    sol3 = minimize_q_subspace(
-        emb, k, r=k, n_restarts=q3_restarts, seed=derive_seed(seed, "q3")
-    )
-    timing["final_pabm"] = time.perf_counter() - t0
-    dims["final"] = k * k
     result = WorkflowResult(
-        selected_model=ModelKind.PABM,
-        labels=sol3.labels,
+        selected_model=selected,
+        labels=sol.labels,
         test_sbm_dcbm=test1,
         test_dcbm_pabm=test2,
         embedding_dims=dims,

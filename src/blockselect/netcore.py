@@ -80,10 +80,6 @@ class Graph:
         cols = np.concatenate([j, i])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
-    def neighbors(self, i: int) -> np.ndarray:
-        a = self.adjacency
-        return a.indices[a.indptr[i]:a.indptr[i + 1]]
-
 
 def load_edge_list(
     stream: IO[str], comment: str = "#"

@@ -28,11 +28,10 @@ from .blockmodels import (
     gen_pabm,
     gen_sbm,
 )
-from .cluster import mislabel_rate, minimize_q1, minimize_q_subspace, osc, rsc_l, sc_l
+from .cluster import mislabel_rate, osc, rsc_l, sc_l
 from .errors import ConfigError
-from .modelselect import test_dcbm_vs_pabm, test_sbm_vs_dcbm
+from .modelselect import ModelKind, detect, test_dcbm_vs_pabm, test_sbm_vs_dcbm
 from .netcore import Graph
-from .spectral import ase
 
 
 class Study(enum.Enum):
@@ -44,7 +43,11 @@ class Study(enum.Enum):
 
 
 _COMM_DET_STUDIES = {Study.COMM_DET_SBM, Study.COMM_DET_DCBM, Study.COMM_DET_PABM}
-_METHODS = {"q1", "q2", "q3", "sc_l", "rsc_l", "osc"}
+# detection methods: the model whose loss ``detect`` minimizes, or a
+# spectral-clustering baseline
+_DETECTORS = {"q1": ModelKind.SBM, "q2": ModelKind.DCBM, "q3": ModelKind.PABM}
+_BASELINES = {"sc_l": sc_l, "rsc_l": rsc_l, "osc": osc}
+_METHODS = _DETECTORS.keys() | _BASELINES.keys()
 
 
 @dataclass(frozen=True)
@@ -187,23 +190,10 @@ def _generate(study: Study, pt: GridPoint, seed: int):
 
 
 def _run_method(method: str, g: Graph, k: int, restarts: int | None, seed: int):
-    if method == "q1":
-        emb = ase(g, k)
-        return minimize_q1(emb, k, n_restarts=restarts or 10, seed=seed)
-    if method == "q2":
-        emb = ase(g, k)
-        return minimize_q_subspace(emb, k, r=1, n_restarts=restarts or 20, seed=seed)
-    if method == "q3":
-        # rank-K subspace structure lives in the orthonormal eigenvector
-        # rows, and its landscape needs a deeper restart budget
-        emb = ase(g, k * k, scaled=False)
-        return minimize_q_subspace(emb, k, r=k, n_restarts=restarts or 100, seed=seed)
-    if method == "sc_l":
-        return sc_l(g, k, n_restarts=restarts or 10, seed=seed)
-    if method == "rsc_l":
-        return rsc_l(g, k, n_restarts=restarts or 10, seed=seed)
-    if method == "osc":
-        return osc(g, k, n_restarts=restarts or 10, seed=seed)
+    if method in _DETECTORS:
+        return detect(g, k, _DETECTORS[method], restarts, seed=seed)
+    if method in _BASELINES:
+        return _BASELINES[method](g, k, n_restarts=restarts or 10, seed=seed)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -222,16 +212,11 @@ def run_single_replicate(
         sol = _run_method(method, g, pt.k, spec.restarts, derive_seed(seed, "method"))
         return mislabel_rate(sol.labels, params.labels, pt.k)
     g, _ = _generate(spec.study, pt, derive_seed(seed, "gen"))
-    if spec.study is Study.TEST_SBM_VS_DCBM:
-        result, _ = test_sbm_vs_dcbm(
-            g, pt.k, n_boot=spec.n_boot, alpha=spec.alpha,
-            restarts=spec.restarts or 10, seed=derive_seed(seed, "test"),
-        )
-    else:
-        result, _ = test_dcbm_vs_pabm(
-            g, pt.k, n_boot=spec.n_boot, alpha=spec.alpha,
-            restarts=spec.restarts or 20, seed=derive_seed(seed, "test"),
-        )
+    test = test_sbm_vs_dcbm if spec.study is Study.TEST_SBM_VS_DCBM else test_dcbm_vs_pabm
+    result, _ = test(
+        g, pt.k, n_boot=spec.n_boot, alpha=spec.alpha, restarts=spec.restarts,
+        seed=derive_seed(seed, "test"),
+    )
     return 1.0 if result.rejected else 0.0
 
 
@@ -268,15 +253,33 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 class TableLayout(enum.Enum):
-    """Reference layouts mirroring the bundled simulation studies."""
+    """Table columns: the grid-point column kind, the methods, and the
+    cell style."""
 
-    SBM_MISLABEL = ("sbm_mislabel", "delta", ("q1", "sc_l"), "mean_se")
-    DCBM_MISLABEL = ("dcbm_mislabel", "delta", ("q2", "rsc_l"), "mean_se")
-    PABM_MISLABEL = ("pabm_mislabel", "delta", ("q3", "osc"), "mean_se")
-    SBM_NULL_REJECTION = ("sbm_null", "beta_deg", ("test",), "proportion")
-    DCBM_ALT_REJECTION = ("dcbm_alt", "beta_deg", ("test",), "proportion")
-    DCBM_NULL_REJECTION = ("dcbm_null", "beta_deg", ("test",), "proportion")
-    PABM_ALT_REJECTION = ("pabm_alt", "delta", ("test",), "proportion")
+    SBM_MISLABEL = ("delta", ("q1", "sc_l"), "mean_se")
+    DCBM_MISLABEL = ("delta", ("q2", "rsc_l"), "mean_se")
+    PABM_MISLABEL = ("delta", ("q3", "osc"), "mean_se")
+    REJECTION = ("beta_deg", ("test",), "proportion")
+    PABM_REJECTION = ("delta", ("test",), "proportion")
+
+
+_MISLABEL_LAYOUT = {
+    Study.COMM_DET_SBM: TableLayout.SBM_MISLABEL,
+    Study.COMM_DET_DCBM: TableLayout.DCBM_MISLABEL,
+    Study.COMM_DET_PABM: TableLayout.PABM_MISLABEL,
+}
+
+
+def table_layout(spec: ExperimentSpec) -> TableLayout:
+    """The layout for a study's table. A test study under PABM truth, which
+    only a density sets, shows the density column; under SBM or DCBM truth
+    it shows beta and average degree. The first grid point's truth decides,
+    since a table has one header."""
+    if spec.study in _COMM_DET_STUDIES:
+        return _MISLABEL_LAYOUT[spec.study]
+    if spec.grid[0].true_model == "pabm":
+        return TableLayout.PABM_REJECTION
+    return TableLayout.REJECTION
 
 
 _METHOD_HEADER = {
@@ -303,7 +306,7 @@ def emit_table(report: ExperimentReport, layout: TableLayout) -> tuple[str, str]
 
     Cells without data render as NA; failed cells are marked with '!'.
     """
-    _, kind, methods, style = layout.value
+    kind, methods, style = layout.value
     point_names = ["n", "K", "delta"] if kind == "delta" else ["n", "K", "beta", "avg.degree"]
     header = point_names + [_METHOD_HEADER[m] for m in methods]
     rows: list[list[str]] = []

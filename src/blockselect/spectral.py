@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,11 +137,6 @@ def _embed(matrix_sparse: sp.spmatrix, d: int) -> tuple[np.ndarray, np.ndarray]:
     return top_eigenpairs(matrix_sparse.toarray(), d)
 
 
-def dense_adjacency(g: Graph) -> np.ndarray:
-    """Materialize the full n x n adjacency matrix (float64)."""
-    return g.adjacency.toarray()
-
-
 def ase(g: Graph, d: int, scaled: bool = True) -> Embedding:
     """Adjacency spectral embedding of the graph into R^d.
 
@@ -191,12 +185,3 @@ def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding
         d=d, scaled=False,
     )
 
-
-def write_embedding_csv(emb: Embedding, stream: IO[str]) -> None:
-    """Debug CSV dump: header "d1,...,dd", eigenvalue line, then one line
-    per node, all values with 17 significant digits."""
-    d = emb.d
-    stream.write(",".join(f"d{i + 1}" for i in range(d)) + "\n")
-    stream.write(",".join(f"{v:.17g}" for v in emb.eigenvalues) + "\n")
-    for row in emb.rows:
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 import blockselect as bs
+import blockselect.modelselect as ms
 from blockselect.cli import main as cli_main
 from blockselect.cluster import q1_value, q_subspace_value
 from blockselect.modelselect import (
     ModelKind,
-    TestResult,
     WorkflowResult,
     make_test_result,
     validate_workflow_result,
@@ -444,7 +444,7 @@ def test_criterion_14_p_value_and_decision_invariants():
         assert res.rejected == (res.p_value < alpha)
         checked += 1
 
-    def synthetic(p_reject: bool, seed: int, null, alt) -> TestResult:
+    def synthetic(p_reject: bool, seed: int, null, alt) -> ms.TestResult:
         boot = np.linspace(0.1, 1.0, 20)
         stat = 2.0 if p_reject else 0.0
         return make_test_result(stat, boot, 0.05, null, alt, seed)

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import blockselect
 from blockselect.cli import main
+from blockselect.errors import ConfigError
+from blockselect.simharness import load_experiment_config
 
 TWO_CLIQUES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
 
@@ -115,6 +120,19 @@ def test_cluster_pabm_requires_k_squared(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["select"], ["cluster", "--model", "sbm"], ["cluster", "--model", "dcbm"],
+    ["cluster", "--model", "pabm"],
+])
+def test_zero_restarts_is_usage_error(tmp_path, capsys, karate_path, command):
+    out = tmp_path / "out"
+    code = main([command[0], str(karate_path), "--k", "2", "--restarts", "0",
+                 *command[1:], "--out", str(out)])
+    assert code == 2
+    assert "need at least one restart" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -189,6 +207,55 @@ def test_simulate_writes_tables(tmp_path, capsys):
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["base_seed"] == 4
     assert capsys.readouterr().out.strip()
+
+
+STUDY_TRUTH_CONFIG = """
+[experiment]
+study = {study}
+replicates = 1
+bootstrap = 2
+restarts = 2
+methods = {method}
+
+[grid.1]
+n = 24
+k = 2
+beta = 0.3
+avg_degree = 8
+{truth}
+"""
+
+_STUDY_METHOD = {"comm_det_sbm": "q1", "comm_det_dcbm": "q2", "comm_det_pabm": "q3"}
+
+
+@pytest.mark.parametrize("truth", [None, "sbm", "dcbm", "pabm"])
+@pytest.mark.parametrize("study", [
+    "comm_det_sbm", "comm_det_dcbm", "comm_det_pabm",
+    "test_sbm_vs_dcbm", "test_dcbm_vs_pabm",
+])
+def test_simulate_every_accepted_study_and_truth(tmp_path, study, truth):
+    text = STUDY_TRUTH_CONFIG.format(
+        study=study, method=_STUDY_METHOD.get(study, ""),
+        truth="" if truth is None else f"true_model = {truth}",
+    )
+    cfg = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "sim"
+    try:
+        load_experiment_config(io.StringIO(text))
+    except ConfigError:
+        # a test study needs a planted truth; nothing else is refused
+        assert study.startswith("test_") and truth is None
+        assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+        return
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 0
+    header = (out / "table.csv").read_text().splitlines()[0].split(",")
+    if study.startswith("test_"):
+        columns = ["delta"] if truth == "pabm" else ["beta", "avg.degree"]
+        assert header == ["n", "K", *columns, "rejection"]
+    else:
+        assert header[:3] == ["n", "K", "delta"]
+        assert header[3] == _STUDY_METHOD[study].upper()
+    assert (out / "table.txt").exists() and (out / "provenance.json").exists()
 
 
 def test_simulate_bad_config_exit_2(tmp_path):

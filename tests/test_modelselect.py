@@ -13,10 +13,12 @@ from blockselect.blockmodels import (
     gen_pabm,
     gen_sbm,
 )
+from blockselect.cluster import minimize_q1, minimize_q_subspace
 from blockselect.errors import DegenerateModelError, InfeasibleModelError, NumericalError
 from blockselect.modelselect import (
     ModelKind,
     bootstrap_p_value,
+    detect,
     make_test_result,
     run_workflow,
     validate_workflow_result,
@@ -24,6 +26,45 @@ from blockselect.modelselect import (
 )
 from blockselect.modelselect import test_dcbm_vs_pabm as run_test_dcbm_vs_pabm
 from blockselect.modelselect import test_sbm_vs_dcbm as run_test_sbm_vs_dcbm
+from blockselect.spectral import ase
+
+from conftest import random_graph
+
+
+# ---------------------------------------------------------------------------
+# detect
+# ---------------------------------------------------------------------------
+
+def _direct_minimize(g, k, model, n_restarts, seed):
+    """The embed-and-minimize call ``detect`` stands for, written out."""
+    if model is ModelKind.SBM:
+        return minimize_q1(ase(g, k), k, n_restarts=n_restarts, seed=seed)
+    if model is ModelKind.DCBM:
+        return minimize_q_subspace(ase(g, k), k, r=1, n_restarts=n_restarts, seed=seed)
+    emb = ase(g, k * k, scaled=False)
+    return minimize_q_subspace(emb, k, r=k, n_restarts=n_restarts, seed=seed)
+
+
+@pytest.mark.parametrize("model, default_restarts", [
+    (ModelKind.SBM, 10), (ModelKind.DCBM, 20), (ModelKind.PABM, 100),
+])
+@pytest.mark.parametrize("restarts", [None, 3])
+def test_detect_matches_direct_minimizer(model, default_restarts, restarts):
+    g, _ = gen_pabm(60, 2, density_scale=0.2, seed=5)
+    got = detect(g, 2, model, restarts, seed=17)
+    n_restarts = default_restarts if restarts is None else restarts
+    want = _direct_minimize(g, 2, model, n_restarts, seed=17)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.objective == want.objective
+    assert got.n_iters == want.n_iters
+    assert got.n_restarts_used == want.n_restarts_used == n_restarts
+
+
+def test_detect_pabm_needs_k_squared_nodes():
+    g = random_graph(8, 0.5, seed=0)
+    with pytest.raises(InfeasibleModelError, match="K\\^2 = 9 exceeds n = 8"):
+        detect(g, 3, ModelKind.PABM)
+    assert detect(g, 3, ModelKind.DCBM, restarts=2).labels.shape == (8,)
 
 
 # ---------------------------------------------------------------------------

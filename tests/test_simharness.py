@@ -81,6 +81,17 @@ def test_test_study_runs_rejection_metric():
     assert all(v in (0.0, 1.0) for v in cell.values)
 
 
+def test_q3_replicate_with_k_squared_above_n_records_infeasible():
+    spec = ExperimentSpec(
+        study=Study.COMM_DET_PABM,
+        grid=(GridPoint(n=6, k=3),),
+        methods=("q3",),
+        n_replicates=1,
+    )
+    cell = run_experiment(spec).cells[(0, "q3")]
+    assert cell.errors == ["replicate 0: K^2 = 9 exceeds n = 6"]
+
+
 def test_spec_validation_errors():
     with pytest.raises(ConfigError, match="true_model"):
         ExperimentSpec(

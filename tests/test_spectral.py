@@ -1,18 +1,14 @@
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
 from blockselect.netcore import Graph
 from blockselect.spectral import (
-    Embedding,
     EmbeddingSource,
     ase,
     laplacian_embedding,
     top_eigenpairs,
-    write_embedding_csv,
 )
 
 from conftest import graph_from_text, random_graph
@@ -207,23 +203,3 @@ def test_permutation_equivariance():
         ]
     )
     assert diff <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_csv_format():
-    emb = Embedding(
-        rows=np.array([[0.5, -0.25], [1.0, 0.125]]),
-        eigenvalues=np.array([2.0, -1.0]),
-        source=EmbeddingSource.ADJACENCY,
-        d=2,
-    )
-    buf = io.StringIO()
-    write_embedding_csv(emb, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "d1,d2"
-    assert lines[1] == "2,-1"
-    assert lines[2] == "0.5,-0.25"
-    assert len(lines) == 4
