@@ -10,6 +10,13 @@ or parameters, 4 internal numerical failure.
 Heavy imports happen inside command handlers so ``--threads`` can pin BLAS
 thread counts via environment variables before numpy loads; ``--threads 1``
 is the canonical deterministic configuration used by the golden tests.
+
+Bootstrap replicates run on one worker per CPU in the process's affinity
+mask (``taskset -c 0`` runs them serially, in the main process). Each
+worker is a forked process with its own RSS, and runs BLAS on one thread,
+since the workers already occupy every CPU; ``--threads`` pins the BLAS
+threads of the main process. ``report.json`` is byte-identical at any
+worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="pin BLAS thread count (1 = canonical deterministic path)",
+        help="pin the BLAS thread count of the main process (1 = canonical "
+        "deterministic path); bootstrap workers, one per CPU in the affinity "
+        "mask, use one BLAS thread each",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

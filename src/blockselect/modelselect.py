@@ -14,10 +14,19 @@ otherwise re-embed into K^2 dimensions and cluster with the rank-K loss.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import multiprocessing
+import os
+import threading
 import time
+import traceback
 from collections.abc import Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +152,150 @@ def make_test_result(
 
 _REPLICATE_ERRORS = (NumericalError, DegenerateModelError, np.linalg.LinAlgError)
 
+# chunks per worker: enough that one slow chunk does not leave the other
+# workers idle at the end, few enough that start-up and pickling stay small
+_CHUNKS_PER_WORKER = 4
+
+
+class _Chunk(NamedTuple):
+    """What one contiguous range of replicates produced.
+
+    ``error``, an error that is not retried, stopped the chunk;
+    ``remote_tb`` is its traceback text when it was raised in a worker
+    process, since a traceback does not survive pickling.
+    """
+
+    stats: np.ndarray
+    failures: list[tuple[int, str]]
+    attempts: int
+    error: Exception | None = None
+    remote_tb: str = ""
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an error raised in a worker process."""
+
+
+def _replicate_chunk(job, lo: int, hi: int) -> _Chunk:
+    """Replicates ``lo .. hi-1`` of ``job = (p_hat, n_boot, seed, stat_fn)``
+    in order, each failed attempt redrawn from the next derived seed.
+
+    Stops at the first error that is not retried, and before an attempt
+    that would exceed the 3 * R budget even if every replicate before
+    ``lo`` took one attempt: the serial order could not have made it
+    either, so the run is certain to be exhausted.
+    """
+    p_hat, n_boot, seed, stat_fn = job
+    stats = np.empty(hi - lo)
+    failures: list[tuple[int, str]] = []
+    attempts = 0
+    for r in range(lo, hi):
+        attempt = 0
+        while True:
+            if lo + attempts >= 3 * n_boot:
+                # count the refused attempt: with one or more attempts per
+                # earlier replicate, the caller's total then exceeds 3 * R
+                return _Chunk(stats, failures, attempts + 1)
+            rep_seed = derive_seed(seed, "boot", r, attempt)
+            attempt += 1
+            attempts += 1
+            try:
+                g_rep = sample_graph(p_hat, derive_seed(rep_seed, "graph"))
+                stats[r - lo] = stat_fn(g_rep, derive_seed(rep_seed, "fit"))
+                break
+            except _REPLICATE_ERRORS as exc:
+                failures.append((r, type(exc).__name__))
+            except Exception as exc:  # re-raised by the caller, in replicate order
+                return _Chunk(stats, failures, attempts, exc)
+    return _Chunk(stats, failures, attempts)
+
+
+def _openblas(fn: str, *args) -> list[int]:
+    """Call ``openblas_<fn>(*args)`` in every OpenBLAS library loaded in
+    this process (the numpy and scipy wheels each bundle one, under a
+    ``scipy_`` prefix and a ``64_`` suffix or not) and return the results.
+    Finds none where /proc/self/maps does not exist."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    names = [f"{pre}openblas_{fn}{post}" for pre in ("", "scipy_") for post in ("", "64_")]
+    results = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # mapped file since replaced or removed
+            continue
+        func = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+        if func is not None:
+            results.append(func(*args))
+    return results
+
+
+# set in each worker process only, by the pool's initializer
+_WORKER_JOB = None
+
+
+def _init_worker(job) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+    # the workers already occupy every CPU, and a BLAS thread pool per
+    # worker would oversubscribe them: a DCBM test at n=300 with B=40 ran
+    # ten times slower on 2 CPUs
+    _openblas("set_num_threads", 1)
+
+
+def _worker_chunk(lo: int, hi: int) -> _Chunk:
+    chunk = _replicate_chunk(_WORKER_JOB, lo, hi)
+    if chunk.error is not None:
+        text = "".join(traceback.format_exception(chunk.error))
+        chunk = chunk._replace(remote_tb=text)
+    return chunk
+
+
+def _workers() -> int:
+    """Bootstrap processes: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _chunk_results(job, n_boot: int):
+    """Yield the results of the chunks of all ``n_boot`` replicates, in
+    replicate order, as each is read.
+
+    Chunks run in forked worker processes, which inherit ``job`` (so
+    neither the fitted null nor the statistic is pickled) and every loaded
+    module. With one worker, no fork start method, or other threads
+    running (fork is unsafe then), one chunk runs in this process.
+    """
+    workers = min(_workers(), n_boot)
+    if (
+        workers == 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        yield [_replicate_chunk(job, 0, n_boot)]
+        return
+    n_chunks = min(n_boot, _CHUNKS_PER_WORKER * workers)
+    bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(job,),
+    )
+    try:
+        futures = [pool.submit(_worker_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        yield (f.result() for f in futures)
+    finally:
+        # a raised error leaves later chunks unread: drop those not started
+        pool.shutdown(cancel_futures=True)
+
 
 def _bootstrap_statistics(
     p_hat: EdgeProb,
@@ -157,28 +310,37 @@ def _bootstrap_statistics(
     resampled from a fresh derived seed; more than 3 * R total attempts is
     an error, since silently dropping replicates would bias the p-value.
     Each failed attempt is appended to ``failures`` as (replicate index,
-    exception class name).
+    exception class name), in replicate-then-attempt order.
+
+    Replicate r's attempts depend only on ``(p_hat, seed, r)``, so the
+    replicates run in contiguous chunks on every CPU (``_chunk_results``)
+    and merge in replicate order. The statistics, the failures and any
+    error raised are those of the serial run, at every worker count.
     """
-    stats = np.empty(n_boot)
+    parts = []
+    failed: list[tuple[int, str]] = []
     attempts = 0
-    for r in range(n_boot):
-        attempt = 0
-        while True:
-            if attempts >= 3 * n_boot:
+    with _chunk_results((p_hat, n_boot, seed, stat_fn), n_boot) as chunks:
+        for chunk in chunks:
+            failed += chunk.failures
+            attempts += chunk.attempts
+            if attempts > 3 * n_boot:
                 raise NumericalError(
-                    f"bootstrap exhausted {attempts} attempts for {n_boot} replicates"
+                    f"bootstrap exhausted {3 * n_boot} attempts for {n_boot} replicates"
                 )
-            attempts += 1
-            rep_seed = derive_seed(seed, "boot", r, attempt)
-            attempt += 1
-            try:
-                g_rep = sample_graph(p_hat, derive_seed(rep_seed, "graph"))
-                stats[r] = stat_fn(g_rep, derive_seed(rep_seed, "fit"))
-                break
-            except _REPLICATE_ERRORS as exc:
-                if failures is not None:
-                    failures.append((r, type(exc).__name__))
-    return stats
+            if chunk.error is not None:
+                cause = _WorkerTraceback(chunk.remote_tb) if chunk.remote_tb else None
+                raise chunk.error from cause
+            parts.append(chunk.stats)
+    if failures is not None:
+        failures += failed
+    return np.concatenate(parts)
+
+
+def _null_objective(
+    k: int, model: ModelKind, restarts: int | None, g_rep: Graph, fit_seed: int
+) -> float:
+    return detect(g_rep, k, model, restarts, seed=fit_seed).objective
 
 
 def _run_test(
@@ -199,10 +361,7 @@ def _run_test(
         raise ValueError("need at least one bootstrap replicate")
     sol = detect(g, k, null, restarts, seed=derive_seed(seed, "observed"))
     p_hat = fit(g, sol.labels)
-
-    def stat_fn(g_rep: Graph, fit_seed: int) -> float:
-        return detect(g_rep, k, null, restarts, seed=fit_seed).objective
-
+    stat_fn = functools.partial(_null_objective, k, null, restarts)
     failures: list[tuple[int, str]] = []
     boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
     result = make_test_result(

@@ -220,6 +220,11 @@ def run_single_replicate(
     return 1.0 if result.rejected else 0.0
 
 
+def _cell_methods(spec: ExperimentSpec) -> tuple[str, ...]:
+    """The methods a study runs at each grid point: one cell each."""
+    return tuple(spec.methods) if spec.study in _COMM_DET_STUDIES else ("test",)
+
+
 def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentReport:
     """Run the full grid; deterministic given the experiment settings.
 
@@ -227,7 +232,7 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentReport:
     by the CLI for status output.
     """
     spec.validate()
-    methods = tuple(spec.methods) if spec.study in _COMM_DET_STUDIES else ("test",)
+    methods = _cell_methods(spec)
     metric = "mislabel" if spec.study in _COMM_DET_STUDIES else "rejection"
     cells: dict[tuple[int, str], CellResult] = {}
     for point_idx in range(len(spec.grid)):
@@ -253,21 +258,12 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 class TableLayout(enum.Enum):
-    """Table columns: the grid-point column kind, the methods, and the
-    cell style."""
+    """Table layout: the grid-point column kind and the cell style. The
+    method columns are the study's own, one per cell of a grid point."""
 
-    SBM_MISLABEL = ("delta", ("q1", "sc_l"), "mean_se")
-    DCBM_MISLABEL = ("delta", ("q2", "rsc_l"), "mean_se")
-    PABM_MISLABEL = ("delta", ("q3", "osc"), "mean_se")
-    REJECTION = ("beta_deg", ("test",), "proportion")
-    PABM_REJECTION = ("delta", ("test",), "proportion")
-
-
-_MISLABEL_LAYOUT = {
-    Study.COMM_DET_SBM: TableLayout.SBM_MISLABEL,
-    Study.COMM_DET_DCBM: TableLayout.DCBM_MISLABEL,
-    Study.COMM_DET_PABM: TableLayout.PABM_MISLABEL,
-}
+    MISLABEL = ("delta", "mean_se")
+    REJECTION = ("beta_deg", "proportion")
+    PABM_REJECTION = ("delta", "proportion")
 
 
 def table_layout(spec: ExperimentSpec) -> TableLayout:
@@ -276,7 +272,7 @@ def table_layout(spec: ExperimentSpec) -> TableLayout:
     it shows beta and average degree. The first grid point's truth decides,
     since a table has one header."""
     if spec.study in _COMM_DET_STUDIES:
-        return _MISLABEL_LAYOUT[spec.study]
+        return TableLayout.MISLABEL
     if spec.grid[0].true_model == "pabm":
         return TableLayout.PABM_REJECTION
     return TableLayout.REJECTION
@@ -306,7 +302,8 @@ def emit_table(report: ExperimentReport, layout: TableLayout) -> tuple[str, str]
 
     Cells without data render as NA; failed cells are marked with '!'.
     """
-    kind, methods, style = layout.value
+    kind, style = layout.value
+    methods = _cell_methods(report.spec)
     point_names = ["n", "K", "delta"] if kind == "delta" else ["n", "K", "beta", "avg.degree"]
     header = point_names + [_METHOD_HEADER[m] for m in methods]
     rows: list[list[str]] = []

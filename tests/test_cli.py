@@ -201,12 +201,22 @@ def test_simulate_writes_tables(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 0
     table = (out / "table.csv").read_text().splitlines()
-    assert table[0] == "n,K,delta,Q1,SC-L"
+    assert table[0] == "n,K,delta,Q1"
     assert table[1].startswith("90,2,")
     assert (out / "table.txt").exists()
     prov = json.loads((out / "provenance.json").read_text())
     assert prov["base_seed"] == 4
     assert capsys.readouterr().out.strip()
+
+
+def test_simulate_table_shows_the_configured_methods(tmp_path):
+    cfg = write(tmp_path / "exp.cfg", SIM_CONFIG.replace("methods = q1", "methods = q2, rsc_l"))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 0
+    header, row = (out / "table.csv").read_text().splitlines()
+    assert header == "n,K,delta,Q2,RSC-L"
+    cells = row.split(",")[3:]
+    assert len(cells) == 2 and "NA" not in cells and all("+/-" in c for c in cells)
 
 
 STUDY_TRUTH_CONFIG = """

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import blockselect.modelselect as ms
+from blockselect._seeds import derive_seed
 from blockselect.blockmodels import (
     Beta,
     PowerLaw,
@@ -12,6 +19,7 @@ from blockselect.blockmodels import (
     gen_dcbm,
     gen_pabm,
     gen_sbm,
+    sample_graph,
 )
 from blockselect.cluster import minimize_q1, minimize_q_subspace
 from blockselect.errors import DegenerateModelError, InfeasibleModelError, NumericalError
@@ -124,7 +132,13 @@ def _tiny_phat(n=12, p=0.4) -> ProbMatrix:
     return ProbMatrix(p * (np.ones((n, n)) - np.eye(n)))
 
 
-def test_bootstrap_resamples_failed_replicates():
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run the bootstrap in this process, so call counts are seen here."""
+    monkeypatch.setattr(ms, "_workers", lambda: 1)
+
+
+def test_bootstrap_resamples_failed_replicates(one_worker):
     calls = {"n": 0}
 
     def flaky(g_rep, fit_seed):
@@ -138,7 +152,7 @@ def test_bootstrap_resamples_failed_replicates():
     assert calls["n"] == 10  # every replicate needed exactly one retry
 
 
-def test_bootstrap_failures_are_recorded_in_result_and_report(monkeypatch):
+def test_bootstrap_failures_are_recorded_in_result_and_report(monkeypatch, one_worker):
     g, _ = gen_sbm(60, 2, [0.5, 0.5], beta_ratio_omega(2, 0.2),
                    target_avg_degree=10, seed=0)
     clean = run_workflow(g, 2, n_boot=6, restarts=3, seed=1)
@@ -179,6 +193,197 @@ def test_bootstrap_exhaustion_raises():
 
     with pytest.raises(NumericalError, match="exhausted"):
         ms._bootstrap_statistics(_tiny_phat(), 4, seed=0, stat_fn=always_fails)
+
+
+# ---------------------------------------------------------------------------
+# bootstrap replicates in worker processes
+# ---------------------------------------------------------------------------
+
+def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures):
+    """The one-process replicate loop the worker pool replaced: the
+    reference for statistics, failures and the error raised."""
+    stats = np.empty(n_boot)
+    attempts = 0
+    for r in range(n_boot):
+        attempt = 0
+        while True:
+            if attempts >= 3 * n_boot:
+                raise NumericalError(
+                    f"bootstrap exhausted {attempts} attempts for {n_boot} replicates"
+                )
+            attempts += 1
+            rep_seed = derive_seed(seed, "boot", r, attempt)
+            attempt += 1
+            try:
+                g_rep = sample_graph(p_hat, derive_seed(rep_seed, "graph"))
+                stats[r] = stat_fn(g_rep, derive_seed(rep_seed, "fit"))
+                break
+            except ms._REPLICATE_ERRORS as exc:
+                failures.append((r, type(exc).__name__))
+    return stats
+
+
+def _fit_seed(boot_seed, r, attempt):
+    return derive_seed(derive_seed(boot_seed, "boot", r, attempt), "fit")
+
+
+def _failing(r, attempts):
+    return {(r, a): NumericalError for a in attempts}
+
+
+_B = 20  # budget 3B = 60 attempts; 2 and 3 workers make chunks of 1 to 3
+_SCENARIOS = {
+    "clean": {},
+    "retried": {(0, 0): NumericalError, (5, 0): DegenerateModelError,
+                (5, 1): NumericalError, (19, 0): np.linalg.LinAlgError},
+    # replicate 19's 41st attempt is the 60th in all
+    "budget_met": _failing(19, range(40)),
+    "budget_exceeded": _failing(19, range(41)),
+    "budget_exceeded_early": _failing(0, range(41)),
+    "not_retried": {(3, 0): NumericalError, (7, 1): InfeasibleModelError("at 7"),
+                    (12, 0): InfeasibleModelError("at 12")},
+    # replicate 0 takes 42 attempts, replicate 1 raises at the 43rd
+    "not_retried_after_long_retry": {**_failing(0, range(41)),
+                                     (1, 0): InfeasibleModelError("at 1")},
+    "exhausted_before_not_retried": {**_failing(2, range(3 * _B)),
+                                     (10, 0): InfeasibleModelError("at 10")},
+    "not_retried_at_last_attempt": {**_failing(19, range(40)),
+                                    (19, 40): InfeasibleModelError("at 19")},
+    "not_retried_past_budget": {**_failing(19, range(41)),
+                                (19, 41): InfeasibleModelError("at 19")},
+    # the same two edges when an earlier chunk took the extra attempts
+    "not_retried_at_last_attempt_late": {**_failing(0, range(10)), **_failing(19, range(30)),
+                                         (19, 30): InfeasibleModelError("at 19")},
+    "not_retried_past_budget_late": {**_failing(0, range(10)), **_failing(19, range(31)),
+                                     (19, 31): InfeasibleModelError("at 19")},
+}
+
+
+def _planned_statistic(plan, boot_seed):
+    """A statistic that raises ``plan[(r, attempt)]`` and otherwise returns
+    a value that differs per replicate; replicate 0 is slow, so its chunk
+    finishes last."""
+    by_seed = {_fit_seed(boot_seed, r, a): exc for (r, a), exc in plan.items()}
+    slow = {_fit_seed(boot_seed, 0, a) for a in range(3 * _B)}
+
+    def stat_fn(g_rep, fit_seed):
+        if fit_seed in slow:
+            time.sleep(0.002)
+        exc = by_seed.get(fit_seed)
+        if exc is not None:
+            raise exc("planted") if isinstance(exc, type) else exc
+        return g_rep.edge_count + fit_seed / 2.0**63
+
+    return stat_fn
+
+
+def _outcome(run):
+    failures = []
+    try:
+        stats = run(failures)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return stats.tobytes(), failures
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_bootstrap_matches_serial_reference(monkeypatch, scenario, workers):
+    stat_fn = _planned_statistic(_SCENARIOS[scenario], boot_seed=5)
+    want = _outcome(lambda failures: serial_bootstrap_statistics(
+        _tiny_phat(), _B, 5, stat_fn, failures))
+    monkeypatch.setattr(ms, "_workers", lambda: workers)
+    got = _outcome(lambda failures: ms._bootstrap_statistics(
+        _tiny_phat(), _B, 5, stat_fn, failures))
+    assert got == want
+
+
+def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch):
+    # each replicate waits for one running at the same time, which only
+    # the other worker can be running
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
+
+    def paired_pid(g_rep, fit_seed):
+        barrier.wait()
+        return float(os.getpid())
+
+    def worker_pid(g_rep, fit_seed):
+        return float(os.getpid())
+
+    def blas_threads(g_rep, fit_seed):
+        return float(max(ms._openblas("get_num_threads"), default=1))
+
+    monkeypatch.setattr(ms, "_workers", lambda: 2)
+    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, paired_pid))
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, blas_threads)) == {1.0}
+    # forking a process that runs other threads is unsafe: stay in-process
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(
+        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, worker_pid))))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and box["pids"] == {os.getpid()}
+    monkeypatch.setattr(ms, "_workers", lambda: 1)
+    assert set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, worker_pid)) == {os.getpid()}
+
+
+def _fail_minimizers(monkeypatch, plan):
+    """Make both null minimizers raise ``plan[fit seed]``; fork carries the
+    patch into the worker processes."""
+    for name in ("minimize_q1", "minimize_q_subspace"):
+        def flaky(*args, _original=getattr(ms, name), **kwargs):
+            exc = plan.get(kwargs["seed"])
+            if exc is not None:
+                raise exc
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ms, name, flaky)
+
+
+def _test_fields(t):
+    return (t.statistic, t.boot_stats.tobytes(), t.p_value, t.failures, t.attempts)
+
+
+def test_bootstrap_tests_and_workflow_are_identical_at_every_worker_count(monkeypatch):
+    g, _ = gen_pabm(120, 2, density_scale=0.2, seed=1)
+    test1, test2 = derive_seed(3, "test1"), derive_seed(3, "test2")
+    _fail_minimizers(monkeypatch, {
+        _fit_seed(test1, 0, 0): NumericalError("transient"),
+        _fit_seed(test1, 9, 0): DegenerateModelError("empty community"),
+        _fit_seed(test1, 9, 1): np.linalg.LinAlgError("no convergence"),
+        _fit_seed(test2, 4, 0): NumericalError("transient"),
+        _fit_seed(test2, 11, 0): DegenerateModelError("empty community"),
+    })
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ms, "_workers", lambda: workers)
+        t1, _ = run_test_sbm_vs_dcbm(g, 2, n_boot=12, restarts=3, seed=test1)
+        t2, _ = run_test_dcbm_vs_pabm(g, 2, n_boot=12, restarts=3, seed=test2)
+        report = json.dumps(workflow_report(run_workflow(g, 2, n_boot=12, restarts=3, seed=3)))
+        runs[workers] = (_test_fields(t1), _test_fields(t2), report)
+    assert runs[1] == runs[2] == runs[3]
+    assert runs[1][0][3] == ((0, "NumericalError"), (9, "DegenerateModelError"),
+                             (9, "LinAlgError"))
+    assert runs[1][1][3] == ((4, "NumericalError"), (11, "DegenerateModelError"))
+    assert json.loads(runs[1][2])["selected_model"] == "PABM"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bootstrap_errors_are_identical_at_every_worker_count(monkeypatch, workers):
+    g, _ = gen_pabm(120, 2, density_scale=0.2, seed=1)
+    monkeypatch.setattr(ms, "_workers", lambda: workers)
+    plan = {_fit_seed(0, 3, a): NumericalError("stuck") for a in range(30)}
+    _fail_minimizers(monkeypatch, plan)
+    with pytest.raises(NumericalError, match="^bootstrap exhausted 30 attempts for 10 replicates$"):
+        run_test_sbm_vs_dcbm(g, 2, n_boot=10, restarts=3, seed=0)
+    plan.clear()
+    plan[_fit_seed(0, 8, 0)] = InfeasibleModelError("late")
+    plan[_fit_seed(0, 6, 0)] = InfeasibleModelError("first")
+    with pytest.raises(InfeasibleModelError, match="^first$") as info:
+        run_test_dcbm_vs_pabm(g, 2, n_boot=10, restarts=3, seed=0)
+    if workers > 1:  # the worker's traceback text is the cause
+        assert "in flaky" in str(info.value.__cause__)
 
 
 def test_observed_side_degenerate_fit_aborts(monkeypatch):

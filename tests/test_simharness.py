@@ -135,7 +135,7 @@ def test_emit_table_structure():
     from blockselect.simharness import ExperimentReport
 
     report = ExperimentReport(spec=spec, cells=cells)
-    csv_text, table_text = emit_table(report, TableLayout.SBM_MISLABEL)
+    csv_text, table_text = emit_table(report, TableLayout.MISLABEL)
     lines = csv_text.splitlines()
     assert lines[0] == "n,K,delta,Q1,SC-L"
     assert lines[1].startswith("100,2,0.05,")
@@ -154,7 +154,7 @@ def test_emit_table_marks_failed_cells():
 
     cell = CellResult(values=[0.5, float("nan")], errors=["replicate 1: boom"])
     report = ExperimentReport(spec=spec, cells={(0, "q1"): cell})
-    csv_text, _ = emit_table(report, TableLayout.SBM_MISLABEL)
+    csv_text, _ = emit_table(report, TableLayout.MISLABEL)
     assert "!" in csv_text.splitlines()[1]
 
 
