@@ -15,8 +15,8 @@ import importlib
 # ``blockselect.cli`` before its ``--threads`` pins BLAS, does not load numpy.
 _EXPORTS = {
     "blockmodels": (
-        "Beta", "Constant", "DcbmParams", "DcbmProb", "PabmParams",
-        "PabmProb", "PowerLaw", "ProbMatrix", "SbmParams", "beta_ratio_omega",
+        "Beta", "Constant", "DcbmParams", "FactoredProb", "PabmParams",
+        "PowerLaw", "ProbMatrix", "SbmParams", "beta_ratio_omega",
         "edge_probs", "fit_dcbm", "fit_sbm", "gen_dcbm", "gen_pabm", "gen_sbm",
         "prob_matrix", "sample_graph",
     ),

@@ -11,12 +11,13 @@ Three nested models over labels tau in [1..K]:
 
 Generators target an expected density (or average degree) by solving for a
 single multiplicative scalar; a target that would push any probability
-above 1 is an error, never a silent clamp.
+above 1 is an error, except that ``gen_dcbm`` clamps up to 1% of its pair
+products at 1, with a warning.
 
-Edge probabilities are held factored, in O(nK): the SBM and DCBM as
-(theta, block matrix, labels), the PABM as (lambda, labels). Generators,
-plug-in fits and the sampler never build the n x n matrix; ``prob_matrix``
-does, for small n and tests.
+Edge probabilities of all three models are held in one factored form,
+``FactoredProb``: P_ij = min(1, left[i, tau_j] * right[j, tau_i]) with two
+n x K factors, in O(nK). Generators, plug-in fits and the sampler never
+build the n x n matrix; ``prob_matrix`` does, for small n and tests.
 """
 
 from __future__ import annotations
@@ -98,15 +99,26 @@ def _validate_labels(labels: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _validate_omega(omega: np.ndarray, k: int) -> np.ndarray:
+def _validate_omega(
+    omega, k: int, limit: float | None = None, name: str = "omega"
+) -> np.ndarray:
+    """Symmetric K x K block matrix with entries in [0, limit], or
+    nonnegative when ``limit`` is None, each to within _EPS (relative to
+    the largest entry for symmetry); returns the symmetrized matrix clipped
+    to [0, limit]. Under max-theta-1 normalization a DCBM's omega may
+    exceed 1: only the products theta_i omega theta_j are probabilities."""
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (k, k):
-        raise ValueError(f"omega must be {k}x{k}")
-    if np.max(np.abs(omega - omega.T), initial=0.0) > _EPS:
-        raise ValueError("omega must be symmetric")
-    if omega.min() < -_EPS or omega.max() > 1.0 + _EPS:
-        raise ValueError("omega entries must lie in [0, 1]")
-    return np.clip((omega + omega.T) / 2.0, 0.0, 1.0)
+        raise ValueError(f"{name} must be {k}x{k}")
+    scale = max(1.0, np.abs(omega).max(initial=0.0))
+    if np.max(np.abs(omega - omega.T), initial=0.0) > _EPS * scale:
+        raise ValueError(f"{name} must be symmetric")
+    low = omega.min(initial=0.0) < -_EPS
+    if limit is not None and (low or omega.max(initial=0.0) > limit + _EPS):
+        raise ValueError(f"{name} entries must lie in [0, {limit:g}]")
+    if low:
+        raise ValueError(f"{name} entries must be nonnegative")
+    return np.clip((omega + omega.T) / 2.0, 0.0, limit)
 
 
 @dataclass(frozen=True)
@@ -117,25 +129,11 @@ class SbmParams:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _validate_labels(self.labels, self.k))
-        object.__setattr__(self, "omega", _validate_omega(self.omega, self.k))
+        object.__setattr__(self, "omega", _validate_omega(self.omega, self.k, limit=1.0))
 
     @property
     def n(self) -> int:
         return self.labels.size
-
-
-def _validate_omega_nonneg(omega: np.ndarray, k: int) -> np.ndarray:
-    """Symmetric nonnegative block matrix; entries may exceed 1 because
-    under max-theta-1 normalization only the products theta_i omega theta_j
-    are probabilities (they are clamped at 1 in DcbmProb)."""
-    omega = np.asarray(omega, dtype=np.float64)
-    if omega.shape != (k, k):
-        raise ValueError(f"omega must be {k}x{k}")
-    if np.max(np.abs(omega - omega.T), initial=0.0) > _EPS * max(1.0, omega.max(initial=1.0)):
-        raise ValueError("omega must be symmetric")
-    if omega.min() < -_EPS:
-        raise ValueError("omega entries must be nonnegative")
-    return np.maximum((omega + omega.T) / 2.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ class DcbmParams:
 
     def __post_init__(self):
         labels = _validate_labels(self.labels, self.k)
-        omega = _validate_omega_nonneg(self.omega, self.k)
+        omega = _validate_omega(self.omega, self.k)
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.shape != labels.shape:
             raise ValueError("theta must have one entry per node")
@@ -168,7 +166,7 @@ class DcbmParams:
                 raise ValueError(f"community {k} has all-zero theta")
             scale[k - 1] = block_max
         theta = theta / scale[labels - 1]
-        omega = _validate_omega_nonneg(omega * np.outer(scale, scale), self.k)
+        omega = _validate_omega(omega * np.outer(scale, scale), self.k)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "theta", theta)
@@ -206,8 +204,8 @@ ModelParams = Union[SbmParams, DcbmParams, PabmParams]
 class ProbMatrix:
     """Symmetric edge-probability matrix with zero diagonal.
 
-    The dense form takes n^2 floats; the samplers and fits use the factored
-    forms below, which hold O(nK).
+    The dense form takes n^2 floats, for small n and tests; the generators,
+    fits and sampler use ``FactoredProb`` below, which holds O(nK).
     """
 
     p: np.ndarray = field(repr=False)
@@ -229,23 +227,10 @@ class ProbMatrix:
     def n(self) -> int:
         return self.p.shape[0]
 
-    @cached_property
-    def row_bounds(self) -> np.ndarray:
-        return self.p.max(axis=1)
-
-    def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.p[i, j]
-
 
 # ---------------------------------------------------------------------------
 # factored edge probabilities
 # ---------------------------------------------------------------------------
-#
-# Both forms answer the two questions the sampler asks: an upper bound on
-# each row's probabilities, and the exact P_ij of given pairs i < j. The
-# bounds take the same floating-point products as P_ij with one operand
-# raised to its block maximum; rounding is monotone, so bound_i >= P_ij
-# holds exactly, not just up to rounding.
 
 def _validate_factor_labels(labels, k: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
@@ -257,31 +242,45 @@ def _validate_factor_labels(labels, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DcbmProb:
-    """P_ij = min(1, theta_i * block[tau_i, tau_j] * theta_j) in O(n + K^2).
+class FactoredProb:
+    """P_ij = min(1, left[i, tau_j] * right[j, tau_i]) for i < j, in O(nK).
 
-    The degree-corrected form; the SBM is theta = 1, which gives
-    block[tau_i, tau_j] exactly. ``block`` may exceed 1 (plug-in endpoint
-    counts, or omega under max-theta-1 normalization); products past 1
-    are clamped.
+    One form holds all three models. The PABM is left = right = lambda.
+    The SBM and DCBM are left[i, b] = theta_i * block[tau_i, b] and
+    right[j, :] = theta_j, with theta = 1 for the SBM, so P_ij is the
+    product (theta_i * block[tau_i, tau_j]) * theta_j. ``block`` may exceed
+    1 (plug-in endpoint counts, or omega under max-theta-1 normalization);
+    products past 1 are clamped.
+
+    Two factors keep every product in the order each model has always
+    taken, so the probabilities, and the graphs sampled from them, are the
+    same to the last bit. A single factor W[i, b] = theta_i *
+    sqrt(block[tau_i, b]) would hold the DCBM too, but sqrt(w)^2 rounds
+    differently from w, and every sampled graph would change.
+
+    The sampler asks two questions: an upper bound on each row's
+    probabilities, and the exact P_ij of given pairs. The bound takes the
+    same floating-point product as P_ij with the right factor raised to its
+    block maximum; rounding is monotone, so bound_i >= P_ij holds exactly,
+    not just up to rounding.
     """
 
-    theta: np.ndarray = field(repr=False)
-    block: np.ndarray = field(repr=False)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        block = np.asarray(self.block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != block.shape[1]:
-            raise ValueError("block matrix must be square")
-        if not np.array_equal(block, block.T) or block.min(initial=0.0) < 0.0:
-            raise ValueError("block matrix must be symmetric and nonnegative")
-        labels = _validate_factor_labels(self.labels, block.shape[0])
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.shape != labels.shape or theta.min(initial=0.0) < 0.0:
-            raise ValueError("theta must be one nonnegative entry per node")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "block", block)
+        left = np.asarray(self.left, dtype=np.float64)
+        right = np.asarray(self.right, dtype=np.float64)
+        if left.ndim != 2 or right.shape != left.shape:
+            raise ValueError("left and right factors must be n x K matrices of one shape")
+        labels = _validate_factor_labels(self.labels, left.shape[1])
+        if left.shape[0] != labels.size:
+            raise ValueError("factors must have one row per node")
+        if left.min(initial=0.0) < 0.0 or right.min(initial=0.0) < 0.0:
+            raise ValueError("factor entries must be nonnegative")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -290,14 +289,16 @@ class DcbmProb:
 
     def _raw(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         t = self.labels - 1
-        return (self.theta[i] * self.block[t[i], t[j]]) * self.theta[j]
+        return self.left[i, t[j]] * self.right[j, t[i]]
 
     @cached_property
     def row_bounds(self) -> np.ndarray:
         t = self.labels - 1
-        top = np.zeros(self.block.shape[0])
-        np.maximum.at(top, t, self.theta)
-        return ((self.theta[:, None] * self.block[t]) * top).max(axis=1, initial=0.0)
+        # top[b, a] = max of right[j, a] over the nodes j of community b
+        k = self.left.shape[1]
+        top = np.zeros((k, k))
+        np.maximum.at(top, t, self.right)
+        return (self.left * top[:, t].T).max(axis=1, initial=0.0)
 
     def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.minimum(self._raw(i, j), 1.0)
@@ -312,63 +313,35 @@ class DcbmProb:
 
     def dense(self) -> np.ndarray:
         t = self.labels - 1
-        p = self.theta[:, None] * self.block[np.ix_(t, t)] * self.theta[None, :]
+        p = self.left[:, t] * self.right[:, t].T  # [i, j] = left[i, tau_j] * right[j, tau_i]
         return np.minimum(p, 1.0, out=p)
 
 
-@dataclass(frozen=True, eq=False)
-class PabmProb:
-    """P_ij = lam[i, tau_j] * lam[j, tau_i] in O(nK)."""
-
-    lam: np.ndarray = field(repr=False)
-    labels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=np.float64)
-        if lam.ndim != 2:
-            raise ValueError("lambda must be an n x K matrix")
-        labels = _validate_factor_labels(self.labels, lam.shape[1])
-        if lam.shape[0] != labels.size:
-            raise ValueError("lambda must have one row per node")
-        if lam.size and (lam.min() < 0.0 or lam.max() > 1.0):
-            raise ValueError("lambda entries must lie in [0, 1]")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def n(self) -> int:
-        return self.labels.size
-
-    @cached_property
-    def row_bounds(self) -> np.ndarray:
-        t = self.labels - 1
-        # top[b, a] = max of lam[j, a] over the nodes j of community b
-        top = np.zeros((self.lam.shape[1], self.lam.shape[1]))
-        np.maximum.at(top, t, self.lam)
-        return (self.lam * top[:, t].T).max(axis=1, initial=0.0)
-
-    def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        t = self.labels - 1
-        return self.lam[i, t[j]] * self.lam[j, t[i]]
-
-    def dense(self) -> np.ndarray:
-        popularity_toward = self.lam[:, self.labels - 1]  # [i, j] = lam[i, tau_j]
-        return popularity_toward * popularity_toward.T
-
-
-FactoredProb = Union[DcbmProb, PabmProb]
-EdgeProb = Union[ProbMatrix, DcbmProb, PabmProb]
+def _degree_corrected(theta, block, labels) -> FactoredProb:
+    """The SBM/DCBM factors of ``theta``, a symmetric nonnegative block
+    matrix and labels; ``right`` is a read-only broadcast view of theta."""
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+        raise ValueError("block matrix must be square")
+    if not np.array_equal(block, block.T) or block.min(initial=0.0) < 0.0:
+        raise ValueError("block matrix must be symmetric and nonnegative")
+    labels = _validate_factor_labels(labels, block.shape[0])
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != labels.shape or theta.min(initial=0.0) < 0.0:
+        raise ValueError("theta must be one nonnegative entry per node")
+    left = theta[:, None] * block[labels - 1]
+    return FactoredProb(left, np.broadcast_to(theta[:, None], left.shape), labels)
 
 
 def edge_probs(params: ModelParams) -> FactoredProb:
     """Factored edge probabilities of the model parameters; an SBM is the
     DCBM form with theta = 1."""
     if isinstance(params, SbmParams):
-        return DcbmProb(np.ones(params.n), params.omega, params.labels)
+        return _degree_corrected(np.ones(params.n), params.omega, params.labels)
     if isinstance(params, DcbmParams):
-        return DcbmProb(params.theta, params.omega, params.labels)
+        return _degree_corrected(params.theta, params.omega, params.labels)
     if isinstance(params, PabmParams):
-        return PabmProb(params.lam, params.labels)
+        return FactoredProb(params.lam, params.lam, params.labels)
     raise TypeError(f"unsupported params type {type(params).__name__}")
 
 
@@ -380,35 +353,25 @@ def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
     block-wise max theta = 1, heavy-tailed degree draws can push a few
     top pairs past 1 at realistic density targets.
     """
-    factored = params if isinstance(params, (DcbmProb, PabmProb)) else edge_probs(params)
+    factored = params if isinstance(params, FactoredProb) else edge_probs(params)
     p = factored.dense()
     np.fill_diagonal(p, 0.0)
     return ProbMatrix(p)
-
-
-def expected_edge_count(p: ProbMatrix) -> float:
-    iu = np.triu_indices(p.n, 1)
-    return float(p.p[iu].sum())
-
-
-def expected_density(p: ProbMatrix) -> float:
-    pairs = p.n * (p.n - 1) / 2
-    return expected_edge_count(p) / pairs if pairs else 0.0
 
 
 # pairs per chunk of whole rows in ``sample_graph``
 _CHUNK_PAIRS = 1 << 20
 
 
-def sample_graph(p: EdgeProb, seed: int) -> Graph:
+def sample_graph(p: FactoredProb, seed: int) -> Graph:
     """Independent Bernoulli draws on the upper triangle.
 
     One uniform per pair i < j in row-major order, drawn in chunks of
     whole rows of about 1M pairs; pair (i, j) is an edge when
     its uniform is below P_ij. Only uniforms below row i's bound are
-    candidates, and P_ij is evaluated for the candidates alone, so a
-    factored ``p`` is sampled in O(nK + m) memory plus one chunk, and the
-    graph is the same for every chunk size and for the dense form.
+    candidates, and P_ij is evaluated for the candidates alone, so ``p``
+    is sampled in O(nK + m) memory plus one chunk, and the graph is the
+    same for every chunk size.
     """
     n = p.n
     rng = np.random.default_rng(seed)
@@ -465,6 +428,21 @@ def _contiguous_labels(sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(1, sizes.size + 1), sizes)
 
 
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _planted_blocks(n: int, k: int, block_fractions, base_omega):
+    """Block sizes, contiguous labels and the validated base omega of the
+    SBM and DCBM generators."""
+    _require_k(k)
+    sizes = _block_sizes(n, block_fractions)
+    if sizes.size != k:
+        raise ValueError("block_fractions length must equal k")
+    return sizes, _contiguous_labels(sizes), _validate_omega(base_omega, k, name="base omega")
+
+
 def _pair_target(n: int, target_density, target_avg_degree) -> float:
     if (target_density is None) == (target_avg_degree is None):
         raise ValueError("specify exactly one of target_density / target_avg_degree")
@@ -497,11 +475,7 @@ def gen_sbm(
 ) -> tuple[Graph, SbmParams]:
     """Sample an SBM with omega proportional to ``base_omega``, scaled so
     the expected density (or expected average degree) hits the target."""
-    sizes = _block_sizes(n, block_fractions)
-    if sizes.size != k:
-        raise ValueError("block_fractions length must equal k")
-    labels = _contiguous_labels(sizes)
-    base = _validate_base_omega(base_omega, k)
+    sizes, labels, base = _planted_blocks(n, k, block_fractions, base_omega)
     within = sizes * (sizes - 1) / 2.0
     cross = np.outer(sizes, sizes)
     pair_sum = float((np.diag(base) * within).sum())
@@ -511,17 +485,6 @@ def gen_sbm(
     params = SbmParams(k=k, omega=omega, labels=labels)
     g = sample_graph(edge_probs(params), derive_seed(seed, "graph"))
     return g, params
-
-
-def _validate_base_omega(base_omega, k: int) -> np.ndarray:
-    base = np.asarray(base_omega, dtype=np.float64)
-    if base.shape != (k, k):
-        raise ValueError(f"base omega must be {k}x{k}")
-    if np.max(np.abs(base - base.T), initial=0.0) > _EPS:
-        raise ValueError("base omega must be symmetric")
-    if base.min() < 0:
-        raise ValueError("base omega must be nonnegative")
-    return (base + base.T) / 2.0
 
 
 def beta_ratio_omega(k: int, beta: float) -> np.ndarray:
@@ -546,11 +509,7 @@ def gen_dcbm(
     """Sample a DCBM: theta drawn i.i.d. from ``theta_law`` and rescaled
     block-wise to max 1, then omega scaled to the density/degree target
     given the realized theta."""
-    sizes = _block_sizes(n, block_fractions)
-    if sizes.size != k:
-        raise ValueError("block_fractions length must equal k")
-    labels = _contiguous_labels(sizes)
-    base = _validate_base_omega(base_omega, k)
+    sizes, labels, base = _planted_blocks(n, k, block_fractions, base_omega)
     rng = np.random.default_rng(derive_seed(seed, "theta"))
     theta = theta_law.sample(rng, n)
     if np.any(theta <= 0):
@@ -606,6 +565,7 @@ def gen_pabm(
     multiplied by sqrt(s) with s chosen so the expected density equals the
     target; an s that would push entries above 1 is an error.
     """
+    _require_k(k)
     if n % k != 0:
         raise InfeasibleModelError(f"n={n} not divisible by K={k}")
     block = n // k
@@ -618,10 +578,11 @@ def gen_pabm(
             law = diag_law if col == kb else offdiag_law
             lam[rows, col] = law.sample(rng, block)
     if density_scale is not None:
-        params0 = PabmParams(k=k, lam=lam, labels=labels)
-        # the dense triangle sum fixes lambda to the last bit, and with it
-        # the sampled graph; keep it rather than a reordered factored sum
-        current = expected_density(prob_matrix(params0))
+        # the sum over the triangle in row-major order fixes lambda to the
+        # last bit, and with it the sampled graph; keep that order
+        probs = edge_probs(PabmParams(k=k, lam=lam, labels=labels))
+        pair_sum = float(probs.pair_probs(*np.triu_indices(n, 1)).sum())
+        current = pair_sum / (n * (n - 1) / 2) if n > 1 else 0.0
         if current <= 0:
             raise InfeasibleModelError("zero base density, cannot scale")
         s = float(density_scale) / current
@@ -655,7 +616,7 @@ def _block_edge_counts(g: Graph, labels: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
-def fit_sbm(g: Graph, labels: np.ndarray) -> DcbmProb:
+def fit_sbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     """Plug-in SBM fit: block-wise edge frequencies.
 
     omega_hat[k, l] = (edges between communities k, l) / (available pairs).
@@ -676,10 +637,10 @@ def fit_sbm(g: Graph, labels: np.ndarray) -> DcbmProb:
         warnings.warn(
             "singleton community: within-block probability set to 0", stacklevel=2
         )
-    return DcbmProb(np.ones(labels.size), omega, labels)
+    return _degree_corrected(np.ones(labels.size), omega, labels)
 
 
-def fit_dcbm(g: Graph, labels: np.ndarray) -> DcbmProb:
+def fit_dcbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     """Degree-ratio plug-in DCBM fit.
 
     theta_hat_i = deg(i) / (total degree of i's community);
@@ -702,7 +663,7 @@ def fit_dcbm(g: Graph, labels: np.ndarray) -> DcbmProb:
     theta = deg / block_deg[labels - 1]
     o_hat = _block_edge_counts(g, labels, k)
     o_hat = o_hat + np.diag(np.diag(o_hat))  # within-block endpoints count twice
-    return DcbmProb(theta, o_hat, labels)
+    return _degree_corrected(theta, o_hat, labels)
 
 
 # ---------------------------------------------------------------------------

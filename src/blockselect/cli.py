@@ -299,6 +299,8 @@ def cmd_generate(args) -> int:
         "theta_law": args.theta_law if args.model == "dcbm" else None,
         "seed": args.seed,
     }
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.fractions is not None:
         fractions = np.asarray([float(t) for t in args.fractions.split(",")])
     else:

@@ -404,14 +404,13 @@ def minimize_q_subspace(
     r: int,
     n_restarts: int = 20,
     seed: int = 0,
-    init_labels: np.ndarray | None = None,
 ) -> ClusterSolution:
     """Greedy minimization of the rank-r subspace loss.
 
     Alternates refitting each community's rank-r basis with reassigning
     every point to the community of smallest projection residual (ties to
-    the lowest community index). When ``init_labels`` is given the first
-    restart starts from it; the rest start from random assignments.
+    the lowest community index). Every restart starts from random
+    assignments seeded by candidate subspaces.
     """
     rows = emb.rows
     n = rows.shape[0]
@@ -421,22 +420,13 @@ def minimize_q_subspace(
         raise ValueError("rank r must be >= 1")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    if init_labels is not None:
-        init_labels = np.asarray(init_labels, dtype=np.int64)
-        if init_labels.shape != (n,):
-            raise ValueError("init_labels must have one entry per row")
-        if len(np.unique(init_labels)) != k or init_labels.min() < 1 or init_labels.max() > k:
-            raise ValueError("init_labels must use every community in [1, k]")
     row_sq = (rows**2).sum(axis=1)[:, None]
     outer = rows[:, :, None] * rows[:, None, :]
 
     def start(block: range):
-        starts = [init_labels[None]] if block[0] == 0 and init_labels is not None else []
         rngs = [np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-                for restart in block[len(starts):]]
-        if rngs:
-            starts.append(_seed_labels(rows, row_sq, outer, k, r, rngs))
-        labels = np.concatenate(starts)
+                for restart in block]
+        labels = _seed_labels(rows, row_sq, outer, k, r, rngs)
         model, obj, _ = _subspace_refit(outer, labels, k, r)
         return labels, model, obj
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._seeds import derive_seed
-from .blockmodels import EdgeProb, fit_dcbm, fit_sbm, sample_graph
+from .blockmodels import FactoredProb, fit_dcbm, fit_sbm, sample_graph
 from .cluster import ClusterSolution, minimize_q1, minimize_q_subspace
 from .errors import DegenerateModelError, InfeasibleModelError, NumericalError
 from .netcore import Graph
@@ -109,21 +109,12 @@ class TestResult:
         return self.n_replicates + len(self.failures)
 
 
-def bootstrap_p_value(
-    statistic: float, boot_stats: np.ndarray, corrected: bool = False
-) -> float:
-    """Fraction of replicate statistics >= the observed one (ties count).
-
-    ``corrected`` switches to the finite-sample form (1 + count)/(1 + R)
-    for sensitivity analysis; the default matches the plain proportion.
-    """
+def bootstrap_p_value(statistic: float, boot_stats: np.ndarray) -> float:
+    """Fraction of replicate statistics >= the observed one (ties count)."""
     boot = np.asarray(boot_stats, dtype=np.float64)
     if boot.size == 0:
         raise ValueError("need at least one bootstrap replicate")
-    count = int((boot >= statistic).sum())
-    if corrected:
-        return (1 + count) / (1 + boot.size)
-    return count / boot.size
+    return int((boot >= statistic).sum()) / boot.size
 
 
 def make_test_result(
@@ -298,7 +289,7 @@ def _chunk_results(job, n_boot: int):
 
 
 def _bootstrap_statistics(
-    p_hat: EdgeProb,
+    p_hat: FactoredProb,
     n_boot: int,
     seed: int,
     stat_fn,
@@ -359,6 +350,8 @@ def _run_test(
     ``fit(g, labels)`` at the observed labels."""
     if n_boot < 1:
         raise ValueError("need at least one bootstrap replicate")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sol = detect(g, k, null, restarts, seed=derive_seed(seed, "observed"))
     p_hat = fit(g, sol.labels)
     stat_fn = functools.partial(_null_objective, k, null, restarts)

@@ -106,6 +106,8 @@ class ExperimentSpec:
                 raise ConfigError(f"invalid methods {sorted(bad)} for {self.study.value}")
         if self.restarts is not None and self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         for i, pt in enumerate(self.grid):
             if pt.n < 2 or pt.k < 1 or pt.k > pt.n:
                 raise ConfigError(f"grid point {i + 1}: bad (n, k) = ({pt.n}, {pt.k})")

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockselect.blockmodels import FactoredProb, SbmParams, edge_probs
 from blockselect.netcore import Graph, load_edge_list
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -33,3 +34,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     i, j = np.triu_indices(n, 1)
     hit = rng.random(i.size) < p
     return Graph(n=n, edges=np.column_stack([i[hit], j[hit]]))
+
+
+def constant_prob(n: int, p: float) -> FactoredProb:
+    """P_ij = p for every pair: a one-block SBM in factored form."""
+    labels = np.ones(n, dtype=np.int64)
+    return edge_probs(SbmParams(k=1, omega=np.array([[p]]), labels=labels))

@@ -80,6 +80,16 @@ def test_select_infeasible_k(tmp_path, karate_path):
 # cluster
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "1"])
+def test_select_alpha_outside_unit_interval_is_usage_error(tmp_path, capsys, karate_path, alpha):
+    out = tmp_path / "out"
+    code = main(["select", str(karate_path), "--k", "2", "--boot", "5",
+                 "--alpha", alpha, "--out", str(out)])
+    assert code == 2
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_two_cliques_objective_zero(tmp_path, capsys):
     edges = write(tmp_path / "g.edges", TWO_CLIQUES)
     out = tmp_path / "out"
@@ -162,10 +172,33 @@ def test_generate_identity_omega_two_er_blocks(tmp_path):
         assert labels[u] == labels[v]  # no cross-block edges
 
 
+@pytest.mark.parametrize("low, code", [("-5e-13", 0), ("-2e-12", 2)])
+def test_generate_omega_tolerance(tmp_path, low, code):
+    # entries down to -1e-12 are read as 0; below that the matrix is an error
+    out = tmp_path / "out"
+    assert main(["generate", "sbm", "--n", "40", "--k", "2",
+                 "--omega", f"1,0.5;0.5,{low}", "--density", "0.1",
+                 "--out", str(out)]) == code
+
+
 def test_generate_infeasible_density(tmp_path):
     code = main(["generate", "sbm", "--n", "30", "--k", "2", "--beta", "0.1",
                  "--density", "0.95", "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("model, extra", [
+    ("sbm", ["--beta", "0.5", "--density", "0.1"]),
+    ("dcbm", ["--beta", "0.5", "--density", "0.1"]),
+    ("pabm", []),
+])
+def test_generate_k_below_one_is_usage_error(tmp_path, capsys, model, extra, k):
+    out = tmp_path / "out"
+    code = main(["generate", model, "--n", "10", "--k", k, *extra, "--out", str(out)])
+    assert code == 2
+    assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_dcbm_and_pabm_smoke(tmp_path):

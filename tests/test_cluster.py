@@ -149,21 +149,6 @@ def test_minimize_q_subspace_orthogonal_lines():
         assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-8
 
 
-def test_minimize_q_subspace_from_labels_init():
-    t = np.linspace(1, 2, 5)
-    rows = np.concatenate([np.outer(t, [1, 0]), np.outer(t, [0, 1])])
-    truth = np.repeat([1, 2], 5)
-    sol = minimize_q_subspace(
-        make_emb(rows), 2, r=1, n_restarts=1, seed=0, init_labels=truth
-    )
-    assert mislabel_rate(sol.labels, truth, 2) == 0.0
-    with pytest.raises(ValueError, match="every community"):
-        minimize_q_subspace(
-            make_emb(rows), 2, r=1, n_restarts=1, seed=0,
-            init_labels=np.ones(10, dtype=int),
-        )
-
-
 def test_minimize_q_subspace_flags_rank_truncation():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((4, 3))
@@ -281,16 +266,13 @@ def _serial_seed_labels(rows, k, r, rng):
     return labels
 
 
-def serial_minimize_q_subspace(emb, k, r, n_restarts=20, seed=0, init_labels=None):
+def serial_minimize_q_subspace(emb, k, r, n_restarts=20, seed=0):
     rows = emb.rows
     n = rows.shape[0]
     best = None
     for restart in range(n_restarts):
         rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-        if restart == 0 and init_labels is not None:
-            labels = np.asarray(init_labels, dtype=np.int64).copy()
-        else:
-            labels = _serial_seed_labels(rows, k, r, rng)
+        labels = _serial_seed_labels(rows, k, r, rng)
         bases, prev_obj, truncated = _serial_fit_bases(rows, labels, k, r)
         rounds, converged = 0, False
         while rounds < _MAX_ROUNDS:
@@ -339,20 +321,17 @@ def _embeddings(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centers = rng.standard_normal((k, d)) * draw(st.sampled_from([0.0, 1.0, 4.0]))
     rows = centers[rng.integers(0, k, n)] + rng.standard_normal((n, d))
-    init = None
-    if draw(st.booleans()):
-        init = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
-    return make_emb(rows), k, r, init
+    return make_emb(rows), k, r
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_embeddings(), n_restarts=st.integers(1, 12), seed=st.integers(0, 1000))
 def test_batched_minimizers_match_serial_reference(case, n_restarts, seed):
-    emb, k, r, init = case
+    emb, k, r = case
     _assert_same_solution(
-        minimize_q_subspace(emb, k, r=r, n_restarts=n_restarts, seed=seed, init_labels=init),
-        serial_minimize_q_subspace(emb, k, r, n_restarts=n_restarts, seed=seed, init_labels=init),
+        minimize_q_subspace(emb, k, r=r, n_restarts=n_restarts, seed=seed),
+        serial_minimize_q_subspace(emb, k, r, n_restarts=n_restarts, seed=seed),
     )
     _assert_same_solution(
         minimize_q1(emb, k, n_restarts=n_restarts, seed=seed),

@@ -13,8 +13,8 @@ import blockselect.modelselect as ms
 from blockselect._seeds import derive_seed
 from blockselect.blockmodels import (
     Beta,
+    FactoredProb,
     PowerLaw,
-    ProbMatrix,
     beta_ratio_omega,
     gen_dcbm,
     gen_pabm,
@@ -36,7 +36,7 @@ from blockselect.modelselect import test_dcbm_vs_pabm as run_test_dcbm_vs_pabm
 from blockselect.modelselect import test_sbm_vs_dcbm as run_test_sbm_vs_dcbm
 from blockselect.spectral import ase
 
-from conftest import random_graph
+from conftest import constant_prob, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +94,19 @@ def test_p_value_ties_count_as_geq():
     assert bootstrap_p_value(2.0, np.array([2.0, 1.0])) == 0.5
 
 
-def test_p_value_corrected_form():
-    boot = np.array([1.0, 2.0, 6.0, 7.0])
-    assert bootstrap_p_value(5.0, boot, corrected=True) == pytest.approx(3 / 5)
-
-
 def test_p_value_needs_replicates():
     with pytest.raises(ValueError):
         bootstrap_p_value(1.0, np.array([]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05])
+@pytest.mark.parametrize("run", [run_test_sbm_vs_dcbm, run_test_dcbm_vs_pabm])
+def test_alpha_outside_unit_interval_rejected(run, alpha):
+    g = random_graph(12, 0.5, 0)
+    with pytest.raises(ValueError, match="alpha"):
+        run(g, 2, n_boot=1, alpha=alpha, restarts=1)
+    with pytest.raises(ValueError, match="alpha"):
+        run_workflow(g, 2, alpha=alpha, n_boot=1, restarts=1)
 
 
 def test_result_formula_exactness_fuzz():
@@ -128,8 +133,8 @@ def test_rejection_monotone_in_alpha():
 # bootstrap machinery
 # ---------------------------------------------------------------------------
 
-def _tiny_phat(n=12, p=0.4) -> ProbMatrix:
-    return ProbMatrix(p * (np.ones((n, n)) - np.eye(n)))
+def _tiny_phat(n=12, p=0.4) -> FactoredProb:
+    return constant_prob(n, p)
 
 
 @pytest.fixture

@@ -226,6 +226,13 @@ def test_config_bad_study(mutation, message):
             load_experiment_config(io.StringIO(text))
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1"])
+def test_config_rejects_alpha_outside_unit_interval(alpha):
+    text = GOOD_CONFIG.replace("alpha = 0.05", f"alpha = {alpha}")
+    with pytest.raises(ConfigError, match=r"alpha must lie in \(0, 1\)"):
+        load_experiment_config(io.StringIO(text))
+
+
 def test_config_reports_field_context():
     text = GOOD_CONFIG.replace("n = 300", "n = many")
     with pytest.raises(ConfigError, match=r"\[grid.1\] n"):
