@@ -11,12 +11,15 @@ Heavy imports happen inside command handlers so ``--threads`` can pin BLAS
 thread counts via environment variables before numpy loads; ``--threads 1``
 is the canonical deterministic configuration used by the golden tests.
 
-Bootstrap replicates run on one worker per CPU in the process's affinity
-mask (``taskset -c 0`` runs them serially, in the main process). Each
-worker is a forked process with its own RSS, and runs BLAS on one thread,
-since the workers already occupy every CPU; ``--threads`` pins the BLAS
-threads of the main process. ``report.json`` is byte-identical at any
-worker count.
+Bootstrap replicates and restart blocks run on one worker per CPU in the
+process's affinity mask. Every detection with more than one restart block
+uses the same worker processes: the observed fits, the final PABM fit,
+``cluster`` and simulations. ``taskset -c 0`` makes a run fully serial, in
+the main process. Each worker is a forked process with its own RSS, and
+runs BLAS on one thread, since the workers already occupy every CPU; the
+main process does too while it detects or runs replicates, and
+``--threads`` pins its BLAS threads for the rest. ``report.json`` and
+``cluster.json`` are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -45,9 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="pin the BLAS thread count of the main process (1 = canonical "
-        "deterministic path); bootstrap workers, one per CPU in the affinity "
-        "mask, use one BLAS thread each",
+        help="pin the BLAS thread count of the main process outside "
+        "detection and bootstrap replicates, which run on one BLAS thread "
+        "(1 = canonical deterministic path); replicates and restart blocks "
+        "run on one worker per CPU in the affinity mask (taskset -c 0 runs "
+        "serially), and report.json and cluster.json are byte-identical at "
+        "any worker count",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

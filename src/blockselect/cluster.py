@@ -14,6 +14,7 @@ objective wins, ties broken by restart index. Seeding is per restart, but
 the descent advances a block of restarts together: one round is a few
 stacked matmuls and one batched ``eigh`` over every (restart, community)
 pair, and a restart drops out of the block when its labels stop changing.
+The blocks run in parallel on the package's worker pool (``_pool``).
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
 """
@@ -25,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _pool
 from ._seeds import derive_seed
 from .errors import NumericalError
 from .netcore import Graph
@@ -130,13 +132,20 @@ def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Labels of least cost (ties to the lowest community) for each restart
     of an (m, n, k) cost stack, with empty communities repaired; also
     returns which restarts needed a repair."""
-    labels = np.argmin(cost, axis=2) + 1
-    m, n = labels.shape
-    present = np.zeros((m, k + 1), dtype=bool)
-    present[np.arange(m)[:, None], labels] = True
+    m, n, _ = cost.shape
+    # a running strict-< comparison over the k columns: cheaper than an
+    # argmin along the short, strided last axis
+    least = cost[:, :, 0]
+    labels = np.ones((m, n), dtype=np.int64)
+    for j in range(1, k):
+        lower = cost[:, :, j] < least
+        least = np.where(lower, cost[:, :, j], least)
+        labels[lower] = j + 1
+    offset = (k + 1) * np.arange(m)[:, None]
+    present = np.bincount((labels + offset).ravel(), minlength=m * (k + 1)) > 0
     repaired = np.zeros(m, dtype=bool)
     points = np.arange(n)
-    for i in np.flatnonzero(~present[:, 1:].all(axis=1)):
+    for i in np.flatnonzero(~present.reshape(m, k + 1)[:, 1:].all(axis=1)):
         repaired[i] = _repair_empty(labels[i], cost[i, points, labels[i] - 1], k)
     return labels, repaired
 
@@ -223,6 +232,33 @@ class _Best(NamedTuple):
     degenerate: bool
 
 
+def _block_best(job, block: range) -> _Best:
+    """Descend one block of restarts and keep the one of lowest exact loss,
+    ties to the lowest restart index; only restarts that can hold it are
+    scored, each distinct labeling once.
+
+    ``job = (start, cost, refit, exact, k, margin)``; see ``_best_restart``.
+    """
+    start, cost, refit, exact, k, margin = job
+    run = _descend(*start(block), cost, refit, k)
+    best: _Best | None = None
+    scored: dict[bytes, float] = {}
+    for i in np.flatnonzero(run.objective <= run.objective.min() + margin):
+        key = run.labels[i].tobytes()
+        if key not in scored:
+            scored[key] = exact(run.labels[i])
+        if best is None or scored[key] < best.objective:
+            best = _Best(
+                labels=run.labels[i].copy(),
+                objective=scored[key],
+                model=tuple(a[i] for a in run.model),
+                n_iters=int(run.rounds[i]),
+                degenerate=bool(run.truncated[i] or not run.converged[i]),
+            )
+    assert best is not None
+    return best
+
+
 def _best_restart(
     n_restarts: int,
     rows: np.ndarray,
@@ -238,27 +274,21 @@ def _best_restart(
     ``start(block)`` gives the block's start labels, model and objective.
     The descent objective is accurate to about 1e-14 of the rows' total
     energy, so only restarts within ``_SCORE_MARGIN`` of that energy of a
-    block's lowest can hold the lowest exact loss; only those are scored,
-    each distinct labeling once.
+    block's lowest can hold the lowest exact loss; only those are scored.
+
+    A block depends only on its restarts' seeds, so the blocks run on the
+    worker pool (``_pool``), and their bests merge in block order with the
+    same strict comparison: the solution, and the error of the lowest
+    block that fails, are those of the serial run at every worker count.
     """
     n, d = rows.shape
     margin = _SCORE_MARGIN * float((rows**2).sum())
+    job = (start, cost, refit, exact, k, margin)
     best: _Best | None = None
-    scored: dict[bytes, float] = {}
-    for block in _blocks(n_restarts, n, k, d):
-        run = _descend(*start(block), cost, refit, k)
-        for i in np.flatnonzero(run.objective <= run.objective.min() + margin):
-            key = run.labels[i].tobytes()
-            if key not in scored:
-                scored[key] = exact(run.labels[i])
-            if best is None or scored[key] < best.objective:
-                best = _Best(
-                    labels=run.labels[i].copy(),
-                    objective=scored[key],
-                    model=tuple(a[i] for a in run.model),
-                    n_iters=int(run.rounds[i]),
-                    degenerate=bool(run.truncated[i] or not run.converged[i]),
-                )
+    with _pool.ordered_results(job, _block_best, _blocks(n_restarts, n, k, d)) as blocks:
+        for block_best in blocks:
+            if best is None or block_best.objective < best.objective:
+                best = block_best
     assert best is not None
     return best
 

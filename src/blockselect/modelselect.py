@@ -14,22 +14,17 @@ otherwise re-embed into K^2 dimensions and cluster with the rank-K loss.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import enum
 import functools
-import multiprocessing
-import os
-import threading
 import time
 import traceback
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _pool
 from ._seeds import derive_seed
 from .blockmodels import FactoredProb, fit_dcbm, fit_sbm, sample_graph
 from .cluster import ClusterSolution, minimize_q1, minimize_q_subspace
@@ -67,18 +62,20 @@ def detect(
     SBM: centroid loss on the scaled K-dimensional embedding. DCBM: rank-1
     subspace loss on the same embedding. PABM: rank-K subspace loss on the
     unscaled K^2-dimensional embedding, which needs K^2 <= n. ``restarts``
-    defaults to ``DEFAULT_RESTARTS[model]``.
+    defaults to ``DEFAULT_RESTARTS[model]``. The restart blocks run on the
+    worker pool (``_pool``), and BLAS runs on one thread throughout.
     """
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
-    if model is ModelKind.SBM:
-        return minimize_q1(ase(g, k), k, n_restarts=n_restarts, seed=seed)
-    if model is ModelKind.DCBM:
-        return minimize_q_subspace(ase(g, k), k, r=1, n_restarts=n_restarts, seed=seed)
-    _require_pabm_embedding(g.n, k)
-    # rank-K subspace structure lives in the orthonormal eigenvector rows
-    return minimize_q_subspace(
-        ase(g, k * k, scaled=False), k, r=k, n_restarts=n_restarts, seed=seed
-    )
+    with _pool.one_blas_thread():
+        if model is ModelKind.SBM:
+            return minimize_q1(ase(g, k), k, n_restarts=n_restarts, seed=seed)
+        if model is ModelKind.DCBM:
+            return minimize_q_subspace(ase(g, k), k, r=1, n_restarts=n_restarts, seed=seed)
+        _require_pabm_embedding(g.n, k)
+        # rank-K subspace structure lives in the orthonormal eigenvector rows
+        return minimize_q_subspace(
+            ase(g, k * k, scaled=False), k, r=k, n_restarts=n_restarts, seed=seed
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +164,10 @@ class _WorkerTraceback(Exception):
     """The traceback text of an error raised in a worker process."""
 
 
-def _replicate_chunk(job, lo: int, hi: int) -> _Chunk:
-    """Replicates ``lo .. hi-1`` of ``job = (p_hat, n_boot, seed, stat_fn)``
-    in order, each failed attempt redrawn from the next derived seed.
+def _replicate_chunk(job, bounds: tuple[int, int]) -> _Chunk:
+    """Replicates ``lo .. hi-1`` (``bounds = (lo, hi)``) of ``job = (p_hat,
+    n_boot, seed, stat_fn)`` in order, each failed attempt redrawn from the
+    next derived seed.
 
     Stops at the first error that is not retried, and before an attempt
     that would exceed the 3 * R budget even if every replicate before
@@ -177,6 +175,7 @@ def _replicate_chunk(job, lo: int, hi: int) -> _Chunk:
     either, so the run is certain to be exhausted.
     """
     p_hat, n_boot, seed, stat_fn = job
+    lo, hi = bounds
     stats = np.empty(hi - lo)
     failures: list[tuple[int, str]] = []
     attempts = 0
@@ -197,95 +196,9 @@ def _replicate_chunk(job, lo: int, hi: int) -> _Chunk:
             except _REPLICATE_ERRORS as exc:
                 failures.append((r, type(exc).__name__))
             except Exception as exc:  # re-raised by the caller, in replicate order
-                return _Chunk(stats, failures, attempts, exc)
+                tb = "".join(traceback.format_exception(exc)) if _pool.in_worker() else ""
+                return _Chunk(stats, failures, attempts, exc, tb)
     return _Chunk(stats, failures, attempts)
-
-
-def _openblas(fn: str, *args) -> list[int]:
-    """Call ``openblas_<fn>(*args)`` in every OpenBLAS library loaded in
-    this process (the numpy and scipy wheels each bundle one, under a
-    ``scipy_`` prefix and a ``64_`` suffix or not) and return the results.
-    Finds none where /proc/self/maps does not exist."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = [line.split(None, 5) for line in fh]
-    except OSError:
-        return []
-    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
-    names = [f"{pre}openblas_{fn}{post}" for pre in ("", "scipy_") for post in ("", "64_")]
-    results = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # mapped file since replaced or removed
-            continue
-        func = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
-        if func is not None:
-            results.append(func(*args))
-    return results
-
-
-# set in each worker process only, by the pool's initializer
-_WORKER_JOB = None
-
-
-def _init_worker(job) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = job
-    # the workers already occupy every CPU, and a BLAS thread pool per
-    # worker would oversubscribe them: a DCBM test at n=300 with B=40 ran
-    # ten times slower on 2 CPUs
-    _openblas("set_num_threads", 1)
-
-
-def _worker_chunk(lo: int, hi: int) -> _Chunk:
-    chunk = _replicate_chunk(_WORKER_JOB, lo, hi)
-    if chunk.error is not None:
-        text = "".join(traceback.format_exception(chunk.error))
-        chunk = chunk._replace(remote_tb=text)
-    return chunk
-
-
-def _workers() -> int:
-    """Bootstrap processes: one per CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _chunk_results(job, n_boot: int):
-    """Yield the results of the chunks of all ``n_boot`` replicates, in
-    replicate order, as each is read.
-
-    Chunks run in forked worker processes, which inherit ``job`` (so
-    neither the fitted null nor the statistic is pickled) and every loaded
-    module. With one worker, no fork start method, or other threads
-    running (fork is unsafe then), one chunk runs in this process.
-    """
-    workers = min(_workers(), n_boot)
-    if (
-        workers == 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or threading.active_count() > 1
-    ):
-        yield [_replicate_chunk(job, 0, n_boot)]
-        return
-    n_chunks = min(n_boot, _CHUNKS_PER_WORKER * workers)
-    bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(job,),
-    )
-    try:
-        futures = [pool.submit(_worker_chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        yield (f.result() for f in futures)
-    finally:
-        # a raised error leaves later chunks unread: drop those not started
-        pool.shutdown(cancel_futures=True)
 
 
 def _bootstrap_statistics(
@@ -304,14 +217,17 @@ def _bootstrap_statistics(
     exception class name), in replicate-then-attempt order.
 
     Replicate r's attempts depend only on ``(p_hat, seed, r)``, so the
-    replicates run in contiguous chunks on every CPU (``_chunk_results``)
-    and merge in replicate order. The statistics, the failures and any
-    error raised are those of the serial run, at every worker count.
+    replicates run in contiguous chunks on the worker pool (``_pool``) and
+    merge in replicate order. The statistics, the failures and any error
+    raised are those of the serial run, at every worker count.
     """
     parts = []
     failed: list[tuple[int, str]] = []
     attempts = 0
-    with _chunk_results((p_hat, n_boot, seed, stat_fn), n_boot) as chunks:
+    n_chunks = min(n_boot, _CHUNKS_PER_WORKER * _pool.workers())
+    bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
+    job = (p_hat, n_boot, seed, stat_fn)
+    with _pool.ordered_results(job, _replicate_chunk, list(zip(bounds, bounds[1:]))) as chunks:
         for chunk in chunks:
             failed += chunk.failures
             attempts += chunk.attempts

@@ -1,15 +1,53 @@
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blockselect import _pool, cluster
 from blockselect.blockmodels import FactoredProb, SbmParams, edge_probs
 from blockselect.netcore import Graph, load_edge_list
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """``set_workers(w)`` makes the worker pool use ``w`` processes; one
+    runs every unit in this process."""
+    def set_count(workers: int) -> None:
+        monkeypatch.setattr(_pool, "workers", lambda: workers)
+
+    return set_count
+
+
+@pytest.fixture
+def block_pids(monkeypatch, tmp_path):
+    """Record the process id of every restart block; call the fixture's
+    value for the list, in the order the blocks started."""
+    path = tmp_path / "block_pids.txt"
+    original = cluster._block_best
+
+    def recording(job, block):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(job, block)
+
+    monkeypatch.setattr(cluster, "_block_best", recording)
+    return lambda: [int(v) for v in path.read_text().split()] if path.exists() else []
+
+
+def solution_bytes(sol) -> tuple:
+    """Every field of a ClusterSolution as bytes or exact values."""
+    def arr(a):
+        return None if a is None else (a.shape, a.dtype.str, a.tobytes())
+
+    bases = None if sol.bases is None else [arr(b) for b in sol.bases]
+    return (arr(sol.labels), np.float64(sol.objective).tobytes(), arr(sol.centroids),
+            bases, sol.n_iters, sol.n_restarts_used, sol.degenerate)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -350,6 +351,39 @@ def test_cluster_pabm_on_generated_network(tmp_path, capsys):
     assert code == 0
     meta = json.loads((out / "cluster.json").read_text())
     assert meta["mislabel_rate"] <= 0.05
+
+
+# sha256 of the files the serial implementation wrote for the run below
+# with ``--threads 1``, before restart blocks ran on the worker pool
+_PABM_CLUSTER_DIGESTS = {
+    "cluster.json": "a3adfc6eeb9809145fbb529df0d55dd9d02f485507ea704fe98708f7704ef76a",
+    "labels.csv": "50a3fd0e8bf28f527732e51e82a71e6b7a766ed515189f7a06a0dbc3ae85cea7",
+}
+
+
+def test_cluster_pabm_outputs_are_identical_at_every_worker_count(
+    tmp_path, monkeypatch, set_workers,
+):
+    # the config in both files names the edge list by its relative path
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "pabm", "--n", "300", "--k", "3",
+                 "--seed", "5", "--out", "gen"]) == 0
+    argv = ["cluster", "gen/edges.txt", "--k", "3", "--model", "pabm", "--seed", "0"]
+    set_workers(2)
+    assert main([*argv, "--out", "pool"]) == 0
+    # one CPU in the affinity mask, as under ``taskset -c 0``: every
+    # restart block runs in the main process
+    code = ("import os, sys; from blockselect.cli import main; "
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", "one_cpu"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True, timeout=120,
+    )
+    for out in ("pool", "one_cpu"):
+        for name, digest in _PABM_CLUSTER_DIGESTS.items():
+            assert hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import os
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from blockselect.blockmodels import gen_pabm, gen_sbm
 from blockselect.errors import NumericalError
 from blockselect.spectral import Embedding, EmbeddingSource, ase
 
-from conftest import random_graph
+from conftest import random_graph, solution_bytes
 
 
 def make_emb(rows: np.ndarray) -> Embedding:
@@ -372,6 +374,102 @@ def test_monotone_guard_fires_on_objective_increase(monkeypatch, refit):
             minimize_q_subspace(emb, 2, r=1, n_restarts=3, seed=0)
 
 
+def reference_assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_assign`` written with ``np.argmin`` and a scatter of the labels
+    present."""
+    labels = np.argmin(cost, axis=2) + 1
+    m, n = labels.shape
+    present = np.zeros((m, k + 1), dtype=bool)
+    present[np.arange(m)[:, None], labels] = True
+    repaired = np.zeros(m, dtype=bool)
+    for i in np.flatnonzero(~present[:, 1:].all(axis=1)):
+        repaired[i] = _repair_empty(labels[i], cost[i, np.arange(n), labels[i] - 1], k)
+    return labels, repaired
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), m=st.integers(1, 4), k=st.integers(1, 5), spread=st.integers(0, 4))
+def test_assign_matches_argmin_reference(data, m, k, spread):
+    # costs from a few integers force ties and empty communities; the
+    # (n, m, k) layout transposed is the strided view the cost functions give
+    n = data.draw(st.integers(k, 12))
+    values = data.draw(st.lists(st.integers(0, spread), min_size=n * m * k,
+                                max_size=n * m * k))
+    cost = np.array(values, dtype=np.float64).reshape(n, m, k).transpose(1, 0, 2)
+    labels, repaired = cluster._assign(cost, k)
+    want_labels, want_repaired = reference_assign(cost, k)
+    np.testing.assert_array_equal(labels, want_labels)
+    np.testing.assert_array_equal(repaired, want_repaired)
+
+
+# ---------------------------------------------------------------------------
+# restart blocks on the worker pool
+# ---------------------------------------------------------------------------
+
+def test_restart_blocks_are_identical_at_every_worker_count(monkeypatch, set_workers, block_pids):
+    # a tiny block budget runs one restart per block: nine blocks per call
+    rng = np.random.default_rng(21)
+    emb = make_emb(rng.standard_normal((80, 4)))
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    runs = {}
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        runs[workers] = [solution_bytes(sol) for sol in (
+            minimize_q1(emb, 3, n_restarts=9, seed=2),
+            minimize_q_subspace(emb, 3, r=1, n_restarts=9, seed=2),
+            minimize_q_subspace(emb, 3, r=3, n_restarts=9, seed=2),
+        )]
+    assert runs[1] == runs[2] == runs[3]
+    pids = block_pids()
+    assert len(pids) == 3 * 3 * 9
+    # one worker runs every block here; more run them all in child processes
+    assert set(pids[:27]) == {os.getpid()} and os.getpid() not in pids[27:]
+
+
+def _first_round_labels(emb: Embedding, k: int, r: int, seed: int, restart: int):
+    """The start labels and objective of one restart of
+    ``minimize_q_subspace``, and its labels after the first assignment."""
+    rows = emb.rows
+    row_sq = (rows**2).sum(axis=1)[:, None]
+    outer = rows[:, :, None] * rows[:, None, :]
+    rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
+    start = cluster._seed_labels(rows, row_sq, outer, k, r, [rng])
+    model, obj, _ = cluster._subspace_refit(outer, start, k, r)
+    first, _ = cluster._assign(cluster._subspace_cost(row_sq, outer, model[0]), k)
+    return start[0], float(obj[0]), first[0]
+
+
+def test_monotone_guard_error_comes_from_the_lowest_failing_block(monkeypatch, set_workers):
+    # restarts 3 and 5 of seven, one per block, see their first-round
+    # objective inflated; the serial run stops at restart 3
+    rng = np.random.default_rng(22)
+    emb = make_emb(rng.standard_normal((60, 3)))
+    k, r, seed = 2, 1, 4
+    traps = {}
+    for restart in (3, 5):
+        start, obj, first = _first_round_labels(emb, k, r, seed, restart)
+        assert not np.array_equal(start, first)
+        traps[restart] = (first, obj)
+    trap_labels = np.stack([first for first, _ in traps.values()])
+    original = cluster._subspace_refit
+
+    def trapped_refit(outer, labels, k, r):
+        model, obj, truncated = original(outer, labels, k, r)
+        hit = (labels[:, None, :] == trap_labels[None]).all(axis=2).any(axis=1)
+        return model, obj + 1e6 * hit, truncated
+
+    monkeypatch.setattr(cluster, "_subspace_refit", trapped_refit)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    first, prev = traps[3]
+    outer = emb.rows[:, :, None] * emb.rows[:, None, :]
+    inflated = float(original(outer, first[None], k, r)[1][0]) + 1e6
+    want = f"objective increased within an iteration: {prev!r} -> {inflated!r}"
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        with pytest.raises(NumericalError, match=f"^{re.escape(want)}$"):
+            minimize_q_subspace(emb, k, r=r, n_restarts=7, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -462,17 +560,16 @@ def test_mislabel_validates_range():
         mislabel_rate(np.array([1, 3]), np.array([1, 2]), 2)
 
 
-def test_mislabel_symmetry_and_bijection_invariance():
-    rng = np.random.default_rng(9)
-    for trial in range(20):
-        k = int(rng.integers(2, 5))
-        n = int(rng.integers(k, 30))
-        a = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
-        b = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
-        rate = mislabel_rate(a, b, k)
-        assert rate == pytest.approx(mislabel_rate(b, a, k))
-        perm = rng.permutation(k) + 1
-        assert rate == pytest.approx(mislabel_rate(perm[a - 1], b, k))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 6))
+def test_mislabel_symmetry_and_bijection_invariance(data, k):
+    n = data.draw(st.integers(1, 40))
+    labels = st.lists(st.integers(1, k), min_size=n, max_size=n)
+    a, b = np.array(data.draw(labels)), np.array(data.draw(labels))
+    perm = np.array(data.draw(st.permutations(range(1, k + 1))))
+    rate = mislabel_rate(a, b, k)
+    assert rate == mislabel_rate(b, a, k)
+    assert rate == mislabel_rate(perm[a - 1], b, k)
 
 
 def test_mislabel_hungarian_matches_enumeration():

@@ -8,8 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blockselect.modelselect as ms
+from blockselect import _pool, cluster
 from blockselect._seeds import derive_seed
 from blockselect.blockmodels import (
     Beta,
@@ -36,7 +39,7 @@ from blockselect.modelselect import test_dcbm_vs_pabm as run_test_dcbm_vs_pabm
 from blockselect.modelselect import test_sbm_vs_dcbm as run_test_sbm_vs_dcbm
 from blockselect.spectral import ase
 
-from conftest import constant_prob, random_graph
+from conftest import constant_prob, random_graph, solution_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +78,70 @@ def test_detect_pabm_needs_k_squared_nodes():
     assert detect(g, 3, ModelKind.DCBM, restarts=2).labels.shape == (8,)
 
 
+def test_detect_is_identical_at_every_worker_count(monkeypatch, set_workers, block_pids):
+    # a tiny block budget runs one restart per block: six blocks per call
+    g, _ = gen_pabm(120, 2, density_scale=0.2, seed=5)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    runs = {}
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        runs[workers] = [solution_bytes(detect(g, 2, model, 6, seed=17)) for model in ModelKind]
+    assert runs[1] == runs[2] == runs[3]
+    pids = block_pids()
+    assert len(pids) == 3 * 3 * 6
+    assert set(pids[:18]) == {os.getpid()} and os.getpid() not in pids[18:]
+
+
+def test_detect_in_a_bootstrap_replicate_stays_in_that_replicate_process(
+    monkeypatch, set_workers, block_pids,
+):
+    def replicate_pid(g_rep, fit_seed):
+        detect(g_rep, 2, ModelKind.DCBM, 4, seed=fit_seed)
+        return float(os.getpid())
+
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    set_workers(2)
+    replicate_pids = set(ms._bootstrap_statistics(constant_prob(40, 0.3), 6, 0, replicate_pid))
+    assert os.getpid() not in replicate_pids
+    # a nested pool would run the blocks in grandchild processes
+    pids = block_pids()
+    assert len(pids) >= 6 * 4 and set(pids) <= replicate_pids
+
+
+def test_detect_and_bootstrap_run_blas_on_one_thread_and_restore_the_count(
+    monkeypatch, set_workers,
+):
+    before = _blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS library loaded")
+    seen = []
+
+    def recording_q1(*args, _original=ms.minimize_q1, **kwargs):
+        seen.append(_blas_threads())
+        if kwargs["seed"] == 1:
+            raise NumericalError("planted")
+        return _original(*args, **kwargs)
+
+    def statistic(g_rep, fit_seed):
+        seen.append(_blas_threads())
+        return detect(g_rep, 2, ModelKind.SBM, 2, seed=fit_seed).objective
+
+    monkeypatch.setattr(ms, "minimize_q1", recording_q1)
+    set_workers(1)
+    g = random_graph(30, 0.3, seed=0)
+    _set_blas_threads([2] * len(before))
+    try:
+        detect(g, 2, ModelKind.SBM, 2, seed=0)
+        with pytest.raises(NumericalError, match="planted"):
+            detect(g, 2, ModelKind.SBM, 2, seed=1)
+        ms._bootstrap_statistics(constant_prob(30, 0.3), 3, 2, statistic)
+        after = _blas_threads()
+    finally:
+        _set_blas_threads(before)
+    assert len(seen) == 2 + 2 * 3 and all(c == [1] * len(before) for c in seen)
+    assert after == [2] * len(before)
+
+
 # ---------------------------------------------------------------------------
 # p-values
 # ---------------------------------------------------------------------------
@@ -97,6 +164,17 @@ def test_p_value_ties_count_as_geq():
 def test_p_value_needs_replicates():
     with pytest.raises(ValueError):
         bootstrap_p_value(1.0, np.array([]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_p_value_is_invariant_under_reordering(data):
+    # a few repeated values force ties with the statistic
+    values = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-1e3, 1e3, allow_nan=False)
+    boot = np.array(data.draw(st.lists(values, min_size=1, max_size=60)))
+    stat = data.draw(values | st.sampled_from(list(boot)))
+    order = np.array(data.draw(st.permutations(range(boot.size))))
+    assert bootstrap_p_value(stat, boot[order]) == bootstrap_p_value(stat, boot)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05])
@@ -137,10 +215,20 @@ def _tiny_phat(n=12, p=0.4) -> FactoredProb:
     return constant_prob(n, p)
 
 
+def _blas_threads() -> list[int]:
+    """The thread count of every loaded OpenBLAS library."""
+    return [get() for get, _ in _pool._openblas_thread_counts()]
+
+
+def _set_blas_threads(counts: list[int]) -> None:
+    for (_, set_), count in zip(_pool._openblas_thread_counts(), counts):
+        set_(count)
+
+
 @pytest.fixture
-def one_worker(monkeypatch):
+def one_worker(set_workers):
     """Run the bootstrap in this process, so call counts are seen here."""
-    monkeypatch.setattr(ms, "_workers", lambda: 1)
+    set_workers(1)
 
 
 def test_bootstrap_resamples_failed_replicates(one_worker):
@@ -293,17 +381,17 @@ def _outcome(run):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
-def test_bootstrap_matches_serial_reference(monkeypatch, scenario, workers):
+def test_bootstrap_matches_serial_reference(set_workers, scenario, workers):
     stat_fn = _planned_statistic(_SCENARIOS[scenario], boot_seed=5)
     want = _outcome(lambda failures: serial_bootstrap_statistics(
         _tiny_phat(), _B, 5, stat_fn, failures))
-    monkeypatch.setattr(ms, "_workers", lambda: workers)
+    set_workers(workers)
     got = _outcome(lambda failures: ms._bootstrap_statistics(
         _tiny_phat(), _B, 5, stat_fn, failures))
     assert got == want
 
 
-def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch):
+def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(set_workers):
     # each replicate waits for one running at the same time, which only
     # the other worker can be running
     barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
@@ -316,9 +404,9 @@ def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch
         return float(os.getpid())
 
     def blas_threads(g_rep, fit_seed):
-        return float(max(ms._openblas("get_num_threads"), default=1))
+        return float(max(_blas_threads(), default=1))
 
-    monkeypatch.setattr(ms, "_workers", lambda: 2)
+    set_workers(2)
     pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, paired_pid))
     assert len(pids) == 2 and os.getpid() not in pids
     assert set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, blas_threads)) == {1.0}
@@ -329,7 +417,7 @@ def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive() and box["pids"] == {os.getpid()}
-    monkeypatch.setattr(ms, "_workers", lambda: 1)
+    set_workers(1)
     assert set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, worker_pid)) == {os.getpid()}
 
 
@@ -350,7 +438,9 @@ def _test_fields(t):
     return (t.statistic, t.boot_stats.tobytes(), t.p_value, t.failures, t.attempts)
 
 
-def test_bootstrap_tests_and_workflow_are_identical_at_every_worker_count(monkeypatch):
+def test_bootstrap_tests_and_workflow_are_identical_at_every_worker_count(
+    monkeypatch, set_workers,
+):
     g, _ = gen_pabm(120, 2, density_scale=0.2, seed=1)
     test1, test2 = derive_seed(3, "test1"), derive_seed(3, "test2")
     _fail_minimizers(monkeypatch, {
@@ -362,7 +452,7 @@ def test_bootstrap_tests_and_workflow_are_identical_at_every_worker_count(monkey
     })
     runs = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(ms, "_workers", lambda: workers)
+        set_workers(workers)
         t1, _ = run_test_sbm_vs_dcbm(g, 2, n_boot=12, restarts=3, seed=test1)
         t2, _ = run_test_dcbm_vs_pabm(g, 2, n_boot=12, restarts=3, seed=test2)
         report = json.dumps(workflow_report(run_workflow(g, 2, n_boot=12, restarts=3, seed=3)))
@@ -375,9 +465,9 @@ def test_bootstrap_tests_and_workflow_are_identical_at_every_worker_count(monkey
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_bootstrap_errors_are_identical_at_every_worker_count(monkeypatch, workers):
+def test_bootstrap_errors_are_identical_at_every_worker_count(monkeypatch, set_workers, workers):
     g, _ = gen_pabm(120, 2, density_scale=0.2, seed=1)
-    monkeypatch.setattr(ms, "_workers", lambda: workers)
+    set_workers(workers)
     plan = {_fit_seed(0, 3, a): NumericalError("stuck") for a in range(30)}
     _fail_minimizers(monkeypatch, plan)
     with pytest.raises(NumericalError, match="^bootstrap exhausted 30 attempts for 10 replicates$"):
