@@ -14,6 +14,10 @@ objective wins, ties broken by restart index. Seeding is per restart, but
 the descent advances a block of restarts together: one round is a few
 stacked matmuls and one batched ``eigh`` over every (restart, community)
 pair, and a restart drops out of the block when its labels stop changing.
+A point's residual to a community is ||x||^2 - sum_b (b.x)^2 over the
+community's kept eigenvectors b, all from one (restarts * communities *
+rank, d) x (d, n) product; costs are laid out (restart, community, node),
+so the assignment compares contiguous rows.
 The blocks run in parallel on the package's worker pool (``_pool``).
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
@@ -133,14 +137,16 @@ def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     of an (m, n, k) cost stack, with empty communities repaired; also
     returns which restarts needed a repair."""
     m, n, _ = cost.shape
-    # a running strict-< comparison over the k columns: cheaper than an
-    # argmin along the short, strided last axis
-    least = cost[:, :, 0]
+    # a running strict-< comparison over the k communities; the cost
+    # functions lay each community's (m, n) slice out contiguously
+    least = cost[:, :, 0].copy()
     labels = np.ones((m, n), dtype=np.int64)
+    lower = np.empty((m, n), dtype=bool)
     for j in range(1, k):
-        lower = cost[:, :, j] < least
-        least = np.where(lower, cost[:, :, j], least)
-        labels[lower] = j + 1
+        np.less(cost[:, :, j], least, out=lower)
+        if j < k - 1:
+            np.minimum(cost[:, :, j], least, out=least)
+        np.putmask(labels, lower, j + 1)
     offset = (k + 1) * np.arange(m)[:, None]
     present = np.bincount((labels + offset).ravel(), minlength=m * (k + 1)) > 0
     repaired = np.zeros(m, dtype=bool)
@@ -235,14 +241,15 @@ class _Best(NamedTuple):
 def _block_best(job, block: range) -> _Best:
     """Descend one block of restarts and keep the one of lowest exact loss,
     ties to the lowest restart index; only restarts that can hold it are
-    scored, each distinct labeling once.
+    scored.
 
-    ``job = (start, cost, refit, exact, k, margin)``; see ``_best_restart``.
+    ``job = (start, cost, refit, exact, k, margin, scored)``; see
+    ``_best_restart``. ``scored`` maps a labeling's bytes to its exact
+    loss and is shared by the blocks that run in one process.
     """
-    start, cost, refit, exact, k, margin = job
+    start, cost, refit, exact, k, margin, scored = job
     run = _descend(*start(block), cost, refit, k)
     best: _Best | None = None
-    scored: dict[bytes, float] = {}
     for i in np.flatnonzero(run.objective <= run.objective.min() + margin):
         key = run.labels[i].tobytes()
         if key not in scored:
@@ -274,7 +281,8 @@ def _best_restart(
     ``start(block)`` gives the block's start labels, model and objective.
     The descent objective is accurate to about 1e-14 of the rows' total
     energy, so only restarts within ``_SCORE_MARGIN`` of that energy of a
-    block's lowest can hold the lowest exact loss; only those are scored.
+    block's lowest can hold the lowest exact loss; only those are scored,
+    each distinct labeling once per process.
 
     A block depends only on its restarts' seeds, so the blocks run on the
     worker pool (``_pool``), and their bests merge in block order with the
@@ -283,7 +291,8 @@ def _best_restart(
     """
     n, d = rows.shape
     margin = _SCORE_MARGIN * float((rows**2).sum())
-    job = (start, cost, refit, exact, k, margin)
+    # a forked worker scores into its own copy of the cache
+    job = (start, cost, refit, exact, k, margin, {})
     best: _Best | None = None
     with _pool.ordered_results(job, _block_best, _blocks(n_restarts, n, k, d)) as blocks:
         for block_best in blocks:
@@ -313,14 +322,15 @@ def _kmeanspp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centroids
 
 
-def _centroid_cost(rows: np.ndarray, row_sq: np.ndarray, model: Model) -> np.ndarray:
-    """(m, n, k) squared distances of every row to every centroid."""
+def _centroid_cost(rows_t: np.ndarray, row_sq: np.ndarray, model: Model) -> np.ndarray:
+    """(m, n, k) squared distances of every row to every centroid, laid out
+    (m, k, n) in memory; ``rows_t`` is the (d, n) transpose of the rows."""
     (centroids,) = model
     m, k, d = centroids.shape
-    # one (n, d) x (d, m*k) product; the result is laid out (n, m, k)
-    cross = (rows @ centroids.reshape(m * k, d).T).reshape(-1, m, k)
-    d2 = row_sq[:, :, None] - 2.0 * cross + (centroids**2).sum(axis=2)
-    return np.maximum(d2, 0.0).transpose(1, 0, 2)
+    # one (m*k, d) x (d, n) product
+    cross = (centroids.reshape(m * k, d) @ rows_t).reshape(m, k, -1)
+    d2 = row_sq - 2.0 * cross + (centroids**2).sum(axis=2)[:, :, None]
+    return np.maximum(d2, 0.0, out=d2).transpose(0, 2, 1)
 
 
 def _centroid_refit(rows: np.ndarray, labels: np.ndarray, k: int):
@@ -344,7 +354,8 @@ def minimize_q1(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    row_sq = (rows**2).sum(axis=1)[:, None]
+    row_sq = (rows**2).sum(axis=1)
+    rows_t = np.ascontiguousarray(rows.T)
 
     def start(block: range):
         centroids = np.stack([
@@ -357,7 +368,7 @@ def minimize_q1(
 
     best = _best_restart(
         n_restarts, rows, k, start,
-        lambda model: _centroid_cost(rows, row_sq, model),
+        lambda model: _centroid_cost(rows_t, row_sq, model),
         lambda labels: _centroid_refit(rows, labels, k),
         lambda labels: q1_value(labels, emb),
     )
@@ -375,23 +386,26 @@ def minimize_q1(
 # subspace loss minimization (greedy projection / reassignment)
 # ---------------------------------------------------------------------------
 
-def _subspace_cost(row_sq: np.ndarray, outer: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    """(m, n, k) squared residuals of every row to every community's
-    subspace, from the (m, k, d, d) projectors and the (n, d, d) row outer
-    products."""
-    m, k, d, _ = proj.shape
-    n = outer.shape[0]
-    # one (n, d*d) x (d*d, m*k) product; the result is laid out (n, m, k)
-    sq_proj = (outer.reshape(n, d * d) @ proj.reshape(m * k, d * d).T).reshape(n, m, k)
-    return np.maximum(row_sq[:, :, None] - sq_proj, 0.0).transpose(1, 0, 2)
+def _subspace_cost(row_sq: np.ndarray, rows_t: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """(m, n, k) squared residuals ||x||^2 - sum_b (b.x)^2 of every row to
+    every community's subspace, laid out (m, k, n) in memory, from the
+    (m, k, r, d) basis rows (zero rows past a community's rank) and the
+    (d, n) transpose of the rows."""
+    m, k, r, d = basis.shape
+    # one (m*k*r, d) x (d, n) product
+    coef = (basis.reshape(m * k * r, d) @ rows_t).reshape(m, k, r, -1)
+    np.square(coef, out=coef)
+    resid = np.subtract(row_sq, coef[:, :, 0] if r == 1 else coef.sum(axis=2))
+    return np.maximum(resid, 0.0, out=resid).transpose(0, 2, 1)
 
 
 def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int):
     """Each community's top min(r, n_k, d) scatter eigenvectors, for every
     restart at once: one one-hot matmul gives the (m, k, d, d) scatter
-    matrices and one batched ``eigh`` their eigenpairs. Basis columns past
-    the rank are zeroed. Returns the model (projectors, eigenvectors,
-    ranks), the trailing-eigenvalue objective and the truncation flag."""
+    matrices and one batched ``eigh`` their eigenpairs. Returns the model
+    (the (m, k, min(r, d), d) eigenvectors as rows, largest first and zero
+    past the community's rank, and the ranks), the trailing-eigenvalue
+    objective and the truncation flag."""
     m, n = labels.shape
     d = outer.shape[1]
     full_rank = min(r, d)
@@ -400,15 +414,14 @@ def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int):
     scatter = (onehot.reshape(m * k, n) @ outer.reshape(n, d * d)).reshape(m, k, d, d)
     evals, evecs = np.linalg.eigh(scatter)
     rank = np.minimum(counts, full_rank).astype(np.int64)
-    kept = np.arange(d) >= d - rank[:, :, None]
-    basis = evecs * kept[:, :, None, :]
-    proj = basis @ basis.transpose(0, 1, 3, 2)
-    obj = np.where(kept, 0.0, evals).sum(axis=(1, 2))
-    return (proj, evecs, rank), obj, (counts < full_rank).any(axis=1)
+    top = evecs[..., ::-1][..., :full_rank].transpose(0, 1, 3, 2)
+    basis = top * (np.arange(full_rank) < rank[:, :, None])[..., None]
+    obj = np.where(np.arange(d) >= d - rank[:, :, None], 0.0, evals).sum(axis=(1, 2))
+    return (basis, rank), obj, (counts < full_rank).any(axis=1)
 
 
 def _seed_labels(
-    rows: np.ndarray, row_sq: np.ndarray, outer: np.ndarray, k: int, r: int,
+    rows: np.ndarray, rows_t: np.ndarray, row_sq: np.ndarray, k: int, r: int,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Random initial assignments seeded by candidate subspaces, one per
@@ -423,9 +436,9 @@ def _seed_labels(
     size = max(1, min(r, n // k))
     picks = np.stack([rng.permutation(n)[: k * size] for rng in rngs])
     pts = rows[picks].reshape(len(rngs), k, size, d)
+    # the columns of each subset's Q factor are an orthonormal basis of its span
     q, _ = np.linalg.qr(pts.transpose(0, 1, 3, 2))
-    proj = q @ q.transpose(0, 1, 3, 2)
-    return _assign(_subspace_cost(row_sq, outer, proj), k)[0]
+    return _assign(_subspace_cost(row_sq, rows_t, q.transpose(0, 1, 3, 2)), k)[0]
 
 
 def minimize_q_subspace(
@@ -450,29 +463,30 @@ def minimize_q_subspace(
         raise ValueError("rank r must be >= 1")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    row_sq = (rows**2).sum(axis=1)[:, None]
+    row_sq = (rows**2).sum(axis=1)
+    rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
 
     def start(block: range):
         rngs = [np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
                 for restart in block]
-        labels = _seed_labels(rows, row_sq, outer, k, r, rngs)
+        labels = _seed_labels(rows, rows_t, row_sq, k, r, rngs)
         model, obj, _ = _subspace_refit(outer, labels, k, r)
         return labels, model, obj
 
     best = _best_restart(
         n_restarts, rows, k, start,
-        lambda model: _subspace_cost(row_sq, outer, model[0]),
+        lambda model: _subspace_cost(row_sq, rows_t, model[0]),
         lambda labels: _subspace_refit(outer, labels, k, r),
         lambda labels: q_subspace_value(labels, emb, r),
     )
-    _, evecs, rank = best.model
+    basis, rank = best.model
     # degenerate: rank-deficient clusters at the solution or an
     # iteration-cap exit
     return ClusterSolution(
         labels=best.labels,
         objective=best.objective,
-        bases=[evecs[j][:, ::-1][:, : rank[j]].copy() for j in range(k)],
+        bases=[basis[j, : rank[j]].T.copy() for j in range(k)],
         n_iters=best.n_iters,
         n_restarts_used=n_restarts,
         degenerate=best.degenerate,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import NumericalError
 from .netcore import Graph, degrees
@@ -115,10 +115,27 @@ def _arpack_start_vector(n: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
+class _SparseProduct(LinearOperator):
+    """A sparse matrix as the operator ARPACK multiplies by. Its ``matvec``
+    is the bare product: ``LinearOperator.matvec`` checks and reshapes its
+    argument on each of the hundreds of calls one embedding makes, and the
+    product it computes is the same."""
+
+    def __init__(self, matrix: sp.spmatrix):
+        super().__init__(matrix.dtype, matrix.shape)
+        self.matrix = matrix
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    _matvec = matvec
+
+
 def _top_eigenpairs_sparse(matrix: sp.spmatrix, d: int):
     try:
         values, vectors = eigsh(
-            matrix, k=d, which="LM", v0=_arpack_start_vector(matrix.shape[0])
+            _SparseProduct(matrix), k=d, which="LM",
+            v0=_arpack_start_vector(matrix.shape[0]),
         )
     except ArpackError as exc:
         n = matrix.shape[0]

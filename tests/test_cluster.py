@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import os
 import re
@@ -388,18 +389,128 @@ def reference_assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(data=st.data(), m=st.integers(1, 4), k=st.integers(1, 5), spread=st.integers(0, 4))
-def test_assign_matches_argmin_reference(data, m, k, spread):
-    # costs from a few integers force ties and empty communities; the
-    # (n, m, k) layout transposed is the strided view the cost functions give
+@given(data=st.data(), m=st.integers(1, 4), k=st.integers(1, 5), spread=st.integers(0, 4),
+       by_community=st.booleans())
+def test_assign_matches_argmin_reference(data, m, k, spread, by_community):
+    # costs from a few integers force ties and empty communities; the cost
+    # functions give an (m, n, k) view of an (m, k, n) array, and any other
+    # layout, such as a transposed (n, m, k) one, gives the same labels
     n = data.draw(st.integers(k, 12))
     values = data.draw(st.lists(st.integers(0, spread), min_size=n * m * k,
                                 max_size=n * m * k))
-    cost = np.array(values, dtype=np.float64).reshape(n, m, k).transpose(1, 0, 2)
+    values = np.array(values, dtype=np.float64)
+    if by_community:
+        cost = values.reshape(m, k, n).transpose(0, 2, 1)
+    else:
+        cost = values.reshape(n, m, k).transpose(1, 0, 2)
     labels, repaired = cluster._assign(cost, k)
     want_labels, want_repaired = reference_assign(cost, k)
     np.testing.assert_array_equal(labels, want_labels)
     np.testing.assert_array_equal(repaired, want_repaired)
+
+
+def reference_subspace_cost(row_sq: np.ndarray, outer: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """The projector form of ``_subspace_cost``: (m, n, k) residuals
+    ||x||^2 - <x x^T, P> from the (m, k, d, d) projectors P and the (n, d, d)
+    row outer products."""
+    m, k, d, _ = proj.shape
+    n = outer.shape[0]
+    sq_proj = (outer.reshape(n, d * d) @ proj.reshape(m * k, d * d).T).reshape(n, m, k)
+    return np.maximum(row_sq[:, None, None] - sq_proj, 0.0).transpose(1, 0, 2)
+
+
+# a cost within this share of a row's energy of the reference cost is the
+# same cost up to rounding
+_COST_RTOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_embeddings(), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       zero_row=st.booleans())
+def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
+    emb, k, r = case
+    rows = emb.rows.copy()
+    if zero_row:
+        rows[0] = 0.0
+    n, d = rows.shape
+    rng = np.random.default_rng(seed)
+    row_sq = (rows**2).sum(axis=1)
+    rows_t = np.ascontiguousarray(rows.T)
+    outer = rows[:, :, None] * rows[:, None, :]
+    tol = _COST_RTOL * row_sq[None, :, None]
+    labels = rng.integers(1, k + 1, (m, n))
+    # refit bases (zero rows past each community's rank) and the seeding's
+    # QR factors of random point subsets
+    (basis, rank), _, _ = cluster._subspace_refit(outer, labels, k, r)
+    counts = (labels[:, None, :] == np.arange(1, k + 1)[:, None]).sum(axis=2)
+    np.testing.assert_array_equal(rank, np.minimum(counts, min(r, d)))
+    assert basis.shape == (m, k, min(r, d), d)
+    assert not basis[np.arange(min(r, d)) >= rank[:, :, None]].any()
+    size = max(1, min(r, n // k))
+    pts = rows[np.stack([rng.permutation(n)[: k * size] for _ in range(m)])]
+    q, _ = np.linalg.qr(pts.reshape(m, k, size, d).transpose(0, 1, 3, 2))
+    for rows_of_basis in (basis, q.transpose(0, 1, 3, 2)):
+        proj = rows_of_basis.transpose(0, 1, 3, 2) @ rows_of_basis
+        want = reference_subspace_cost(row_sq, outer, proj)
+        got = cluster._subspace_cost(row_sq, rows_t, rows_of_basis)
+        assert got.shape == want.shape == (m, n, k)
+        assert np.all(np.abs(got - want) <= tol)
+        got_labels, got_repaired = cluster._assign(got, k)
+        want_labels, want_repaired = cluster._assign(want, k)
+        # labels agree wherever no two reference costs of a point lie
+        # within the tolerance of each other
+        ordered = np.sort(want, axis=2)
+        clear = (np.diff(ordered, axis=2) > 2 * tol).all(axis=2)
+        plain = ~got_repaired & ~want_repaired
+        assert np.array_equal(got_labels[plain][clear[plain]], want_labels[plain][clear[plain]])
+    centroids = rows[rng.integers(0, n, (m, k))]
+    got = cluster._centroid_cost(rows_t, row_sq, (centroids,))
+    want = np.stack([_serial_sq_dists(rows, c) for c in centroids])
+    scale = row_sq[None, :, None] + (centroids**2).sum(axis=2)[:, None, :]
+    assert np.all(np.abs(got - want) <= _COST_RTOL * scale)
+
+
+def _digest_embeddings() -> tuple[Embedding, Embedding]:
+    """Two fixed embeddings with a zero row: noisy lines through the origin
+    (d=3), and two noisy 3-planes in d=9 with a two-point third cluster,
+    smaller than the rank-3 fit."""
+    rng = np.random.default_rng(31)
+    dirs = rng.standard_normal((3, 3))
+    lines = rng.uniform(0.2, 1.0, (90, 1)) * dirs[np.arange(90) % 3]
+    lines += 0.05 * rng.standard_normal(lines.shape)
+    lines[0] = 0.0
+    frames = np.linalg.qr(rng.standard_normal((3, 9, 3)))[0]
+    planes = np.concatenate([rng.standard_normal((size, 3)) @ frame.T
+                             for size, frame in zip((30, 30, 2), frames)])
+    planes += 0.05 * rng.standard_normal(planes.shape)
+    planes[-1] = 0.0
+    return make_emb(lines), make_emb(planes)
+
+
+# sha256 of ``repr(solution_bytes(...))`` for the runs below, recorded from
+# the projector form of the descent; the residual form must keep every bit
+_SOLUTION_DIGESTS = {
+    ("q1", "lines", 0): "ce8134cdfad3285f719115bd70dc6f1f53190b9049c22ad573674bd058fcf874",
+    ("q1", "lines", 1): "43c8569b564bec1c55c7015704daf30648f779a18d505c8ac635c7eb45667f30",
+    ("q1", "planes", 0): "a076eae98278807236a29310e536e05e1dacdf4965c3e21bd161cb15df1f4e1c",
+    ("q1", "planes", 1): "076030291db9690a2b52f4293c3d49f164fadef42a734e2bcd2ffd22ab0147d9",
+    ("r1", "lines", 0): "8ce9bdb2137fa6c71112299902028a5399d470cb35200e740f5f5d4a20f1f9ef",
+    ("r1", "lines", 1): "5305b64e95fa7ff87966c63502cd629245cab330e9ff359cba91d0d0d8c26f4f",
+    ("rK", "planes", 0): "1fbb0d9139cd45671b85391e6f0c3faf89041eca6f18343bee288760e10f480c",
+    ("rK", "planes", 1): "7af565fde52838f61766376bb5333684be826ead02649b1f3387ca16dd136703",
+}
+
+
+@pytest.mark.parametrize("loss, name, seed", sorted(_SOLUTION_DIGESTS))
+def test_minimizers_keep_the_recorded_solution_bytes(loss, name, seed):
+    emb = dict(zip(("lines", "planes"), _digest_embeddings()))[name]
+    if loss == "q1":
+        sol = minimize_q1(emb, 3, n_restarts=10, seed=seed)
+    else:
+        sol = minimize_q_subspace(emb, 3, r=1 if loss == "r1" else 3, n_restarts=20, seed=seed)
+    digest = hashlib.sha256(repr(solution_bytes(sol)).encode()).hexdigest()
+    assert digest == _SOLUTION_DIGESTS[loss, name, seed]
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +537,46 @@ def test_restart_blocks_are_identical_at_every_worker_count(monkeypatch, set_wor
     assert set(pids[:27]) == {os.getpid()} and os.getpid() not in pids[27:]
 
 
+def test_each_labeling_is_scored_once_per_process(monkeypatch, set_workers):
+    # one restart per block; many restarts reach the same labeling, and the
+    # blocks of one process share the scores
+    rng = np.random.default_rng(23)
+    centers = 4.0 * rng.standard_normal((3, 3))
+    emb = make_emb(centers[np.arange(60) % 3] + rng.standard_normal((60, 3)))
+    set_workers(1)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    want = [solution_bytes(minimize_q1(emb, 3, n_restarts=12, seed=5)),
+            solution_bytes(minimize_q_subspace(emb, 3, r=1, n_restarts=12, seed=5))]
+    scored = []
+
+    def counting(value):
+        def count(labels, *args):
+            scored.append(labels.tobytes())
+            return value(labels, *args)
+        return count
+
+    monkeypatch.setattr(cluster, "q1_value", counting(q1_value))
+    monkeypatch.setattr(cluster, "q_subspace_value", counting(q_subspace_value))
+    for minimize in (lambda: minimize_q1(emb, 3, n_restarts=12, seed=5),
+                     lambda: minimize_q_subspace(emb, 3, r=1, n_restarts=12, seed=5)):
+        scored.clear()
+        sol = minimize()
+        assert solution_bytes(sol) == want.pop(0)
+        assert 0 < len(scored) < 12
+        assert len(set(scored)) == len(scored)
+
+
 def _first_round_labels(emb: Embedding, k: int, r: int, seed: int, restart: int):
     """The start labels and objective of one restart of
     ``minimize_q_subspace``, and its labels after the first assignment."""
     rows = emb.rows
-    row_sq = (rows**2).sum(axis=1)[:, None]
+    row_sq = (rows**2).sum(axis=1)
+    rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
     rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-    start = cluster._seed_labels(rows, row_sq, outer, k, r, [rng])
+    start = cluster._seed_labels(rows, rows_t, row_sq, k, r, [rng])
     model, obj, _ = cluster._subspace_refit(outer, start, k, r)
-    first, _ = cluster._assign(cluster._subspace_cost(row_sq, outer, model[0]), k)
+    first, _ = cluster._assign(cluster._subspace_cost(row_sq, rows_t, model[0]), k)
     return start[0], float(obj[0]), first[0]
 
 

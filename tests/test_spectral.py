@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackError, eigsh
 
+from blockselect import spectral
 from blockselect.netcore import Graph
 from blockselect.spectral import (
     EmbeddingSource,
@@ -203,3 +208,40 @@ def test_permutation_equivariance():
         ]
     )
     assert diff <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the ARPACK operator
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(513, 900), p=st.sampled_from([0.005, 0.01, 0.03]),
+       d=st.integers(1, 6), laplacian=st.booleans(), seed=st.integers(0, 2**16))
+def test_lanczos_operator_gives_the_eigenpairs_of_the_matrix(n, p, d, laplacian, seed):
+    matrix = random_graph(n, p, seed).adjacency
+    if laplacian:
+        deg = np.asarray(matrix.sum(axis=1)).ravel()
+        inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
+        matrix = (sp.diags(inv_sqrt) @ matrix @ sp.diags(inv_sqrt)).tocsr()
+    v0 = spectral._arpack_start_vector(n)
+    want_values, want_vectors = eigsh(matrix, k=d, which="LM", v0=v0)
+    values, vectors = eigsh(spectral._SparseProduct(matrix), k=d, which="LM", v0=v0)
+    assert values.tobytes() == want_values.tobytes()
+    assert vectors.tobytes() == want_vectors.tobytes()
+
+
+def test_lanczos_failure_falls_back_to_dense(monkeypatch):
+    g = random_graph(600, 0.02, seed=3)
+    calls = []
+
+    def failing_eigsh(*args, **kwargs):
+        calls.append(None)
+        raise ArpackError(-9999)
+
+    monkeypatch.setattr(spectral, "eigsh", failing_eigsh)
+    emb = ase(g, 3)
+    assert len(calls) == 1
+    values, vectors = top_eigenpairs(g.adjacency.toarray(), 3)
+    np.testing.assert_array_equal(emb.eigenvalues, values)
+    np.testing.assert_array_equal(emb.rows, vectors * np.sqrt(np.abs(values)))
