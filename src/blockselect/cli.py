@@ -2,7 +2,9 @@
 
 Subcommands: ``select`` (sequential model selection on an edge list),
 ``cluster`` (single-model community detection), ``simulate`` (grid studies
-from a config file), ``generate`` (write a sampled network to disk).
+from a config file), ``generate`` (write a sampled network to disk). The
+``generate`` flags are the ``[grid.N]`` keys of a ``simulate`` config, and
+the network is drawn by the same generator as a simulation replicate.
 
 Exit codes: 0 success, 2 usage or I/O or parse error, 3 infeasible model
 or parameters, 4 internal numerical failure.
@@ -17,9 +19,13 @@ uses the same worker processes: the observed fits, the final PABM fit,
 ``cluster`` and simulations. ``taskset -c 0`` makes a run fully serial, in
 the main process. Each worker is a forked process with its own RSS, and
 runs BLAS on one thread, since the workers already occupy every CPU; the
-main process does too while it detects or runs replicates, and
-``--threads`` pins its BLAS threads for the rest. ``report.json`` and
-``cluster.json`` are byte-identical at any worker count.
+main process does too while it detects, runs a spectral-clustering
+baseline or runs replicates, which is all of its BLAS work (the
+null-model fits make no BLAS call). That pin reaches the OpenBLAS
+libraries found in /proc/self/maps; where there are none (an MKL build,
+or a platform without that file) the variables ``--threads`` sets are
+the only pin. ``report.json`` and ``cluster.json`` are byte-identical at
+any worker count.
 """
 
 from __future__ import annotations
@@ -105,8 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="block fractions, e.g. '0.25,0.25,0.5' (default equal)")
     p_gen.add_argument("--density", type=float, default=None)
     p_gen.add_argument("--avg-degree", type=float, default=None)
-    p_gen.add_argument("--theta-law", type=str, default="beta:1,5",
-                       help="dcbm degree law: beta:a,b | powerlaw:xmin,alpha | constant:v")
+    p_gen.add_argument("--theta-law", type=str, default=None,
+                       help="dcbm degree law: beta:a,b | powerlaw:xmin,alpha | "
+                       "constant:v (default beta:1,5)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", type=Path, default=Path("blockselect_out"))
     p_gen.set_defaults(func=cmd_generate)
@@ -237,7 +244,6 @@ def cmd_simulate(args) -> int:
         load_experiment_config,
         report_provenance,
         run_experiment,
-        table_layout,
     )
 
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -254,7 +260,7 @@ def cmd_simulate(args) -> int:
     report = run_experiment(spec, progress=progress)
     if not args.quiet:
         print(file=sys.stderr)
-    csv_text, table_text = emit_table(report, table_layout(spec))
+    csv_text, table_text = emit_table(report)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "table.csv").write_text(csv_text, encoding="utf-8")
     header = (
@@ -267,73 +273,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_matrix_arg(text: str):
-    import numpy as np
-
-    try:
-        return np.asarray(
-            [[float(tok) for tok in row.split(",")] for row in text.split(";")]
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad --omega {text!r}: {exc}") from exc
-
-
 def cmd_generate(args) -> int:
-    import numpy as np
-
-    from .blockmodels import (
-        beta_ratio_omega,
-        gen_dcbm,
-        gen_pabm,
-        gen_sbm,
-        write_params,
-    )
+    from .blockmodels import write_params
     from .netcore import density as graph_density
     from .netcore import write_edge_list
-    from .simharness import _parse_theta_law
+    from .simharness import _DEFAULT_THETA_LAW, _generate, _grid_point
 
-    config = {
-        "command": "generate",
-        "model": args.model,
-        "n": args.n,
-        "k": args.k,
-        "omega": args.omega,
-        "beta": args.beta,
-        "fractions": args.fractions,
-        "density": args.density,
-        "avg_degree": args.avg_degree,
-        "theta_law": args.theta_law if args.model == "dcbm" else None,
-        "seed": args.seed,
+    # the flags are the [grid.N] keys of a simulation config, and the
+    # network is one draw of its generator
+    keys = {
+        key: getattr(args, key)
+        for key in ("n", "k", "omega", "beta", "fractions", "density", "avg_degree")
     }
+    keys["theta_law"] = None
+    if args.model == "dcbm":
+        keys["theta_law"] = _DEFAULT_THETA_LAW if args.theta_law is None else args.theta_law
+    config = {"command": "generate", "model": args.model, **keys, "seed": args.seed}
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
-    if args.fractions is not None:
-        fractions = np.asarray([float(t) for t in args.fractions.split(",")])
-    else:
-        fractions = np.full(args.k, 1.0 / args.k)
-    if args.model in ("sbm", "dcbm"):
-        if args.omega is not None:
-            base = _parse_matrix_arg(args.omega)
-        elif args.beta is not None:
-            base = beta_ratio_omega(args.k, args.beta)
-        else:
-            raise ConfigError("sbm/dcbm generation needs --omega or --beta")
-    if args.model == "sbm":
-        g, params = gen_sbm(
-            args.n, args.k, fractions, base,
-            target_density=args.density, target_avg_degree=args.avg_degree,
-            seed=args.seed,
-        )
-    elif args.model == "dcbm":
-        g, params = gen_dcbm(
-            args.n, args.k, fractions, base, _parse_theta_law(args.theta_law),
-            target_density=args.density, target_avg_degree=args.avg_degree,
-            seed=args.seed,
-        )
-    else:
-        g, params = gen_pabm(
-            args.n, args.k, density_scale=args.density, seed=args.seed
-        )
+    # pabm reads no --omega
+    omega = None if args.model == "pabm" else args.omega
+    point = _grid_point(dict(keys, omega=omega, true_model=args.model), where="")
+    g, params = _generate(None, point, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "edges.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")

@@ -494,21 +494,25 @@ def minimize_q_subspace(
 
 
 # ---------------------------------------------------------------------------
-# spectral-clustering baselines
+# spectral-clustering baselines; like ``detect``, each runs BLAS on one
+# thread throughout
 # ---------------------------------------------------------------------------
 
+@_pool.one_blas_thread()
 def sc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolution:
     """K-means on the normalized-Laplacian embedding."""
     emb = laplacian_embedding(g, k, regularize=False)
     return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
 
 
+@_pool.one_blas_thread()
 def rsc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolution:
     """K-means on the row-normalized Laplacian embedding."""
     emb = laplacian_embedding(g, k, regularize=True)
     return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
 
 
+@_pool.one_blas_thread()
 def osc(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolution:
     """Orthogonal subspace clustering baseline: spectral decomposition of
     U U^T built from the K^2-dimensional adjacency embedding (orthonormal

@@ -13,7 +13,7 @@ import configparser
 import enum
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,12 @@ class Study(enum.Enum):
     TEST_DCBM_VS_PABM = "test_dcbm_vs_pabm"
 
 
-_COMM_DET_STUDIES = {Study.COMM_DET_SBM, Study.COMM_DET_DCBM, Study.COMM_DET_PABM}
+# detection studies and the model that draws their graphs
+_COMM_DET_STUDIES = {
+    Study.COMM_DET_SBM: "sbm", Study.COMM_DET_DCBM: "dcbm", Study.COMM_DET_PABM: "pabm",
+}
+# the degree law of a DCBM grid point that sets none
+_DEFAULT_THETA_LAW = "beta:1,5"
 # detection methods: the model whose loss ``detect`` minimizes, or a
 # spectral-clustering baseline
 _DETECTORS = {"q1": ModelKind.SBM, "q2": ModelKind.DCBM, "q3": ModelKind.PABM}
@@ -115,13 +120,10 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"grid point {i + 1}: true_model must be sbm/dcbm/pabm"
                 )
-            needs_pabm = (
-                self.study is Study.COMM_DET_PABM
-                or (pt.true_model == "pabm")
-            )
-            if needs_pabm and pt.n % pt.k != 0:
+            model = _drawn_model(self.study, pt)
+            if model == "pabm" and pt.n % pt.k != 0:
                 raise ConfigError(f"grid point {i + 1}: n must be divisible by k")
-            if self.study not in _COMM_DET_STUDIES and pt.true_model is None:
+            if model is None:
                 raise ConfigError(f"grid point {i + 1}: test study needs true_model")
 
 
@@ -166,28 +168,24 @@ class ExperimentReport:
     cells: dict[tuple[int, str], CellResult]
 
 
-def _generate(study: Study, pt: GridPoint, seed: int):
-    """Graph plus planted parameters for one replicate."""
-    model = pt.true_model
-    if study is Study.COMM_DET_SBM:
-        model = "sbm"
-    elif study is Study.COMM_DET_DCBM:
-        model = "dcbm"
-    elif study is Study.COMM_DET_PABM:
-        model = "pabm"
-    if model == "sbm":
-        return gen_sbm(
-            pt.n, pt.k, pt.block_fractions(), pt.base_omega(),
-            target_density=pt.density, target_avg_degree=pt.avg_degree, seed=seed,
-        )
-    if model == "dcbm":
-        law = pt.theta_law if pt.theta_law is not None else Beta(1, 5)
-        return gen_dcbm(
-            pt.n, pt.k, pt.block_fractions(), pt.base_omega(), law,
-            target_density=pt.density, target_avg_degree=pt.avg_degree, seed=seed,
-        )
+def _drawn_model(study: Study | None, pt: GridPoint) -> str | None:
+    """The model that draws a grid point's graphs: a detection study's own,
+    else the point's ``true_model`` (test studies, and ``generate``, which
+    has no study)."""
+    return _COMM_DET_STUDIES.get(study, pt.true_model)
+
+
+def _generate(study: Study | None, pt: GridPoint, seed: int):
+    """Graph plus planted parameters for one draw at a grid point."""
+    model = _drawn_model(study, pt)
     if model == "pabm":
         return gen_pabm(pt.n, pt.k, density_scale=pt.density, seed=seed)
+    scale = dict(target_density=pt.density, target_avg_degree=pt.avg_degree, seed=seed)
+    if model == "sbm":
+        return gen_sbm(pt.n, pt.k, pt.block_fractions(), pt.base_omega(), **scale)
+    if model == "dcbm":
+        law = pt.theta_law if pt.theta_law is not None else _parse_theta_law(_DEFAULT_THETA_LAW)
+        return gen_dcbm(pt.n, pt.k, pt.block_fractions(), pt.base_omega(), law, **scale)
     raise ConfigError(f"unknown true_model {model!r}")
 
 
@@ -195,7 +193,9 @@ def _run_method(method: str, g: Graph, k: int, restarts: int | None, seed: int):
     if method in _DETECTORS:
         return detect(g, k, _DETECTORS[method], restarts, seed=seed)
     if method in _BASELINES:
-        return _BASELINES[method](g, k, n_restarts=restarts or 10, seed=seed)
+        # the baselines keep their own restart default
+        extra = {} if restarts is None else {"n_restarts": restarts}
+        return _BASELINES[method](g, k, seed=seed, **extra)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -209,11 +209,10 @@ def run_single_replicate(
     """Metric for one replicate; re-runnable in isolation from its seed."""
     pt = spec.grid[point_idx]
     seed = replicate_seed(spec, point_idx, rep_idx, method)
+    g, params = _generate(spec.study, pt, derive_seed(seed, "gen"))
     if spec.study in _COMM_DET_STUDIES:
-        g, params = _generate(spec.study, pt, derive_seed(seed, "gen"))
         sol = _run_method(method, g, pt.k, spec.restarts, derive_seed(seed, "method"))
         return mislabel_rate(sol.labels, params.labels, pt.k)
-    g, _ = _generate(spec.study, pt, derive_seed(seed, "gen"))
     test = test_sbm_vs_dcbm if spec.study is Study.TEST_SBM_VS_DCBM else test_dcbm_vs_pabm
     result, _ = test(
         g, pt.k, n_boot=spec.n_boot, alpha=spec.alpha, restarts=spec.restarts,
@@ -275,7 +274,7 @@ def table_layout(spec: ExperimentSpec) -> TableLayout:
     since a table has one header."""
     if spec.study in _COMM_DET_STUDIES:
         return TableLayout.MISLABEL
-    if spec.grid[0].true_model == "pabm":
+    if _drawn_model(spec.study, spec.grid[0]) == "pabm":
         return TableLayout.PABM_REJECTION
     return TableLayout.REJECTION
 
@@ -299,12 +298,13 @@ def _point_columns(kind: str, pt: GridPoint) -> list[tuple[str, str]]:
     return cols
 
 
-def emit_table(report: ExperimentReport, layout: TableLayout) -> tuple[str, str]:
-    """(csv, aligned_text) rendering of the report in the given layout.
+def emit_table(report: ExperimentReport) -> tuple[str, str]:
+    """(csv, aligned_text) rendering of the report, in its study's layout
+    (``table_layout``).
 
     Cells without data render as NA; failed cells are marked with '!'.
     """
-    kind, style = layout.value
+    kind, style = table_layout(report.spec).value
     methods = _cell_methods(report.spec)
     point_names = ["n", "K", "delta"] if kind == "delta" else ["n", "K", "beta", "avg.degree"]
     header = point_names + [_METHOD_HEADER[m] for m in methods]
@@ -392,24 +392,45 @@ def _parse_theta_law(text: str) -> ThetaLaw:
     raise ConfigError(f"bad theta_law {text!r} (want beta:a,b | powerlaw:xmin,alpha | constant:v)")
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(","))
+
+
 def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
     try:
-        return tuple(
-            tuple(float(tok) for tok in row.split(","))
-            for row in text.split(";")
-        )
+        return tuple(_parse_floats(row) for row in text.split(";"))
     except ValueError as exc:
         raise ConfigError(f"bad matrix {text!r}: {exc}") from exc
 
 
-def _get(section, key, conv, default=None, *, where=""):
-    if key not in section:
-        return default
-    raw = section[key]
+def _get(section, key, conv, *, where=""):
+    raw = section.get(key)
+    if raw is None:
+        return None
     try:
         return conv(raw)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}{key} = {raw!r}: {exc}") from exc
+
+
+def _grid_point(keys, where: str) -> GridPoint:
+    """A grid point from its ``[grid.N]`` keys: the text of a config
+    section, or the flags of ``blockselect generate``."""
+    n = _get(keys, "n", int, where=where)
+    k = _get(keys, "k", int, where=where)
+    if n is None or k is None:
+        raise ConfigError(f"{where}requires n and k")
+    return GridPoint(
+        n=n,
+        k=k,
+        beta=_get(keys, "beta", float, where=where),
+        omega=_get(keys, "omega", _parse_matrix, where=where),
+        fractions=_get(keys, "fractions", _parse_floats, where=where),
+        density=_get(keys, "density", float, where=where),
+        avg_degree=_get(keys, "avg_degree", float, where=where),
+        theta_law=_get(keys, "theta_law", _parse_theta_law, where=where),
+        true_model=_get(keys, "true_model", str, where=where),
+    )
 
 
 def load_experiment_config(stream) -> ExperimentSpec:
@@ -430,41 +451,20 @@ def load_experiment_config(stream) -> ExperimentSpec:
         raise ConfigError(f"study must be one of: {valid}") from None
     methods_raw = exp.get("methods", "")
     methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
-    spec = ExperimentSpec(
-        study=study,
-        grid=(),
-        methods=methods,
-        n_replicates=_get(exp, "replicates", int, 20, where="[experiment] "),
-        n_boot=_get(exp, "bootstrap", int, 100, where="[experiment] "),
-        alpha=_get(exp, "alpha", float, 0.05, where="[experiment] "),
-        restarts=_get(exp, "restarts", int, None, where="[experiment] "),
-        base_seed=_get(exp, "base_seed", int, 0, where="[experiment] "),
-    )
+    # keys the file leaves out keep the ExperimentSpec defaults
+    settings = {
+        name: _get(exp, key, conv, where="[experiment] ")
+        for name, key, conv in (
+            ("n_replicates", "replicates", int), ("n_boot", "bootstrap", int),
+            ("alpha", "alpha", float), ("restarts", "restarts", int),
+            ("base_seed", "base_seed", int),
+        )
+        if key in exp
+    }
     grid: list[GridPoint] = []
     idx = 1
     while f"grid.{idx}" in parser:
-        sec = parser[f"grid.{idx}"]
-        where = f"[grid.{idx}] "
-        n = _get(sec, "n", int, where=where)
-        k = _get(sec, "k", int, where=where)
-        if n is None or k is None:
-            raise ConfigError(f"{where}requires n and k")
-        grid.append(
-            GridPoint(
-                n=n,
-                k=k,
-                beta=_get(sec, "beta", float, where=where),
-                omega=_get(sec, "omega", _parse_matrix, where=where),
-                fractions=_get(
-                    sec, "fractions",
-                    lambda s: tuple(float(t) for t in s.split(",")), where=where,
-                ),
-                density=_get(sec, "density", float, where=where),
-                avg_degree=_get(sec, "avg_degree", float, where=where),
-                theta_law=_get(sec, "theta_law", _parse_theta_law, where=where),
-                true_model=_get(sec, "true_model", str, where=where),
-            )
-        )
+        grid.append(_grid_point(parser[f"grid.{idx}"], f"[grid.{idx}] "))
         idx += 1
     stray = [
         s for s in parser.sections()
@@ -474,6 +474,6 @@ def load_experiment_config(stream) -> ExperimentSpec:
         raise ConfigError(f"unknown section(s): {stray}")
     if not grid:
         raise ConfigError("no [grid.N] sections found")
-    spec = replace(spec, grid=tuple(grid))
+    spec = ExperimentSpec(study=study, grid=tuple(grid), methods=methods, **settings)
     spec.validate()
     return spec

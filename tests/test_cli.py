@@ -157,6 +157,50 @@ def test_generate_deterministic_bytes(tmp_path):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
 
+# flags, and the sha256 of edges.txt + params.txt + labels.csv recorded
+# before `generate` sampled through the simulation harness's generator
+_GENERATE_GOLDEN = {
+    "sbm_omega_fractions": (
+        ["sbm", "--n", "60", "--k", "3", "--omega", "4,2,1;2,4,2;1,2,4",
+         "--fractions", "0.25,0.25,0.5", "--density", "0.1", "--seed", "3"],
+        "70f4b1125437da839d6135a3dc26fe65a010f45e879ef6eb0a2e125d070f407f",
+    ),
+    "sbm_beta": (
+        ["sbm", "--n", "80", "--k", "2", "--beta", "0.2", "--avg-degree", "10", "--seed", "12"],
+        "477be16214640301ea16078bec240ec6ad8c28e340a6c627c9d8bb3bdc3c9735",
+    ),
+    "dcbm_default_law": (
+        ["dcbm", "--n", "80", "--k", "2", "--beta", "0.5", "--density", "0.1", "--seed", "1"],
+        "9a8caf82dbf502f9201005a864e2b9180ae75847c836c54340da9d1cd6ac0eb9",
+    ),
+    "dcbm_theta_law": (
+        ["dcbm", "--n", "90", "--k", "3", "--omega", "3,1,1;1,3,1;1,1,3",
+         "--avg-degree", "8", "--theta-law", "powerlaw:1,3", "--seed", "2"],
+        "c9c98c9dcddb89b3ff603948d41d10986002ff2b321a9d97deb97adf119ef07e",
+    ),
+    "pabm_natural": (
+        ["pabm", "--n", "60", "--k", "2", "--seed", "1"],
+        "5e35fe61157214a74e74d474cf7abfecd49221b9cd74f569d333bb0dce68441a",
+    ),
+    "pabm_density": (
+        ["pabm", "--n", "90", "--k", "3", "--density", "0.08", "--seed", "4"],
+        "286f4aad1b05eec3a5c564203b162ab6928860c98b11d90f827ba10a411ca89c",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:degree target clamped")
+@pytest.mark.parametrize("case", list(_GENERATE_GOLDEN))
+def test_generate_golden_bytes(tmp_path, case):
+    flags, expected = _GENERATE_GOLDEN[case]
+    out = tmp_path / "out"
+    assert main(["generate", *flags, "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for fname in ("edges.txt", "params.txt", "labels.csv"):
+        digest.update((out / fname).read_bytes())
+    assert digest.hexdigest() == expected
+
+
 def test_generate_identity_omega_two_er_blocks(tmp_path):
     out = tmp_path / "out"
     assert main(["generate", "sbm", "--n", "60", "--k", "2",

@@ -161,6 +161,8 @@ def test_detect_and_bootstrap_run_blas_on_one_thread_and_restore_the_count(
         return detect(g_rep, 2, ModelKind.SBM, 2, seed=fit_seed).objective
 
     monkeypatch.setattr(ms, "minimize_q1", recording_q1)
+    # the spectral-clustering baselines end in the same minimizer
+    monkeypatch.setattr(cluster, "minimize_q1", recording_q1)
     set_workers(1)
     g = random_graph(30, 0.3, seed=0)
     _set_blas_threads([2] * len(before))
@@ -169,10 +171,14 @@ def test_detect_and_bootstrap_run_blas_on_one_thread_and_restore_the_count(
         with pytest.raises(NumericalError, match="planted"):
             detect(g, 2, ModelKind.SBM, 2, seed=1)
         ms._bootstrap_statistics(constant_prob(30, 0.3), 3, 2, statistic)
+        for baseline in (cluster.sc_l, cluster.rsc_l, cluster.osc):
+            baseline(g, 2, n_restarts=2, seed=0)
+        with pytest.raises(NumericalError, match="planted"):
+            cluster.osc(g, 2, n_restarts=2, seed=1)
         after = _blas_threads()
     finally:
         _set_blas_threads(before)
-    assert len(seen) == 2 + 2 * 3 and all(c == [1] * len(before) for c in seen)
+    assert len(seen) == 2 + 2 * 3 + 4 and all(c == [1] * len(before) for c in seen)
     assert after == [2] * len(before)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from blockselect.simharness import (
     report_provenance,
     run_experiment,
     run_single_replicate,
+    table_layout,
 )
 
 TINY_SBM_SPEC = ExperimentSpec(
@@ -113,6 +115,19 @@ def test_spec_validation_errors():
         ).validate()
 
 
+def test_the_drawn_model_decides_validation_and_layout():
+    # a detection study draws from its own model, whatever true_model says;
+    # a test study draws from true_model
+    pabm_truth = (GridPoint(n=41, k=2, beta=0.2, density=0.1, true_model="pabm"),)
+    sbm_study = ExperimentSpec(study=Study.COMM_DET_SBM, grid=pabm_truth, methods=("q1",))
+    sbm_study.validate()
+    assert table_layout(sbm_study) is TableLayout.MISLABEL
+    test_study = ExperimentSpec(study=Study.TEST_DCBM_VS_PABM, grid=pabm_truth, methods=())
+    with pytest.raises(ConfigError, match="divisible"):
+        test_study.validate()
+    assert table_layout(test_study) is TableLayout.PABM_REJECTION
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -135,7 +150,7 @@ def test_emit_table_structure():
     from blockselect.simharness import ExperimentReport
 
     report = ExperimentReport(spec=spec, cells=cells)
-    csv_text, table_text = emit_table(report, TableLayout.MISLABEL)
+    csv_text, table_text = emit_table(report)
     lines = csv_text.splitlines()
     assert lines[0] == "n,K,delta,Q1,SC-L"
     assert lines[1].startswith("100,2,0.05,")
@@ -154,7 +169,7 @@ def test_emit_table_marks_failed_cells():
 
     cell = CellResult(values=[0.5, float("nan")], errors=["replicate 1: boom"])
     report = ExperimentReport(spec=spec, cells={(0, "q1"): cell})
-    csv_text, _ = emit_table(report, TableLayout.MISLABEL)
+    csv_text, _ = emit_table(report)
     assert "!" in csv_text.splitlines()[1]
 
 
@@ -197,6 +212,14 @@ beta = 0.5
 avg_degree = 20
 theta_law = powerlaw:1,5
 """
+
+
+def test_config_without_optional_keys_keeps_the_spec_defaults():
+    text = "[experiment]\nstudy = comm_det_sbm\nmethods = q1\n[grid.1]\nn = 40\nk = 2\n"
+    spec = load_experiment_config(io.StringIO(text))
+    for f in dataclasses.fields(ExperimentSpec):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(spec, f.name) == f.default, f.name
 
 
 def test_config_parses_fields():
