@@ -12,7 +12,8 @@ from __future__ import annotations
 import importlib
 
 # Public names resolve on first use (PEP 562), so importing the package, or
-# ``blockselect.cli`` before its ``--threads`` pins BLAS, does not load numpy.
+# ``blockselect.cli`` before it sets the BLAS thread variables (see
+# ``_pool``), does not load numpy.
 _EXPORTS = {
     "blockmodels": (
         "Beta", "Constant", "DcbmParams", "FactoredProb", "PabmParams",

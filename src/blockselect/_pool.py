@@ -1,4 +1,6 @@
-"""One private fork pool for every parallel loop in the package.
+"""One private fork pool for every parallel loop in the package, and the
+one thread policy of every run: processes for parallelism, one BLAS
+thread everywhere.
 
 ``ordered_results(job, fn, units)`` yields ``fn(job, unit)`` for each unit,
 in unit order. The bootstrap's replicate chunks and the minimizers'
@@ -13,7 +15,16 @@ is unsafe then), or when this process is itself a pool worker: a
 minimization inside a bootstrap replicate stays in that replicate's
 worker rather than forking a pool of its own.
 
-Units run OpenBLAS on one thread wherever they run (``one_blas_thread``).
+The policy. Parallel work runs on one worker per CPU in the affinity
+mask (``workers``), so ``taskset -c 0`` runs serially, in this process.
+BLAS runs on one thread everywhere: the workers already occupy every CPU,
+and some LAPACK results differ in the last bits between one thread and
+several. ``one_blas_thread`` pins every OpenBLAS library it finds around
+each pool run, detection and spectral-clustering baseline, which is all
+the BLAS work of a run. The CLI also sets ``THREAD_VARS`` to 1 before it
+loads numpy, which reaches the builds the pin cannot find (MKL numpy, or
+no /proc/self/maps). Outputs are therefore byte-identical at any worker
+count, and there is no other configuration.
 """
 
 from __future__ import annotations
@@ -26,6 +37,9 @@ import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
+
+# the thread counts BLAS and OpenMP libraries read when they load
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
@@ -66,12 +80,7 @@ def _openblas_thread_counts() -> tuple[tuple[Callable, Callable], ...]:
 @contextlib.contextmanager
 def one_blas_thread() -> Iterator[None]:
     """Run the body with every loaded OpenBLAS library on one thread, and
-    restore each library's own count on exit, also after an exception.
-
-    Some LAPACK results differ in the last bits between one thread and
-    several, so one thread everywhere makes a computation give the same
-    bits in the main process as in a worker.
-    """
+    restore each library's own count on exit, also after an exception."""
     restore = []
     try:
         for get, set_ in _openblas_thread_counts():
@@ -117,9 +126,9 @@ def ordered_results(job, fn: Callable, units: Sequence) -> Iterator[Iterator]:
 
     Every unit runs on one BLAS thread, so a unit does the same arithmetic
     in a worker as in this process. The workers inherit that setting
-    through ``fork``; they already occupy every CPU, and a BLAS thread
-    pool per worker would oversubscribe them (a DCBM test at n=300 with
-    B=40 ran ten times slower on 2 CPUs).
+    through ``fork``; a BLAS thread pool per worker would oversubscribe
+    the CPUs (a DCBM test at n=300 with B=40 ran ten times slower on 2
+    CPUs).
 
     In this process the units run one by one as the iterator is read, so
     units after the last one read never run. In the pool, units not yet

@@ -9,23 +9,10 @@ the network is drawn by the same generator as a simulation replicate.
 Exit codes: 0 success, 2 usage or I/O or parse error, 3 infeasible model
 or parameters, 4 internal numerical failure.
 
-Heavy imports happen inside command handlers so ``--threads`` can pin BLAS
-thread counts via environment variables before numpy loads; ``--threads 1``
-is the canonical deterministic configuration used by the golden tests.
-
-Bootstrap replicates and restart blocks run on one worker per CPU in the
-process's affinity mask. Every detection with more than one restart block
-uses the same worker processes: the observed fits, the final PABM fit,
-``cluster`` and simulations. ``taskset -c 0`` makes a run fully serial, in
-the main process. Each worker is a forked process with its own RSS, and
-runs BLAS on one thread, since the workers already occupy every CPU; the
-main process does too while it detects, runs a spectral-clustering
-baseline or runs replicates, which is all of its BLAS work (the
-null-model fits make no BLAS call). That pin reaches the OpenBLAS
-libraries found in /proc/self/maps; where there are none (an MKL build,
-or a platform without that file) the variables ``--threads`` sets are
-the only pin. ``report.json`` and ``cluster.json`` are byte-identical at
-any worker count.
+Every run follows the one thread policy stated in ``_pool``: ``main``
+sets the BLAS thread variables before any handler loads numpy, which is
+why the heavy imports happen inside the handlers. ``--threads`` is still
+accepted, for old scripts, and has no effect.
 """
 
 from __future__ import annotations
@@ -36,14 +23,13 @@ import os
 import sys
 from pathlib import Path
 
+from . import _pool
 from .errors import (
     ConfigError,
     EdgeListParseError,
     InfeasibleModelError,
     NumericalError,
 )
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,15 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Community detection and blockmodel selection "
         "(SBM / DCBM / PABM) on simple undirected networks.",
     )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="pin the BLAS thread count of the main process outside "
-        "detection and bootstrap replicates, which run on one BLAS thread "
-        "(1 = canonical deterministic path); replicates and restart blocks "
-        "run on one worker per CPU in the affinity mask (taskset -c 0 runs "
-        "serially), and report.json and cluster.json are byte-identical at "
-        "any worker count",
-    )
+    parser.add_argument("--threads", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_select = sub.add_parser(
@@ -331,12 +309,7 @@ def _exit_code_for(exc: BaseException) -> int | None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
+    os.environ.update(dict.fromkeys(_pool.THREAD_VARS, "1"))
     try:
         return args.func(args)
     except Exception as exc:  # map known failures onto exit codes

@@ -23,6 +23,7 @@ from .blockmodels import (
     Constant,
     PowerLaw,
     ThetaLaw,
+    _planted_blocks,
     beta_ratio_omega,
     gen_dcbm,
     gen_pabm,
@@ -113,6 +114,8 @@ class ExperimentSpec:
             raise ConfigError("restarts must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.study not in _COMM_DET_STUDIES and self.n_boot < 1:
+            raise ConfigError("n_boot must be >= 1")
         for i, pt in enumerate(self.grid):
             if pt.n < 2 or pt.k < 1 or pt.k > pt.n:
                 raise ConfigError(f"grid point {i + 1}: bad (n, k) = ({pt.n}, {pt.k})")
@@ -125,6 +128,12 @@ class ExperimentSpec:
                 raise ConfigError(f"grid point {i + 1}: n must be divisible by k")
             if model is None:
                 raise ConfigError(f"grid point {i + 1}: test study needs true_model")
+            if model in ("sbm", "dcbm"):
+                # the generators' own check, so no replicate fails on it
+                try:
+                    _planted_blocks(pt.n, pt.k, pt.block_fractions(), pt.base_omega())
+                except ValueError as exc:
+                    raise ConfigError(f"grid point {i + 1}: {exc}") from exc
 
 
 @dataclass

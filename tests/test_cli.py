@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import blockselect
-from blockselect.cli import main
+from blockselect.cli import build_parser, main
 from blockselect.errors import ConfigError
 from blockselect.simharness import load_experiment_config
 
@@ -352,8 +352,28 @@ def test_simulate_bad_config_exit_2(tmp_path):
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "sim")]) == 2
 
 
-def test_threads_flag_validated():
-    assert main(["--threads", "0", "select", "x", "--k", "2"]) == 2
+@pytest.mark.parametrize("grid", [
+    "k = 3\nomega = 1,0.5;0.5,1",  # omega of the wrong shape for k
+    "k = 2\nomega = 1,0.5;0.5",  # ragged rows
+    "k = 2\nbeta = 0.2\nfractions = 0.2,0.3,0.5",  # fractions of the wrong length
+])
+def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid):
+    text = SIM_CONFIG.replace("k = 2\nbeta = 0.2", grid)
+    cfg = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "grid point 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study", ["test_sbm_vs_dcbm", "test_dcbm_vs_pabm"])
+def test_simulate_test_study_without_bootstrap_exit_2(tmp_path, capsys, study):
+    text = STUDY_TRUTH_CONFIG.format(study=study, method="", truth="true_model = sbm")
+    cfg = write(tmp_path / "exp.cfg", text.replace("bootstrap = 2", "bootstrap = 0"))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "n_boot must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_mapping():
@@ -431,12 +451,43 @@ def test_cluster_pabm_outputs_are_identical_at_every_worker_count(
 
 
 # ---------------------------------------------------------------------------
-# --threads
+# the thread policy
 # ---------------------------------------------------------------------------
 
+def test_threads_flag_is_accepted_hidden_and_changes_no_output(tmp_path, karate_path):
+    argv = ["select", str(karate_path), "--k", "2", "--boot", "20", "--seed", "3"]
+    outs = []
+    for flag in ([], ["--threads", "1"], ["--threads", "3"]):
+        out = tmp_path / f"out{len(outs)}"
+        assert main([*flag, *argv, "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("report.json", "labels.csv"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+    assert "--threads" not in build_parser().format_help()
+
+
+def test_cli_runs_blas_on_one_thread_whatever_the_environment(tmp_path):
+    # the thread counts left after a run, outside every pin, are the ones
+    # OpenBLAS read from the environment when numpy loaded
+    code = ("import sys; from blockselect import _pool; from blockselect.cli import main; "
+            "main(sys.argv[1:]); print([get() for get, _ in _pool._openblas_thread_counts()])")
+    argv = ["generate", "sbm", "--n", "40", "--k", "2", "--beta", "0.5",
+            "--avg-degree", "6", "--out", str(tmp_path / "gen")]
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="4"),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    counts = json.loads(out.stdout.splitlines()[-1])
+    if not counts:
+        pytest.skip("no OpenBLAS library loaded")
+    assert counts == [1] * len(counts)
+
+
 def test_importing_cli_leaves_numpy_unloaded():
-    # --threads sets the BLAS thread variables in main(); they only take
-    # effect if nothing has loaded numpy by then
+    # main() sets the BLAS thread variables; they only take effect if
+    # nothing has loaded numpy by then
     src = str(Path(blockselect.__file__).resolve().parents[1])
     code = "import sys, blockselect.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)

@@ -215,7 +215,8 @@ theta_law = powerlaw:1,5
 
 
 def test_config_without_optional_keys_keeps_the_spec_defaults():
-    text = "[experiment]\nstudy = comm_det_sbm\nmethods = q1\n[grid.1]\nn = 40\nk = 2\n"
+    text = ("[experiment]\nstudy = comm_det_sbm\nmethods = q1\n"
+            "[grid.1]\nn = 40\nk = 2\nbeta = 0.2\navg_degree = 8\n")
     spec = load_experiment_config(io.StringIO(text))
     for f in dataclasses.fields(ExperimentSpec):
         if f.default is not dataclasses.MISSING:
