@@ -10,9 +10,10 @@ Three nested models over labels tau in [1..K]:
   matrix lam
 
 Generators target an expected density (or average degree) by solving for a
-single multiplicative scalar; a target that would push any probability
-above 1 is an error, except that ``gen_dcbm`` clamps up to 1% of its pair
-products at 1, with a warning.
+single multiplicative scalar on omega; the SBM generator is the DCBM
+scaling at theta = 1. A target that would push any probability above 1 is
+an error, except that ``gen_dcbm`` clamps up to 1% of its pair products at
+1, with a warning.
 
 Edge probabilities of all three models are held in one factored form,
 ``FactoredProb``: P_ij = min(1, left[i, tau_j] * right[j, tau_i]) with two
@@ -433,34 +434,52 @@ def _require_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _planted_blocks(n: int, k: int, block_fractions, base_omega):
-    """Block sizes, contiguous labels and the validated base omega of the
-    SBM and DCBM generators."""
+def _planted_setting(n: int, k: int, fractions, base_omega, density, avg_degree):
+    """Contiguous labels, validated base omega and target expected edge
+    count of an SBM or DCBM setting: all that both generators compute
+    before their first random draw."""
     _require_k(k)
-    sizes = _block_sizes(n, block_fractions)
+    sizes = _block_sizes(n, fractions)
     if sizes.size != k:
         raise ValueError("block_fractions length must equal k")
-    return sizes, _contiguous_labels(sizes), _validate_omega(base_omega, k, name="base omega")
-
-
-def _pair_target(n: int, target_density, target_avg_degree) -> float:
-    if (target_density is None) == (target_avg_degree is None):
+    base = _validate_omega(base_omega, k, name="base omega")
+    if (density is None) == (avg_degree is None):
         raise ValueError("specify exactly one of target_density / target_avg_degree")
-    if target_density is not None:
-        return float(target_density) * n * (n - 1) / 2.0
-    return float(target_avg_degree) * n / 2.0
+    if density is not None:
+        target = float(density) * n * (n - 1) / 2.0
+    else:
+        target = float(avg_degree) * n / 2.0
+    if not target >= 0.0:
+        raise ValueError("density target must be nonnegative")
+    if target > n * (n - 1) / 2.0:
+        raise InfeasibleModelError("density target exceeds 1")
+    return _contiguous_labels(sizes), base, target
 
 
-def _scale_omega(base_omega: np.ndarray, pair_sum: float, target_pairs: float) -> np.ndarray:
+def _scaled_omega(base, theta, labels, target: float) -> np.ndarray:
+    """``base`` times the scalar that makes the expected edge count, the sum
+    over pairs i < j of theta_i base[tau_i, tau_j] theta_j, equal ``target``;
+    from the per-block sums of theta and theta^2. At theta = 1 (the SBM)
+    these are the block sizes s, and (s^2 - s)/2 is each block's pair count."""
+    blocks = range(1, base.shape[0] + 1)
+    sums = np.array([theta[labels == b].sum() for b in blocks])
+    squares = np.array([(theta[labels == b] ** 2).sum() for b in blocks])
+    pair_sum = float((np.diag(base) * ((sums**2 - squares) / 2.0)).sum())
+    iu = np.triu_indices(base.shape[0], 1)
+    pair_sum += float((base[iu] * np.outer(sums, sums)[iu]).sum())
     if pair_sum <= 0.0:
         raise InfeasibleModelError("base parameters give zero expected edges")
-    c = target_pairs / pair_sum
-    scaled = c * base_omega
-    if scaled.max() > 1.0 + _EPS:
-        raise InfeasibleModelError(
-            f"density target needs omega entry {scaled.max():.4g} > 1"
-        )
-    return np.clip(scaled, 0.0, 1.0)
+    return base * (target / pair_sum)
+
+
+def _sbm_params(n: int, k: int, fractions, base_omega, density, avg_degree) -> SbmParams:
+    """The parameters ``gen_sbm`` samples from, with no random draw: the
+    DCBM scaling at theta = 1, and no omega entry may exceed 1."""
+    labels, base, target = _planted_setting(n, k, fractions, base_omega, density, avg_degree)
+    omega = _scaled_omega(base, np.ones(n), labels, target)
+    if omega.max() > 1.0 + _EPS:
+        raise InfeasibleModelError(f"density target needs omega entry {omega.max():.4g} > 1")
+    return SbmParams(k=k, omega=omega, labels=labels)
 
 
 def gen_sbm(
@@ -475,14 +494,7 @@ def gen_sbm(
 ) -> tuple[Graph, SbmParams]:
     """Sample an SBM with omega proportional to ``base_omega``, scaled so
     the expected density (or expected average degree) hits the target."""
-    sizes, labels, base = _planted_blocks(n, k, block_fractions, base_omega)
-    within = sizes * (sizes - 1) / 2.0
-    cross = np.outer(sizes, sizes)
-    pair_sum = float((np.diag(base) * within).sum())
-    iu = np.triu_indices(k, 1)
-    pair_sum += float((base[iu] * cross[iu]).sum())
-    omega = _scale_omega(base, pair_sum, _pair_target(n, target_density, target_avg_degree))
-    params = SbmParams(k=k, omega=omega, labels=labels)
+    params = _sbm_params(n, k, block_fractions, base_omega, target_density, target_avg_degree)
     g = sample_graph(edge_probs(params), derive_seed(seed, "graph"))
     return g, params
 
@@ -509,7 +521,8 @@ def gen_dcbm(
     """Sample a DCBM: theta drawn i.i.d. from ``theta_law`` and rescaled
     block-wise to max 1, then omega scaled to the density/degree target
     given the realized theta."""
-    sizes, labels, base = _planted_blocks(n, k, block_fractions, base_omega)
+    labels, base, target = _planted_setting(n, k, block_fractions, base_omega,
+                                            target_density, target_avg_degree)
     rng = np.random.default_rng(derive_seed(seed, "theta"))
     theta = theta_law.sample(rng, n)
     if np.any(theta <= 0):
@@ -517,18 +530,7 @@ def gen_dcbm(
     for block in range(1, k + 1):
         mask = labels == block
         theta[mask] /= theta[mask].max()
-    block_sums = np.array([theta[labels == b].sum() for b in range(1, k + 1)])
-    block_sq = np.array([(theta[labels == b] ** 2).sum() for b in range(1, k + 1)])
-    weighted_within = (block_sums**2 - block_sq) / 2.0
-    pair_sum = float((np.diag(base) * weighted_within).sum())
-    iu = np.triu_indices(k, 1)
-    pair_sum += float((base[iu] * np.outer(block_sums, block_sums)[iu]).sum())
-    if pair_sum <= 0.0:
-        raise InfeasibleModelError("base parameters give zero expected edges")
-    target_pairs = _pair_target(n, target_density, target_avg_degree)
-    if target_pairs > n * (n - 1) / 2.0:
-        raise InfeasibleModelError("density target exceeds 1")
-    omega = base * (target_pairs / pair_sum)
+    omega = _scaled_omega(base, theta, labels, target)
     params = DcbmParams(k=k, omega=omega, theta=theta, labels=labels)
     probs = edge_probs(params)
     # heavy-tailed theta can push the very top pair products past 1; those

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _pool
 from ._seeds import derive_seed
-from .errors import NumericalError
+from .errors import InfeasibleModelError, NumericalError
 from .netcore import Graph
 from .spectral import Embedding, EmbeddingSource, ase, laplacian_embedding, top_eigenpairs
 
@@ -343,9 +343,7 @@ def _centroid_refit(rows: np.ndarray, labels: np.ndarray, k: int):
     return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
-def minimize_q1(
-    emb: Embedding, k: int, n_restarts: int = 10, seed: int = 0
-) -> ClusterSolution:
+def minimize_q1(emb: Embedding, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
     """Minimize the centroid loss with Lloyd's algorithm, k-means++
     seeding, and ``n_restarts`` independent starts."""
     rows = emb.rows
@@ -445,7 +443,7 @@ def minimize_q_subspace(
     emb: Embedding,
     k: int,
     r: int,
-    n_restarts: int = 20,
+    n_restarts: int,
     seed: int = 0,
 ) -> ClusterSolution:
     """Greedy minimization of the rank-r subspace loss.
@@ -493,6 +491,12 @@ def minimize_q_subspace(
     )
 
 
+def _require_pabm_embedding(n: int, k: int) -> None:
+    """The K^2-dimensional embedding of the PABM loss and of ``osc`` needs K^2 <= n."""
+    if k * k > n:
+        raise InfeasibleModelError(f"K^2 = {k * k} exceeds n = {n}")
+
+
 # ---------------------------------------------------------------------------
 # spectral-clustering baselines; like ``detect``, each runs BLAS on one
 # thread throughout
@@ -517,6 +521,7 @@ def osc(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolutio
     """Orthogonal subspace clustering baseline: spectral decomposition of
     U U^T built from the K^2-dimensional adjacency embedding (orthonormal
     eigenvector rows), then K-means on its top-K eigenvector rows."""
+    _require_pabm_embedding(g.n, k)
     emb = ase(g, k * k, scaled=False)
     gram = emb.rows @ emb.rows.T
     values, vectors = top_eigenpairs(gram, k)

@@ -27,8 +27,8 @@ import numpy as np
 from . import _pool
 from ._seeds import derive_seed
 from .blockmodels import FactoredProb, fit_dcbm, fit_sbm, sample_graph
-from .cluster import ClusterSolution, minimize_q1, minimize_q_subspace
-from .errors import DegenerateModelError, InfeasibleModelError, NumericalError
+from .cluster import ClusterSolution, _require_pabm_embedding, minimize_q1, minimize_q_subspace
+from .errors import DegenerateModelError, NumericalError
 from .netcore import Graph
 from .spectral import ase
 
@@ -42,11 +42,6 @@ class ModelKind(enum.Enum):
 # restarts per minimization when the caller passes none: the rank-K loss
 # landscape has many more local minima than the other two
 DEFAULT_RESTARTS = {ModelKind.SBM: 10, ModelKind.DCBM: 20, ModelKind.PABM: 100}
-
-
-def _require_pabm_embedding(n: int, k: int) -> None:
-    if k * k > n:
-        raise InfeasibleModelError(f"K^2 = {k * k} exceeds n = {n}")
 
 
 def detect(

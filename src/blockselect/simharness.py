@@ -23,7 +23,8 @@ from .blockmodels import (
     Constant,
     PowerLaw,
     ThetaLaw,
-    _planted_blocks,
+    _planted_setting,
+    _sbm_params,
     beta_ratio_omega,
     gen_dcbm,
     gen_pabm,
@@ -129,9 +130,11 @@ class ExperimentSpec:
             if model is None:
                 raise ConfigError(f"grid point {i + 1}: test study needs true_model")
             if model in ("sbm", "dcbm"):
-                # the generators' own check, so no replicate fails on it
+                # the generator's own code up to its first random draw
+                setting = _sbm_params if model == "sbm" else _planted_setting
                 try:
-                    _planted_blocks(pt.n, pt.k, pt.block_fractions(), pt.base_omega())
+                    setting(pt.n, pt.k, pt.block_fractions(), pt.base_omega(),
+                            pt.density, pt.avg_degree)
                 except ValueError as exc:
                     raise ConfigError(f"grid point {i + 1}: {exc}") from exc
 
@@ -406,10 +409,10 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
-    try:
-        return tuple(_parse_floats(row) for row in text.split(";"))
-    except ValueError as exc:
-        raise ConfigError(f"bad matrix {text!r}: {exc}") from exc
+    rows = tuple(_parse_floats(row) for row in text.split(";"))
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"rows of unequal length {[len(row) for row in rows]}")
+    return rows
 
 
 def _get(section, key, conv, *, where=""):
@@ -473,7 +476,7 @@ def load_experiment_config(stream) -> ExperimentSpec:
     grid: list[GridPoint] = []
     idx = 1
     while f"grid.{idx}" in parser:
-        grid.append(_grid_point(parser[f"grid.{idx}"], f"[grid.{idx}] "))
+        grid.append(_grid_point(parser[f"grid.{idx}"], f"grid point {idx}: "))
         idx += 1
     stray = [
         s for s in parser.sections()

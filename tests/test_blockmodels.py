@@ -439,8 +439,11 @@ def test_beta_ratio_omega_definition():
 
 
 def test_gen_sbm_infeasible_target_errors():
-    with pytest.raises(InfeasibleModelError):
+    with pytest.raises(InfeasibleModelError, match="omega entry"):
         gen_sbm(40, 2, [0.5, 0.5], np.eye(2), target_density=0.9, seed=0)
+    # a target above all pairs is caught before omega is scaled, as in gen_dcbm
+    with pytest.raises(InfeasibleModelError, match="density target exceeds 1"):
+        gen_sbm(40, 2, [0.5, 0.5], np.eye(2), target_avg_degree=50, seed=0)
 
 
 def test_gen_sbm_deterministic():
@@ -451,14 +454,16 @@ def test_gen_sbm_deterministic():
 
 
 def test_gen_dcbm_constant_theta_matches_sbm_probabilities():
-    g_d, p_d = gen_dcbm(
-        120, 2, [0.5, 0.5], beta_ratio_omega(2, 0.4), Constant(1.0),
-        target_density=0.1, seed=3,
-    )
-    g_s, p_s = gen_sbm(
-        120, 2, [0.5, 0.5], beta_ratio_omega(2, 0.4), target_density=0.1, seed=3
-    )
-    np.testing.assert_allclose(prob_matrix(p_d).p, prob_matrix(p_s).p, atol=1e-12)
+    # the SBM is the DCBM at theta = 1: the same omega bits and the same graph
+    for fractions in ([0.5, 0.5], [0.3, 0.7]):
+        for target in ({"target_density": 0.1}, {"target_avg_degree": 7.5}):
+            g_d, p_d = gen_dcbm(
+                120, 2, fractions, beta_ratio_omega(2, 0.4), Constant(1.0), **target, seed=3
+            )
+            g_s, p_s = gen_sbm(120, 2, fractions, beta_ratio_omega(2, 0.4), **target, seed=3)
+            np.testing.assert_array_equal(p_d.omega, p_s.omega)
+            np.testing.assert_array_equal(p_d.theta, 1.0)
+            assert g_d == g_s
 
 
 def test_powerlaw_sampler_mean():

@@ -226,6 +226,14 @@ def test_generate_omega_tolerance(tmp_path, low, code):
                  "--out", str(out)]) == code
 
 
+def test_generate_ragged_omega_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "sbm", "--n", "40", "--k", "2", "--omega", "1,0.5;0.5",
+                 "--density", "0.1", "--out", str(out)]) == 2
+    assert "omega = '1,0.5;0.5': rows of unequal length [2, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_infeasible_density(tmp_path):
     code = main(["generate", "sbm", "--n", "30", "--k", "2", "--beta", "0.1",
                  "--density", "0.95", "--out", str(tmp_path / "out")])
@@ -352,17 +360,48 @@ def test_simulate_bad_config_exit_2(tmp_path):
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "sim")]) == 2
 
 
-@pytest.mark.parametrize("grid", [
-    "k = 3\nomega = 1,0.5;0.5,1",  # omega of the wrong shape for k
-    "k = 2\nomega = 1,0.5;0.5",  # ragged rows
-    "k = 2\nbeta = 0.2\nfractions = 0.2,0.3,0.5",  # fractions of the wrong length
+@pytest.mark.parametrize("grid, message", [
+    # omega of the wrong shape for k
+    pytest.param("k = 3\nomega = 1,0.5;0.5,1", "base omega must be 3x3",
+                 id="k = 3\nomega = 1,0.5;0.5,1"),
+    # ragged rows
+    pytest.param("k = 2\nomega = 1,0.5;0.5", "rows of unequal length [2, 1]",
+                 id="k = 2\nomega = 1,0.5;0.5"),
+    # fractions of the wrong length
+    pytest.param("k = 2\nbeta = 0.2\nfractions = 0.2,0.3,0.5",
+                 "block_fractions length must equal k",
+                 id="k = 2\nbeta = 0.2\nfractions = 0.2,0.3,0.5"),
 ])
-def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid):
+def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid, message):
     text = SIM_CONFIG.replace("k = 2\nbeta = 0.2", grid)
     cfg = write(tmp_path / "exp.cfg", text)
     out = tmp_path / "sim"
     assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert "grid point 1: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grid point 1: " in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study, grid, message", [
+    ("comm_det_sbm", "beta = 0.3", "specify exactly one of target_density"),
+    ("comm_det_dcbm", "beta = 0.3\ndensity = 0.1\navg_degree = 5",
+     "specify exactly one of target_density"),
+    ("comm_det_dcbm", "beta = 0.3\navg_degree = 50", "density target exceeds 1"),
+    ("comm_det_sbm", "beta = 0.1\ndensity = 0.9", "density target needs omega entry 1.671 > 1"),
+    ("comm_det_sbm", "beta = 0.3\ndensity = -0.1", "density target must be nonnegative"),
+])
+def test_simulate_setting_the_generator_rejects_before_drawing_exit_2(
+    tmp_path, capsys, study, grid, message
+):
+    # each replicate would record the same error: the generator's code up
+    # to its first random draw runs at load
+    text = SIM_CONFIG.replace("comm_det_sbm", study).replace(
+        "n = 90\nk = 2\nbeta = 0.2\navg_degree = 12", f"n = 40\nk = 2\n{grid}"
+    )
+    cfg = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert f"grid point 1: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -107,9 +107,9 @@ def test_minimize_q1_separates_point_clouds():
 def test_minimize_q1_k_bounds():
     emb = make_emb(np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        minimize_q1(emb, 4)
+        minimize_q1(emb, 4, n_restarts=1)
     with pytest.raises(ValueError):
-        minimize_q1(emb, 0)
+        minimize_q1(emb, 0, n_restarts=1)
 
 
 def test_minimize_q1_identical_points_repairs_empty_clusters():

@@ -83,14 +83,15 @@ def test_test_study_runs_rejection_metric():
     assert all(v in (0.0, 1.0) for v in cell.values)
 
 
-def test_q3_replicate_with_k_squared_above_n_records_infeasible():
+@pytest.mark.parametrize("method", ["q3", "osc"])
+def test_q3_replicate_with_k_squared_above_n_records_infeasible(method):
     spec = ExperimentSpec(
         study=Study.COMM_DET_PABM,
         grid=(GridPoint(n=6, k=3),),
-        methods=("q3",),
+        methods=(method,),
         n_replicates=1,
     )
-    cell = run_experiment(spec).cells[(0, "q3")]
+    cell = run_experiment(spec).cells[(0, method)]
     assert cell.errors == ["replicate 0: K^2 = 9 exceeds n = 6"]
 
 
@@ -259,7 +260,7 @@ def test_config_rejects_alpha_outside_unit_interval(alpha):
 
 def test_config_reports_field_context():
     text = GOOD_CONFIG.replace("n = 300", "n = many")
-    with pytest.raises(ConfigError, match=r"\[grid.1\] n"):
+    with pytest.raises(ConfigError, match="grid point 1: n = 'many'"):
         load_experiment_config(io.StringIO(text))
 
 
