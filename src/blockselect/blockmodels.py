@@ -551,6 +551,17 @@ def gen_dcbm(
     return g, params
 
 
+def _pabm_labels(n: int, k: int, density_scale: float | None) -> np.ndarray:
+    """Contiguous labels of a PABM setting, after every check ``gen_pabm``
+    makes before its first random draw."""
+    _require_k(k)
+    if n % k != 0:
+        raise InfeasibleModelError(f"n={n} not divisible by K={k}")
+    if density_scale is not None and not density_scale >= 0.0:
+        raise ValueError("density target must be nonnegative")
+    return _contiguous_labels(np.full(k, n // k))
+
+
 def gen_pabm(
     n: int,
     k: int,
@@ -567,11 +578,8 @@ def gen_pabm(
     multiplied by sqrt(s) with s chosen so the expected density equals the
     target; an s that would push entries above 1 is an error.
     """
-    _require_k(k)
-    if n % k != 0:
-        raise InfeasibleModelError(f"n={n} not divisible by K={k}")
+    labels = _pabm_labels(n, k, density_scale)
     block = n // k
-    labels = _contiguous_labels(np.full(k, block))
     rng = np.random.default_rng(derive_seed(seed, "lambda"))
     lam = np.empty((n, k))
     for kb in range(k):

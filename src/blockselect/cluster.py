@@ -518,17 +518,25 @@ def rsc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolut
 
 @_pool.one_blas_thread()
 def osc(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolution:
-    """Orthogonal subspace clustering baseline: spectral decomposition of
-    U U^T built from the K^2-dimensional adjacency embedding (orthonormal
-    eigenvector rows), then K-means on its top-K eigenvector rows."""
+    """Orthogonal spectral clustering (Koo, Tang & Trosset 2023): with U the
+    n x K^2 orthonormal eigenvector rows of the adjacency matrix, spectral
+    clustering on the affinity B = |U U^T|, taken entry-wise. B is
+    normalized as D^{-1/2} B D^{-1/2}, with 0/0 = 0 for the zero rows of
+    isolated nodes (the paper's factor n cancels here), and K-means runs on
+    its top-K eigenvector rows. B is n x n and its eigendecomposition is
+    dense: O(n^2) memory and O(n^3) time, which suits simulation sizes but
+    not large graphs."""
     _require_pabm_embedding(g.n, k)
-    emb = ase(g, k * k, scaled=False)
-    gram = emb.rows @ emb.rows.T
-    values, vectors = top_eigenpairs(gram, k)
-    gram_emb = Embedding(
-        rows=vectors, eigenvalues=values, source=EmbeddingSource.ADJACENCY, d=k
-    )
-    return minimize_q1(gram_emb, k, n_restarts=n_restarts, seed=seed)
+    rows = ase(g, k * k, scaled=False).rows
+    affinity = np.abs(rows @ rows.T)
+    deg = affinity.sum(axis=1)
+    inv_sqrt = np.zeros_like(deg)
+    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    affinity *= inv_sqrt[:, None]
+    affinity *= inv_sqrt
+    values, vectors = top_eigenpairs(affinity, k)
+    emb = Embedding(rows=vectors, eigenvalues=values, source=EmbeddingSource.ADJACENCY, d=k)
+    return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import configparser
 import enum
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .blockmodels import (
     Constant,
     PowerLaw,
     ThetaLaw,
+    _pabm_labels,
     _planted_setting,
     _sbm_params,
     beta_ratio_omega,
@@ -83,7 +83,7 @@ class GridPoint:
             return np.asarray(self.omega, dtype=np.float64)
         if self.beta is not None:
             return beta_ratio_omega(self.k, self.beta)
-        raise ConfigError(f"grid point n={self.n}: needs omega or beta")
+        raise ConfigError("needs omega or beta")
 
     def block_fractions(self) -> np.ndarray:
         if self.fractions is not None:
@@ -125,18 +125,18 @@ class ExperimentSpec:
                     f"grid point {i + 1}: true_model must be sbm/dcbm/pabm"
                 )
             model = _drawn_model(self.study, pt)
-            if model == "pabm" and pt.n % pt.k != 0:
-                raise ConfigError(f"grid point {i + 1}: n must be divisible by k")
             if model is None:
                 raise ConfigError(f"grid point {i + 1}: test study needs true_model")
-            if model in ("sbm", "dcbm"):
-                # the generator's own code up to its first random draw
-                setting = _sbm_params if model == "sbm" else _planted_setting
-                try:
+            # the generator's own code up to its first random draw
+            try:
+                if model == "pabm":
+                    _pabm_labels(pt.n, pt.k, pt.density)
+                else:
+                    setting = _sbm_params if model == "sbm" else _planted_setting
                     setting(pt.n, pt.k, pt.block_fractions(), pt.base_omega(),
                             pt.density, pt.avg_degree)
-                except ValueError as exc:
-                    raise ConfigError(f"grid point {i + 1}: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"grid point {i + 1}: {exc}") from exc
 
 
 @dataclass
@@ -270,121 +270,82 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentReport:
 # rendering
 # ---------------------------------------------------------------------------
 
-class TableLayout(enum.Enum):
-    """Table layout: the grid-point column kind and the cell style. The
-    method columns are the study's own, one per cell of a grid point."""
-
-    MISLABEL = ("delta", "mean_se")
-    REJECTION = ("beta_deg", "proportion")
-    PABM_REJECTION = ("delta", "proportion")
-
-
-def table_layout(spec: ExperimentSpec) -> TableLayout:
-    """The layout for a study's table. A test study under PABM truth, which
-    only a density sets, shows the density column; under SBM or DCBM truth
-    it shows beta and average degree. The first grid point's truth decides,
-    since a table has one header."""
-    if spec.study in _COMM_DET_STUDIES:
-        return TableLayout.MISLABEL
-    if _drawn_model(spec.study, spec.grid[0]) == "pabm":
-        return TableLayout.PABM_REJECTION
-    return TableLayout.REJECTION
-
-
 _METHOD_HEADER = {
     "q1": "Q1", "q2": "Q2", "q3": "Q3",
     "sc_l": "SC-L", "rsc_l": "RSC-L", "osc": "OSC", "test": "rejection",
 }
 
 
-def _point_columns(kind: str, pt: GridPoint) -> list[tuple[str, str]]:
-    cols = [("n", str(pt.n)), ("K", str(pt.k))]
-    if kind == "delta":
-        delta = "" if pt.density is None else f"{pt.density:g}"
-        cols.append(("delta", delta))
-    else:
-        cols.append(("beta", "" if pt.beta is None else f"{pt.beta:g}"))
-        cols.append(
-            ("avg.degree", "" if pt.avg_degree is None else f"{pt.avg_degree:g}")
-        )
-    return cols
+def _point_columns(density_column: bool, pt: GridPoint) -> list[tuple[str, str]]:
+    def text(value: float | None) -> str:
+        return "" if value is None else f"{value:g}"
+
+    if density_column:
+        return [("n", str(pt.n)), ("K", str(pt.k)), ("delta", text(pt.density))]
+    return [("n", str(pt.n)), ("K", str(pt.k)),
+            ("beta", text(pt.beta)), ("avg.degree", text(pt.avg_degree))]
 
 
 def emit_table(report: ExperimentReport) -> tuple[str, str]:
-    """(csv, aligned_text) rendering of the report, in its study's layout
-    (``table_layout``).
+    """(csv, aligned_text) rendering of the report, one column per cell of
+    a grid point.
 
-    Cells without data render as NA; failed cells are marked with '!'.
+    A detection study shows mean +/- se of the mislabel rate, a test study
+    the rejection proportion. A detection study, or a test study under PABM
+    truth (which only a density sets), shows the density column; a test
+    study under SBM or DCBM truth shows beta and average degree. The first
+    grid point's truth decides, since a table has one header. Cells without
+    data render as NA; failed cells are marked with '!'.
     """
-    kind, style = table_layout(report.spec).value
-    methods = _cell_methods(report.spec)
-    point_names = ["n", "K", "delta"] if kind == "delta" else ["n", "K", "beta", "avg.degree"]
-    header = point_names + [_METHOD_HEADER[m] for m in methods]
-    rows: list[list[str]] = []
-    for point_idx, pt in enumerate(report.spec.grid):
-        cols = _point_columns(kind, pt)
-        row = [value for _, value in cols]
+    spec = report.spec
+    detection = spec.study in _COMM_DET_STUDIES
+    density_column = detection or _drawn_model(spec.study, spec.grid[0]) == "pabm"
+    methods = _cell_methods(spec)
+    header = [name for name, _ in _point_columns(density_column, spec.grid[0])]
+    header += [_METHOD_HEADER[m] for m in methods]
+    rows = [[value for _, value in _point_columns(density_column, pt)] for pt in spec.grid]
+    for point_idx, row in enumerate(rows):
         for method in methods:
             cell = report.cells.get((point_idx, method))
             if cell is None or not cell.ok_values.size:
                 row.append("NA")
                 continue
-            if style == "mean_se":
-                text = f"{cell.mean:.2f} +/- {cell.se:.3f}"
-            else:
-                text = f"{cell.mean:.2f}"
-            if cell.failed(report.spec.n_replicates):
+            text = f"{cell.mean:.2f} +/- {cell.se:.3f}" if detection else f"{cell.mean:.2f}"
+            if cell.failed(spec.n_replicates):
                 text += " !"
             row.append(text)
-        rows.append(row)
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    csv_text = buf.getvalue()
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return csv_text, "\n".join(lines) + "\n"
+    lines = [header, *rows]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+    csv_text = "".join(",".join(line) + "\n" for line in lines)
+    aligned = "".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n" for line in lines
+    )
+    return csv_text, aligned
 
 
 def report_provenance(report: ExperimentReport) -> dict:
-    """JSON-ready record sufficient to recompute every cell."""
+    """JSON-ready record sufficient to recompute every cell: every field of
+    the spec and of its grid points, and each cell's replicates. Only the
+    study and a degree law, which JSON cannot hold, are converted."""
     spec = report.spec
-    return {
-        "study": spec.study.value,
-        "n_replicates": spec.n_replicates,
-        "n_boot": spec.n_boot,
-        "alpha": spec.alpha,
-        "restarts": spec.restarts,
-        "base_seed": spec.base_seed,
-        "methods": list(spec.methods),
-        "grid": [
-            {
-                "n": pt.n, "k": pt.k, "beta": pt.beta,
-                "omega": pt.omega, "fractions": pt.fractions,
-                "density": pt.density, "avg_degree": pt.avg_degree,
-                "theta_law": repr(pt.theta_law) if pt.theta_law else None,
-                "true_model": pt.true_model,
-            }
-            for pt in spec.grid
-        ],
-        "cells": {
-            f"{point_idx}:{method}": {
-                "metric": cell.metric,
-                "values": cell.values,
-                "seeds": cell.seeds,
-                "errors": cell.errors,
-                "mean": cell.mean,
-                "se": cell.se,
-            }
-            for (point_idx, method), cell in report.cells.items()
-        },
+    record = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    record["study"] = spec.study.value
+    record["grid"] = [
+        {**asdict(pt), "theta_law": None if pt.theta_law is None else repr(pt.theta_law)}
+        for pt in spec.grid
+    ]
+    record["cells"] = {
+        f"{point_idx}:{method}": {
+            "metric": cell.metric,
+            "values": cell.values,
+            "seeds": cell.seeds,
+            "errors": cell.errors,
+            "mean": cell.mean,
+            "se": cell.se,
+        }
+        for (point_idx, method), cell in report.cells.items()
     }
+    return record
 
 
 # ---------------------------------------------------------------------------

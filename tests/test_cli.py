@@ -234,6 +234,19 @@ def test_generate_ragged_omega_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, flags, message", [
+    ("pabm", ["--density", "-0.1"], "density target must be nonnegative"),
+    ("sbm", ["--density", "0.1"], "needs omega or beta"),
+])
+def test_generate_setting_rejected_before_drawing_is_usage_error(
+    tmp_path, capsys, model, flags, message
+):
+    out = tmp_path / "out"
+    assert main(["generate", model, "--n", "40", "--k", "2", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_infeasible_density(tmp_path):
     code = main(["generate", "sbm", "--n", "30", "--k", "2", "--beta", "0.1",
                  "--density", "0.95", "--out", str(tmp_path / "out")])
@@ -389,6 +402,9 @@ def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid
     ("comm_det_dcbm", "beta = 0.3\navg_degree = 50", "density target exceeds 1"),
     ("comm_det_sbm", "beta = 0.1\ndensity = 0.9", "density target needs omega entry 1.671 > 1"),
     ("comm_det_sbm", "beta = 0.3\ndensity = -0.1", "density target must be nonnegative"),
+    ("comm_det_pabm", "density = -0.1", "density target must be nonnegative"),
+    # the message names the point once
+    ("comm_det_sbm", "density = 0.1", "needs omega or beta"),
 ])
 def test_simulate_setting_the_generator_rejects_before_drawing_exit_2(
     tmp_path, capsys, study, grid, message
@@ -413,6 +429,63 @@ def test_simulate_test_study_without_bootstrap_exit_2(tmp_path, capsys, study):
     assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "n_boot must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one small config per study, and the sha256 of table.csv + provenance.json
+# + table.txt without its first line (which names the config path), recorded
+# before the provenance and the table layout were derived from the spec
+_SIMULATE_GOLDEN = {
+    "comm_det_sbm": (
+        "[experiment]\nstudy = comm_det_sbm\nreplicates = 2\nbase_seed = 4\n"
+        "methods = q1, sc_l\n"
+        "[grid.1]\nn = 60\nk = 2\nbeta = 0.2\navg_degree = 12\n"
+        "[grid.2]\nn = 60\nk = 3\nomega = 4,2,1;2,4,2;1,2,4\n"
+        "fractions = 0.25,0.25,0.5\ndensity = 0.2\n",
+        "0a85eb68cb43f4843bc312afdea672dbaad2fa3f23f83105c8efb6039efed0a0",
+    ),
+    "comm_det_dcbm": (
+        "[experiment]\nstudy = comm_det_dcbm\nreplicates = 2\nrestarts = 3\n"
+        "methods = q2, rsc_l\n"
+        "[grid.1]\nn = 64\nk = 2\nbeta = 0.3\ndensity = 0.1\ntheta_law = beta:2,2\n"
+        "[grid.2]\nn = 64\nk = 2\nbeta = 0.3\navg_degree = 6\ntheta_law = powerlaw:1,3\n",
+        "247251b06f68633cd088ff535180ed924371113b0b926181c2d520280701d918",
+    ),
+    "comm_det_pabm": (
+        # k^2 > n at the second point: every replicate is a recorded failure
+        "[experiment]\nstudy = comm_det_pabm\nreplicates = 2\nbase_seed = 7\nmethods = q3\n"
+        "[grid.1]\nn = 60\nk = 2\ndensity = 0.2\n"
+        "[grid.2]\nn = 6\nk = 3\n",
+        "14b5d7f97df8b19642ce1075e298e3f30d6c3bd2cd79afb092f0511e9ce07b20",
+    ),
+    "test_sbm_vs_dcbm": (
+        "[experiment]\nstudy = test_sbm_vs_dcbm\nreplicates = 2\nbootstrap = 3\n"
+        "restarts = 2\nalpha = 0.1\n"
+        "[grid.1]\nn = 60\nk = 2\nbeta = 0.3\navg_degree = 10\ntheta_law = beta:2,2\n"
+        "true_model = dcbm\n"
+        "[grid.2]\nn = 60\nk = 2\nbeta = 0.3\nfractions = 0.4,0.6\ndensity = 0.15\n"
+        "true_model = sbm\n",
+        "9641995a5910cbf621f8561a03ea02df1df9a199e37ed11e54373046b446aca5",
+    ),
+    "test_dcbm_vs_pabm": (
+        "[experiment]\nstudy = test_dcbm_vs_pabm\nreplicates = 2\nbootstrap = 3\n"
+        "restarts = 2\n"
+        "[grid.1]\nn = 60\nk = 2\ntrue_model = pabm\n",
+        "0161ca7ff124c03029f7cd719bd092280f6f1e123edf9bf8cee6b9c60add62dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIMULATE_GOLDEN))
+def test_simulate_golden_bytes(tmp_path, case):
+    text, expected = _SIMULATE_GOLDEN[case]
+    cfg = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 0
+    digest = hashlib.sha256()
+    digest.update((out / "table.csv").read_bytes())
+    digest.update((out / "provenance.json").read_bytes())
+    digest.update((out / "table.txt").read_bytes().split(b"\n", 1)[1])
+    assert digest.hexdigest() == expected
 
 
 def test_exit_code_mapping():

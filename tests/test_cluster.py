@@ -749,10 +749,13 @@ def test_rsc_l_rows_come_from_normalized_embedding():
 
 
 def test_osc_runs_on_pabm():
-    g, params = gen_pabm(120, 2, seed=4)
-    sol = osc(g, 2, seed=0)
-    assert sol.labels.shape == (120,)
-    assert set(np.unique(sol.labels)) == {1, 2}
+    # recovery at fixed seeds; the Gram-matrix form this replaced
+    # mislabelled 0.13-0.46 of the nodes at n = 600 and up to 0.45 at n = 900
+    for n, k, bound in ((600, 2, 0.01), (900, 3, 0.02)):
+        for seed in range(4):
+            g, params = gen_pabm(n, k, seed=seed)
+            sol = osc(g, k, seed=0)
+            assert mislabel_rate(sol.labels, params.labels, k) <= bound, (n, seed)
 
 
 def test_q1_on_ase_recovers_planted_sbm():

@@ -6,20 +6,20 @@ import io
 import numpy as np
 import pytest
 
+from blockselect.blockmodels import PowerLaw
 from blockselect.errors import ConfigError
 from blockselect.simharness import (
     CellResult,
+    ExperimentReport,
     ExperimentSpec,
     GridPoint,
     Study,
-    TableLayout,
     emit_table,
     load_experiment_config,
     replicate_seed,
     report_provenance,
     run_experiment,
     run_single_replicate,
-    table_layout,
 )
 
 TINY_SBM_SPEC = ExperimentSpec(
@@ -122,11 +122,21 @@ def test_the_drawn_model_decides_validation_and_layout():
     pabm_truth = (GridPoint(n=41, k=2, beta=0.2, density=0.1, true_model="pabm"),)
     sbm_study = ExperimentSpec(study=Study.COMM_DET_SBM, grid=pabm_truth, methods=("q1",))
     sbm_study.validate()
-    assert table_layout(sbm_study) is TableLayout.MISLABEL
+    assert _header(sbm_study) == "n,K,delta,Q1"
     test_study = ExperimentSpec(study=Study.TEST_DCBM_VS_PABM, grid=pabm_truth, methods=())
     with pytest.raises(ConfigError, match="divisible"):
         test_study.validate()
-    assert table_layout(test_study) is TableLayout.PABM_REJECTION
+    assert _header(test_study) == "n,K,delta,rejection"
+    sbm_truth = (dataclasses.replace(pabm_truth[0], true_model="sbm"),)
+    assert _header(dataclasses.replace(test_study, grid=sbm_truth)) == (
+        "n,K,beta,avg.degree,rejection"
+    )
+
+
+def _header(spec: ExperimentSpec) -> str:
+    """The header ``emit_table`` writes for a study with no results yet."""
+    csv_text, _ = emit_table(ExperimentReport(spec=spec, cells={}))
+    return csv_text.splitlines()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +158,6 @@ def test_emit_table_structure():
         (0, "sc_l"): CellResult(values=[0.01, 0.01]),
         # grid point 1 left without results -> NA cells
     }
-    from blockselect.simharness import ExperimentReport
-
     report = ExperimentReport(spec=spec, cells=cells)
     csv_text, table_text = emit_table(report)
     lines = csv_text.splitlines()
@@ -166,8 +174,6 @@ def test_emit_table_marks_failed_cells():
         methods=("q1",),
         n_replicates=2,
     )
-    from blockselect.simharness import ExperimentReport
-
     cell = CellResult(values=[0.5, float("nan")], errors=["replicate 1: boom"])
     report = ExperimentReport(spec=spec, cells={(0, "q1"): cell})
     csv_text, _ = emit_table(report)
@@ -182,6 +188,19 @@ def test_provenance_round_trips_to_json():
     back = json.loads(json.dumps(payload))
     assert back["base_seed"] == 11
     assert back["cells"]["0:q1"]["seeds"] == report.cells[(0, "q1")].seeds
+
+
+def test_provenance_lists_every_field_of_the_spec():
+    spec = dataclasses.replace(TINY_SBM_SPEC, grid=(
+        GridPoint(n=60, k=2, omega=((1.0, 0.2), (0.2, 1.0)), fractions=(0.4, 0.6),
+                  avg_degree=8, theta_law=PowerLaw(1.0, 3.0), true_model="dcbm"),
+    ))
+    payload = report_provenance(ExperimentReport(spec=spec, cells={}))
+    assert payload.keys() == {f.name for f in dataclasses.fields(ExperimentSpec)} | {"cells"}
+    for entry in payload["grid"]:
+        assert entry.keys() == {f.name for f in dataclasses.fields(GridPoint)}
+    assert payload["study"] == "comm_det_sbm"
+    assert payload["grid"][0]["theta_law"] == "PowerLaw(xmin=1.0, alpha=3.0)"
 
 
 # ---------------------------------------------------------------------------
