@@ -360,19 +360,24 @@ def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
     return ProbMatrix(p)
 
 
-# pairs per chunk of whole rows in ``sample_graph``
-_CHUNK_PAIRS = 1 << 20
+# pairs per chunk of whole rows in ``sample_graph``: small enough that one
+# chunk's uniforms and candidates stay cache-sized, large enough that the
+# per-chunk calls cost little at n = 6000 (2^16 drew about 15% slower
+# there, on one core of a 2-vCPU VM)
+_CHUNK_PAIRS = 1 << 17
 
 
 def sample_graph(p: FactoredProb, seed: int) -> Graph:
     """Independent Bernoulli draws on the upper triangle.
 
     One uniform per pair i < j in row-major order, drawn in chunks of
-    whole rows of about 1M pairs; pair (i, j) is an edge when
-    its uniform is below P_ij. Only uniforms below row i's bound are
-    candidates, and P_ij is evaluated for the candidates alone, so ``p``
-    is sampled in O(nK + m) memory plus one chunk, and the graph is the
-    same for every chunk size.
+    whole rows of about 131k (2^17) pairs; pair (i, j) is an edge when
+    its uniform is below P_ij. A chunk's uniforms and candidate arrays
+    then take a few MiB: on a dense PABM at n = 900 the traced peak is
+    6.8 MiB, where 1M-pair chunks peaked at 18.7 MiB. Only uniforms
+    below row i's bound are candidates, and P_ij is evaluated for the
+    candidates alone, so ``p`` is sampled in O(nK + m) memory plus one
+    chunk, and the graph is the same for every chunk size.
     """
     n = p.n
     rng = np.random.default_rng(seed)

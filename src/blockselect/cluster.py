@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import _pool
 from ._seeds import derive_seed
@@ -545,7 +547,14 @@ def osc(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolutio
 
 def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> float:
     """Minimum fraction of disagreeing nodes over all bijections of the
-    community labels, from an exact assignment on the confusion matrix."""
+    community labels, from an exact assignment on the confusion matrix.
+
+    The assignment is scipy's sparse LAPJVsp matching
+    (``min_weight_full_bipartite_matching``) on the confusion counts plus
+    one: every entry is then stored, so a full matching exists, and each
+    matching's total shifts by exactly k. The counts are integers, so the
+    maximum is exact.
+    """
     est = np.asarray(est_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     if est.shape != true.shape:
@@ -553,11 +562,9 @@ def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> fl
     for name, vec in (("est", est), ("true", true)):
         if vec.min() < 1 or vec.max() > k:
             raise ValueError(f"{name} labels must lie in [1, {k}]")
-    # scipy.optimize takes about a quarter of the package's import time
-    # and only this function needs it
-    from scipy.optimize import linear_sum_assignment
-
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (est - 1, true - 1), 1)
-    rows_idx, cols_idx = linear_sum_assignment(confusion, maximize=True)
+    rows_idx, cols_idx = min_weight_full_bipartite_matching(
+        sp.csr_array(confusion + 1), maximize=True
+    )
     return 1.0 - int(confusion[rows_idx, cols_idx].sum()) / est.size

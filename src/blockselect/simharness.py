@@ -117,6 +117,8 @@ class ExperimentSpec:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.study not in _COMM_DET_STUDIES and self.n_boot < 1:
             raise ConfigError("n_boot must be >= 1")
+        # a table has one header, which the first point's truth decides
+        first = _drawn_model(self.study, self.grid[0])
         for i, pt in enumerate(self.grid):
             if pt.n < 2 or pt.k < 1 or pt.k > pt.n:
                 raise ConfigError(f"grid point {i + 1}: bad (n, k) = ({pt.n}, {pt.k})")
@@ -127,6 +129,11 @@ class ExperimentSpec:
             model = _drawn_model(self.study, pt)
             if model is None:
                 raise ConfigError(f"grid point {i + 1}: test study needs true_model")
+            if (model == "pabm") != (first == "pabm"):
+                raise ConfigError(
+                    f"grid point {i + 1}: {model} truth cannot share a table with "
+                    f"grid point 1's {first} truth"
+                )
             # the generator's own code up to its first random draw
             try:
                 if model == "pabm":
@@ -294,8 +301,9 @@ def emit_table(report: ExperimentReport) -> tuple[str, str]:
     the rejection proportion. A detection study, or a test study under PABM
     truth (which only a density sets), shows the density column; a test
     study under SBM or DCBM truth shows beta and average degree. The first
-    grid point's truth decides, since a table has one header. Cells without
-    data render as NA; failed cells are marked with '!'.
+    grid point's truth decides, since a table has one header; ``validate``
+    rejects a test study that mixes PABM truth with SBM or DCBM truth.
+    Cells without data render as NA; failed cells are marked with '!'.
     """
     spec = report.spec
     detection = spec.study in _COMM_DET_STUDIES

@@ -320,7 +320,7 @@ def _model_params(draw):
     return PabmParams(k=k, lam=values((n, k)), labels=labels)
 
 
-_CHUNKS = st.sampled_from([1, 2, 5, 1 << 20])
+_CHUNKS = st.sampled_from([1, 2, 5, blockmodels._CHUNK_PAIRS, 1 << 20])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -713,6 +713,21 @@ def test_generators_fits_and_sampler_hold_no_dense_matrix():
             tracemalloc.stop()
         assert gen_peak < cap, gen_peak
         assert fit_peak < cap, fit_peak
+
+
+def test_sampler_chunk_stays_cache_sized():
+    # about 70% of a dense PABM's pairs are candidates, so one chunk's
+    # uniforms and candidate arrays set the peak: 18.7 MiB with 1M-pair
+    # chunks at n = 900
+    _, params = gen_pabm(900, 3, seed=0)
+    p = edge_probs(params)
+    tracemalloc.start()
+    try:
+        sample_graph(p, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_fit_and_sample_at_n20000():

@@ -396,15 +396,27 @@ def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid
 
 
 @pytest.mark.parametrize("study, grid, message", [
-    ("comm_det_sbm", "beta = 0.3", "specify exactly one of target_density"),
+    ("comm_det_sbm", "beta = 0.3", "grid point 1: specify exactly one of target_density"),
     ("comm_det_dcbm", "beta = 0.3\ndensity = 0.1\navg_degree = 5",
-     "specify exactly one of target_density"),
-    ("comm_det_dcbm", "beta = 0.3\navg_degree = 50", "density target exceeds 1"),
-    ("comm_det_sbm", "beta = 0.1\ndensity = 0.9", "density target needs omega entry 1.671 > 1"),
-    ("comm_det_sbm", "beta = 0.3\ndensity = -0.1", "density target must be nonnegative"),
-    ("comm_det_pabm", "density = -0.1", "density target must be nonnegative"),
+     "grid point 1: specify exactly one of target_density"),
+    ("comm_det_dcbm", "beta = 0.3\navg_degree = 50", "grid point 1: density target exceeds 1"),
+    ("comm_det_sbm", "beta = 0.1\ndensity = 0.9",
+     "grid point 1: density target needs omega entry 1.671 > 1"),
+    ("comm_det_sbm", "beta = 0.3\ndensity = -0.1",
+     "grid point 1: density target must be nonnegative"),
+    ("comm_det_pabm", "density = -0.1", "grid point 1: density target must be nonnegative"),
     # the message names the point once
-    ("comm_det_sbm", "density = 0.1", "needs omega or beta"),
+    ("comm_det_sbm", "density = 0.1", "grid point 1: needs omega or beta"),
+    # a test study's table has one header: PABM truth sets a density
+    # column, SBM and DCBM truth beta and average degree
+    ("test_sbm_vs_dcbm",
+     "beta = 0.3\navg_degree = 10\ntrue_model = sbm\n"
+     "[grid.2]\nn = 60\nk = 2\ndensity = 0.1\ntrue_model = pabm",
+     "grid point 2: pabm truth cannot share a table with grid point 1's sbm truth"),
+    ("test_dcbm_vs_pabm",
+     "density = 0.1\ntrue_model = pabm\n"
+     "[grid.2]\nn = 60\nk = 2\nbeta = 0.3\navg_degree = 10\ntrue_model = dcbm",
+     "grid point 2: dcbm truth cannot share a table with grid point 1's pabm truth"),
 ])
 def test_simulate_setting_the_generator_rejects_before_drawing_exit_2(
     tmp_path, capsys, study, grid, message
@@ -417,7 +429,7 @@ def test_simulate_setting_the_generator_rejects_before_drawing_exit_2(
     cfg = write(tmp_path / "exp.cfg", text)
     out = tmp_path / "sim"
     assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
-    assert f"grid point 1: {message}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -611,12 +623,27 @@ def test_importing_cli_leaves_numpy_unloaded():
 
 
 def test_importing_modelselect_leaves_scipy_optimize_unloaded():
-    # only mislabel_rate needs scipy.optimize, a quarter of the import time
+    # scipy.optimize costs about 16 MB and 0.2 s to load; the mislabel
+    # rate's assignment comes from scipy.sparse.csgraph, so neither the
+    # import nor a detection replicate loads it
     src = str(Path(blockselect.__file__).resolve().parents[1])
-    code = "import sys, blockselect.modelselect; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, blockselect.modelselect\n"
+        "loaded = ['scipy.optimize' in sys.modules]\n"
+        "import numpy as np\n"
+        "from blockselect.cluster import mislabel_rate\n"
+        "from blockselect.simharness import ExperimentSpec, GridPoint, Study, run_experiment\n"
+        "assert mislabel_rate(np.array([1, 2, 2, 3]), np.array([2, 1, 1, 3]), 3) == 0.0\n"
+        "spec = ExperimentSpec(Study.COMM_DET_PABM, (GridPoint(n=60, k=2),), ('q3',),\n"
+        "                      n_replicates=1, restarts=2)\n"
+        "cell = run_experiment(spec).cells[(0, 'q3')]\n"
+        "assert not cell.errors and cell.ok_values.size == 1, cell.errors\n"
+        "loaded.append('scipy.optimize' in sys.modules)\n"
+        "print(loaded)\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

@@ -713,6 +713,50 @@ def test_mislabel_symmetry_and_bijection_invariance(data, k):
     assert rate == mislabel_rate(perm[a - 1], b, k)
 
 
+def _confusion(est: np.ndarray, true: np.ndarray, k: int) -> np.ndarray:
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (est - 1, true - 1), 1)
+    return confusion
+
+
+@st.composite
+def _label_pairs(draw, max_k: int, max_n: int):
+    """(est, true, k), each vector drawn from its own subset of 1..k, so
+    the confusion matrix can have zero rows and columns."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, max_n))
+    vectors = []
+    for _ in range(2):
+        used = draw(st.lists(st.integers(1, k), min_size=1, max_size=k, unique=True))
+        vectors.append(np.array(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))))
+    return vectors[0], vectors[1], k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_label_pairs(max_k=6, max_n=40))
+def test_mislabel_matches_enumeration_of_bijections(case):
+    est, true, k = case
+    confusion = _confusion(est, true, k)
+    best = max(
+        sum(int(confusion[sigma[b], b]) for b in range(k))
+        for sigma in itertools.permutations(range(k))
+    )
+    assert mislabel_rate(est, true, k) == 1.0 - best / est.size
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_label_pairs(max_k=30, max_n=300))
+def test_mislabel_matches_scipy_optimize_assignment(case):
+    # the package itself never loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
+    est, true, k = case
+    confusion = _confusion(est, true, k)
+    rows_idx, cols_idx = linear_sum_assignment(confusion, maximize=True)
+    best = int(confusion[rows_idx, cols_idx].sum())
+    assert mislabel_rate(est, true, k) == 1.0 - best / est.size
+
+
 def test_mislabel_hungarian_matches_enumeration():
     # the assignment on the confusion matrix against explicit enumeration
     rng = np.random.default_rng(10)
