@@ -2,12 +2,12 @@
 one thread policy of every run: processes for parallelism, one BLAS
 thread everywhere.
 
-``ordered_results(job, fn, units)`` yields ``fn(job, unit)`` for each unit,
-in unit order. The bootstrap's replicate chunks and the minimizers'
-restart blocks are its two callers. Units run in forked worker processes,
-one per CPU this process may run on. The workers inherit ``job``, ``fn``
-and ``units`` through ``fork``, so only a unit's index and its result are
-pickled. A unit's exception is raised when its result is read.
+``ordered_results(fn, units)`` yields ``fn(unit)`` for each unit, in unit
+order; ``fn`` is a plain callable (a closure or ``functools.partial``).
+The bootstrap's replicate chunks and the minimizers' restart blocks are
+its two callers. Units run in forked workers, one per CPU this process may
+run on, which inherit ``fn`` and ``units``: only a unit's index and its
+result are pickled. A unit's exception is raised when its result is read.
 
 Units run in this process instead when there is one worker or one unit,
 when the platform has no ``fork``, when other threads are running (fork
@@ -100,7 +100,7 @@ def workers() -> int:
         return os.cpu_count() or 1
 
 
-# (job, fn, units), set in each worker process only, by the initializer
+# (fn, units), set in each worker process only, by the initializer
 _WORKER: tuple | None = None
 
 
@@ -109,20 +109,21 @@ def in_worker() -> bool:
     return _WORKER is not None
 
 
-def _init_worker(job, fn, units) -> None:
+def _init_worker(fn, units) -> None:
     global _WORKER
-    _WORKER = (job, fn, units)
+    _WORKER = (fn, units)
 
 
 def _run_unit(i: int):
-    job, fn, units = _WORKER
-    return fn(job, units[i])
+    fn, units = _WORKER
+    return fn(units[i])
 
 
 @contextlib.contextmanager
-def ordered_results(job, fn: Callable, units: Sequence) -> Iterator[Iterator]:
-    """Yield an iterator over ``fn(job, unit)`` for each of ``units``, in
-    unit order; reading a unit whose call raised raises its exception.
+def ordered_results(fn: Callable, units: Sequence) -> Iterator[Iterator]:
+    """Yield an iterator over ``fn(unit)`` for each of ``units``, in unit
+    order; reading a unit whose call raised raises its exception. ``fn``
+    reaches the workers through ``fork``, so it may be a closure.
 
     Every unit runs on one BLAS thread, so a unit does the same arithmetic
     in a worker as in this process. The workers inherit that setting
@@ -142,13 +143,13 @@ def ordered_results(job, fn: Callable, units: Sequence) -> Iterator[Iterator]:
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1
         ):
-            yield (fn(job, unit) for unit in units)
+            yield (fn(unit) for unit in units)
             return
         pool = ProcessPoolExecutor(
             n_workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(job, fn, units),
+            initargs=(fn, units),
         )
         try:
             futures = [pool.submit(_run_unit, i) for i in range(len(units))]

@@ -159,14 +159,14 @@ def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Descent(NamedTuple):
-    """Final state of a block of restarts, one row per restart."""
+    """Final state of a block of restarts, one row per restart;
+    ``degenerate`` flags a truncated refit or an iteration-cap exit."""
 
     labels: np.ndarray
     model: Model
     objective: np.ndarray
     rounds: np.ndarray
-    converged: np.ndarray
-    truncated: np.ndarray
+    degenerate: np.ndarray
 
 
 def _descend(
@@ -189,7 +189,7 @@ def _descend(
     m = labels.shape[0]
     out = _Descent(
         labels.copy(), tuple(a.copy() for a in model), np.empty(m),
-        np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool),
+        np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool),
     )
     active = np.arange(m)
     while active.size:
@@ -214,8 +214,7 @@ def _descend(
         for kept, a in zip(out.model, model):
             kept[finished] = a[done]
         out.objective[finished] = obj[done]
-        out.converged[finished] = same[done]
-        out.truncated[finished] = truncated[done]
+        out.degenerate[finished] = truncated[done] | ~same[done]
         running = ~done
         active = active[running]
         labels, prev_obj = new_labels[running], obj[running]
@@ -240,45 +239,18 @@ class _Best(NamedTuple):
     degenerate: bool
 
 
-def _block_best(job, block: range) -> _Best:
-    """Descend one block of restarts and keep the one of lowest exact loss,
-    ties to the lowest restart index; only restarts that can hold it are
-    scored.
-
-    ``job = (start, cost, refit, exact, k, margin, scored)``; see
-    ``_best_restart``. ``scored`` maps a labeling's bytes to its exact
-    loss and is shared by the blocks that run in one process.
-    """
-    start, cost, refit, exact, k, margin, scored = job
-    run = _descend(*start(block), cost, refit, k)
-    best: _Best | None = None
-    for i in np.flatnonzero(run.objective <= run.objective.min() + margin):
-        key = run.labels[i].tobytes()
-        if key not in scored:
-            scored[key] = exact(run.labels[i])
-        if best is None or scored[key] < best.objective:
-            best = _Best(
-                labels=run.labels[i].copy(),
-                objective=scored[key],
-                model=tuple(a[i] for a in run.model),
-                n_iters=int(run.rounds[i]),
-                degenerate=bool(run.truncated[i] or not run.converged[i]),
-            )
-    assert best is not None
-    return best
-
-
 def _best_restart(
-    n_restarts: int,
-    rows: np.ndarray,
+    emb: Embedding,
     k: int,
+    n_restarts: int,
     start: Callable[[range], tuple[np.ndarray, Model, np.ndarray]],
     cost: Callable[[Model], np.ndarray],
     refit: Callable[[np.ndarray], tuple[Model, np.ndarray, np.ndarray]],
     exact: Callable[[np.ndarray], float],
 ) -> _Best:
-    """Descend all restarts, block by block, and keep the one of lowest
-    exact loss ``exact(labels)``, ties to the lowest restart index.
+    """The restart driver of every minimizer: check ``k`` and
+    ``n_restarts``, descend all restarts block by block, and keep the one
+    of lowest exact loss ``exact(labels)``.
 
     ``start(block)`` gives the block's start labels, model and objective.
     The descent objective is accurate to about 1e-14 of the rows' total
@@ -287,21 +259,36 @@ def _best_restart(
     each distinct labeling once per process.
 
     A block depends only on its restarts' seeds, so the blocks run on the
-    worker pool (``_pool``), and their bests merge in block order with the
-    same strict comparison: the solution, and the error of the lowest
-    block that fails, are those of the serial run at every worker count.
+    worker pool (``_pool``). Both the pick within a block and the merge of
+    the blocks' bests, in block order, are ``min``, which keeps the first
+    of equal losses: ties go to the lowest restart index, and the solution,
+    and the error of the lowest block that fails, are those of the serial
+    run at every worker count.
     """
-    n, d = rows.shape
-    margin = _SCORE_MARGIN * float((rows**2).sum())
-    # a forked worker scores into its own copy of the cache
-    job = (start, cost, refit, exact, k, margin, {})
-    best: _Best | None = None
-    with _pool.ordered_results(job, _block_best, _blocks(n_restarts, n, k, d)) as blocks:
-        for block_best in blocks:
-            if best is None or block_best.objective < best.objective:
-                best = block_best
-    assert best is not None
-    return best
+    n, d = emb.rows.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if n_restarts < 1:
+        raise ValueError("need at least one restart")
+    margin = _SCORE_MARGIN * float((emb.rows**2).sum())
+    scored: dict[bytes, float] = {}  # a forked worker scores into its own copy
+
+    def score(labels: np.ndarray) -> float:
+        key = labels.tobytes()
+        if key not in scored:
+            scored[key] = exact(labels)
+        return scored[key]
+
+    def block_best(block: range) -> _Best:
+        run = _descend(*start(block), cost, refit, k)
+        near = np.flatnonzero(run.objective <= run.objective.min() + margin)
+        i = min(near, key=lambda i: score(run.labels[i]))
+        return _Best(run.labels[i].copy(), score(run.labels[i]),
+                     tuple(a[i] for a in run.model), int(run.rounds[i]),
+                     bool(run.degenerate[i]))
+
+    with _pool.ordered_results(block_best, _blocks(n_restarts, n, k, d)) as blocks:
+        return min(blocks, key=lambda best: best.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +337,6 @@ def minimize_q1(emb: Embedding, k: int, n_restarts: int, seed: int = 0) -> Clust
     seeding, and ``n_restarts`` independent starts."""
     rows = emb.rows
     n = rows.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if n_restarts < 1:
-        raise ValueError("need at least one restart")
     row_sq = (rows**2).sum(axis=1)
     rows_t = np.ascontiguousarray(rows.T)
 
@@ -367,7 +350,7 @@ def minimize_q1(emb: Embedding, k: int, n_restarts: int, seed: int = 0) -> Clust
         return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
 
     best = _best_restart(
-        n_restarts, rows, k, start,
+        emb, k, n_restarts, start,
         lambda model: _centroid_cost(rows_t, row_sq, model),
         lambda labels: _centroid_refit(rows, labels, k),
         lambda labels: q1_value(labels, emb),
@@ -455,14 +438,9 @@ def minimize_q_subspace(
     the lowest community index). Every restart starts from random
     assignments seeded by candidate subspaces.
     """
-    rows = emb.rows
-    n = rows.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     if r < 1:
         raise ValueError("rank r must be >= 1")
-    if n_restarts < 1:
-        raise ValueError("need at least one restart")
+    rows = emb.rows
     row_sq = (rows**2).sum(axis=1)
     rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
@@ -475,7 +453,7 @@ def minimize_q_subspace(
         return labels, model, obj
 
     best = _best_restart(
-        n_restarts, rows, k, start,
+        emb, k, n_restarts, start,
         lambda model: _subspace_cost(row_sq, rows_t, model[0]),
         lambda labels: _subspace_refit(outer, labels, k, r),
         lambda labels: q_subspace_value(labels, emb, r),
@@ -513,7 +491,9 @@ def sc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSoluti
 
 @_pool.one_blas_thread()
 def rsc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolution:
-    """K-means on the row-normalized Laplacian embedding."""
+    """Regularized spectral clustering (Qin & Rohe 2013): K-means on the
+    row-normalized embedding of the Laplacian regularized by the average
+    degree."""
     emb = laplacian_embedding(g, k, regularize=True)
     return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
 

@@ -159,9 +159,10 @@ class _WorkerTraceback(Exception):
     """The traceback text of an error raised in a worker process."""
 
 
-def _replicate_chunk(job, bounds: tuple[int, int]) -> _Chunk:
-    """Replicates ``lo .. hi-1`` (``bounds = (lo, hi)``) of ``job = (p_hat,
-    n_boot, seed, stat_fn)`` in order, each failed attempt redrawn from the
+def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, stat_fn,
+                     bounds: tuple[int, int]) -> _Chunk:
+    """Replicates ``lo .. hi-1`` (``bounds = (lo, hi)``) of a bootstrap of
+    ``n_boot`` replicates, in order, each failed attempt redrawn from the
     next derived seed.
 
     Stops at the first error that is not retried, and before an attempt
@@ -169,7 +170,6 @@ def _replicate_chunk(job, bounds: tuple[int, int]) -> _Chunk:
     ``lo`` took one attempt: the serial order could not have made it
     either, so the run is certain to be exhausted.
     """
-    p_hat, n_boot, seed, stat_fn = job
     lo, hi = bounds
     stats = np.empty(hi - lo)
     failures: list[tuple[int, str]] = []
@@ -221,8 +221,8 @@ def _bootstrap_statistics(
     attempts = 0
     n_chunks = min(n_boot, _CHUNKS_PER_WORKER * _pool.workers())
     bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
-    job = (p_hat, n_boot, seed, stat_fn)
-    with _pool.ordered_results(job, _replicate_chunk, list(zip(bounds, bounds[1:]))) as chunks:
+    run_chunk = functools.partial(_replicate_chunk, p_hat, n_boot, seed, stat_fn)
+    with _pool.ordered_results(run_chunk, list(zip(bounds, bounds[1:]))) as chunks:
         for chunk in chunks:
             failed += chunk.failures
             attempts += chunk.attempts

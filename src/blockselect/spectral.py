@@ -4,8 +4,9 @@ The adjacency spectral embedding keeps the d eigenpairs of largest
 eigenvalue magnitude and returns latent-position rows scaled by
 sqrt(|eigenvalue|) per column (the usual adjacency-embedding convention;
 pass ``scaled=False`` for the bare orthonormal eigenvector rows). The
-Laplacian variant embeds D^{-1/2} A D^{-1/2} with the convention 0/0 = 0
-for isolated nodes and returns unscaled eigenvector rows.
+Laplacian variant embeds D^{-1/2} A D^{-1/2}, or its regularized form,
+with the convention 0/0 = 0 for isolated nodes and returns unscaled
+eigenvector rows.
 
 Small or dense problems use a full dense symmetric eigendecomposition;
 large sparse ones go through ARPACK's implicitly restarted Lanczos with a
@@ -175,16 +176,20 @@ def ase(g: Graph, d: int, scaled: bool = True) -> Embedding:
 
 
 def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding:
-    """Spectral embedding of L = D^{-1/2} A D^{-1/2}.
+    """Spectral embedding of L = D^{-1/2} A D^{-1/2} (Rohe, Chatterjee & Yu
+    2011).
 
     Isolated nodes contribute zero rows/columns to L (0/0 = 0 convention).
-    With ``regularize`` each nonzero row of the eigenvector matrix is
-    rescaled to unit Euclidean norm (degree-corrected spectral clustering
-    normalization); zero rows stay zero.
+    ``regularize`` gives the regularized form of Qin & Rohe (2013): L_tau =
+    D_tau^{-1/2} A D_tau^{-1/2} with D_tau = D + tau I and tau the average
+    degree, and each nonzero row of the eigenvector matrix rescaled to unit
+    Euclidean norm; zero rows stay zero.
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"embedding dimension d must be in [1, {g.n}], got {d}")
     deg = degrees(g).astype(np.float64)
+    if regularize:
+        deg += deg.mean()
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])

@@ -29,14 +29,14 @@ def block_pids(monkeypatch, tmp_path):
     """Record the process id of every restart block; call the fixture's
     value for the list, in the order the blocks started."""
     path = tmp_path / "block_pids.txt"
-    original = cluster._block_best
+    original = cluster._descend
 
-    def recording(job, block):
+    def recording(*args):
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return original(job, block)
+        return original(*args)
 
-    monkeypatch.setattr(cluster, "_block_best", recording)
+    monkeypatch.setattr(cluster, "_descend", recording)
     return lambda: [int(v) for v in path.read_text().split()] if path.exists() else []
 
 

@@ -456,11 +456,13 @@ _SIMULATE_GOLDEN = {
         "0a85eb68cb43f4843bc312afdea672dbaad2fa3f23f83105c8efb6039efed0a0",
     ),
     "comm_det_dcbm": (
+        # re-recorded when rsc_l took its degree regularization tau; only
+        # the RSC-L column and the *:rsc_l cells changed
         "[experiment]\nstudy = comm_det_dcbm\nreplicates = 2\nrestarts = 3\n"
         "methods = q2, rsc_l\n"
         "[grid.1]\nn = 64\nk = 2\nbeta = 0.3\ndensity = 0.1\ntheta_law = beta:2,2\n"
         "[grid.2]\nn = 64\nk = 2\nbeta = 0.3\navg_degree = 6\ntheta_law = powerlaw:1,3\n",
-        "247251b06f68633cd088ff535180ed924371113b0b926181c2d520280701d918",
+        "22da2e6db00af07df1eba208dd14fe3492ec0a92e431eea700911526692ccbcc",
     ),
     "comm_det_pabm": (
         # k^2 > n at the second point: every replicate is a recorded failure

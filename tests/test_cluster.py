@@ -27,7 +27,7 @@ from blockselect.cluster import (
     rsc_l,
     sc_l,
 )
-from blockselect.blockmodels import gen_pabm, gen_sbm
+from blockselect.blockmodels import Beta, beta_ratio_omega, gen_dcbm, gen_pabm, gen_sbm
 from blockselect.errors import NumericalError
 from blockselect.spectral import Embedding, EmbeddingSource, ase
 
@@ -537,6 +537,26 @@ def test_restart_blocks_are_identical_at_every_worker_count(monkeypatch, set_wor
     assert set(pids[:27]) == {os.getpid()} and os.getpid() not in pids[27:]
 
 
+@pytest.mark.parametrize("one_per_block, workers", [(False, 1), (True, 1), (True, 2)])
+def test_restart_ties_go_to_the_lowest_restart(monkeypatch, set_workers, one_per_block, workers):
+    # every restart reaches objective 0.0 exactly, each with its own label
+    # permutation: with all restarts in one block the pick within the block
+    # decides, with one restart per block the merge of the blocks does
+    points = make_emb(np.repeat([[10, 0], [0, 10], [-10, -10]], 5, axis=0))
+    lines = make_emb(np.repeat(np.eye(3), 6, axis=0) * np.tile(np.arange(1., 7.), 3)[:, None])
+    if one_per_block:
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    set_workers(workers)
+    for seed in range(5):
+        for solve in (
+            lambda n: minimize_q1(points, 3, n_restarts=n, seed=seed),
+            lambda n: minimize_q_subspace(lines, 3, r=1, n_restarts=n, seed=seed),
+        ):
+            many, first = solve(12), solve(1)
+            assert many.objective == first.objective == 0.0
+            np.testing.assert_array_equal(many.labels, first.labels)
+
+
 def test_each_labeling_is_scored_once_per_process(monkeypatch, set_workers):
     # one restart per block; many restarts reach the same labeling, and the
     # blocks of one process share the scores
@@ -787,9 +807,16 @@ def test_sc_l_recovers_well_separated_sbm():
 
 
 def test_rsc_l_rows_come_from_normalized_embedding():
-    g = random_graph(60, 0.15, seed=3)
-    sol = rsc_l(g, 2, seed=0)
-    assert set(np.unique(sol.labels)) <= {1, 2}
+    # recovery at fixed seeds on a sparse DCBM; without the degree
+    # regularization tau, rsc_l mislabelled 0.47-0.49 of the nodes at seeds
+    # 0, 2 and 3
+    for seed in range(4):
+        g, params = gen_dcbm(
+            600, 2, [0.5, 0.5], beta_ratio_omega(2, 0.2), Beta(1, 5),
+            target_avg_degree=10, seed=seed,
+        )
+        sol = rsc_l(g, 2, seed=0)
+        assert mislabel_rate(sol.labels, params.labels, 2) <= 0.10, seed
 
 
 def test_osc_runs_on_pabm():

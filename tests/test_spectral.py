@@ -138,6 +138,32 @@ def test_regularized_rows_have_unit_norm():
     np.testing.assert_allclose(norms[nz], 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("regularize", [False, True])
+def test_laplacian_embedding_matches_dense_eigh_of_its_published_form(regularize):
+    # sc_l's form is D^{-1/2} A D^{-1/2} (Rohe, Chatterjee & Yu 2011); rsc_l's
+    # is D_tau^{-1/2} A D_tau^{-1/2}, D_tau = D + tau I with tau the average
+    # degree, rows then normalized (Qin & Rohe 2013). Node 12 is isolated.
+    pairs = np.argwhere(np.triu(random_graph(12, 0.35, seed=4).adjacency.toarray()))
+    g = Graph.from_pairs(13, pairs.tolist())
+    a = g.adjacency.toarray()
+    deg = a.sum(axis=1)
+    if regularize:
+        deg = deg + deg.mean()
+    inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(13), where=deg > 0)
+    values, vectors = np.linalg.eigh(inv_sqrt[:, None] * a * inv_sqrt)
+    top = np.argsort(-np.abs(values), kind="stable")[:2]
+    want = vectors[:, top]
+    if regularize:
+        norms = np.linalg.norm(want, axis=1)
+        want = np.divide(want, norms[:, None], out=np.zeros_like(want),
+                         where=norms[:, None] > 1e-12)
+    emb = laplacian_embedding(g, 2, regularize=regularize)
+    np.testing.assert_allclose(emb.eigenvalues, values[top], atol=1e-12)
+    # equal Gram matrices: the rows agree up to an orthogonal map of R^2
+    np.testing.assert_allclose(emb.rows @ emb.rows.T, want @ want.T, atol=1e-10)
+    np.testing.assert_array_equal(emb.rows[12], 0.0)
+
+
 def test_isolated_nodes_give_zero_rows():
     g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 0)])  # nodes 3, 4 isolated
     emb = laplacian_embedding(g, 2, regularize=True)
