@@ -40,8 +40,7 @@ _EXPORTS = {
         "write_edge_list",
     ),
     "spectral": (
-        "Embedding", "EmbeddingSource", "ase", "laplacian_embedding",
-        "top_eigenpairs",
+        "Embedding", "ase", "laplacian_embedding", "top_eigenpairs",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -86,13 +86,11 @@ ThetaLaw = Union[Beta, PowerLaw, Constant]
 # ---------------------------------------------------------------------------
 
 def _validate_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-d vector")
+    """The checks of ``_validate_factor_labels``, plus a nonempty vector
+    that gives every one of the k communities a node."""
+    labels = _validate_factor_labels(labels, k)
     if labels.size == 0:
         raise ValueError("labels must be nonempty")
-    if labels.min() < 1 or labels.max() > k:
-        raise ValueError(f"labels must lie in [1, {k}]")
     counts = np.bincount(labels, minlength=k + 1)[1:]
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0]) + 1

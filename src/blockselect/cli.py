@@ -18,6 +18,7 @@ accepted, for old scripts, and has no effect.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -122,10 +123,12 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_labels_csv(path: Path, labels, ids: dict[str, int], config: dict) -> None:
     rev = {idx: name for name, idx in ids.items()}
-    lines = [f"# config: {json.dumps(config, sort_keys=True)}", "node,label"]
-    for idx in range(len(labels)):
-        lines.append(f"{rev.get(idx, idx)},{int(labels[idx])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+        # node ids are any non-blank token, so one may hold a comma or a quote
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["node", "label"])
+        writer.writerows([rev.get(idx, idx), int(labels[idx])] for idx in range(len(labels)))
 
 
 def _summary_line(result) -> str:

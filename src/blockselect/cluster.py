@@ -1,8 +1,10 @@
 """Clustering objectives over spectral embeddings and their minimizers.
 
-Three losses, one per blockmodel: squared distances to community centroids
-(k-means geometry), squared residuals to the best rank-1 subspace per
-community, and squared residuals to the best rank-K subspace per community.
+Every loss and minimizer takes the (n, d) array of embedded points, such
+as ``ase(g, d).rows``. Three losses, one per blockmodel: squared distances
+to community centroids (k-means geometry), squared residuals to the best
+rank-1 subspace per community, and squared residuals to the best rank-K
+subspace per community.
 The rank-r losses are minimized by a greedy alternation (the k-plane
 algorithm of Bradley & Mangasarian 2000): refit each community's subspace
 as the top eigenvectors of its d x d scatter matrix, reassign every point
@@ -36,7 +38,7 @@ from . import _pool
 from ._seeds import derive_seed
 from .errors import InfeasibleModelError, NumericalError
 from .netcore import Graph
-from .spectral import Embedding, EmbeddingSource, ase, laplacian_embedding, top_eigenpairs
+from .spectral import ase, laplacian_embedding, top_eigenpairs
 
 _MAX_ROUNDS = 100
 _MONOTONE_RTOL = 1e-10
@@ -71,19 +73,21 @@ class ClusterSolution:
 # objective values
 # ---------------------------------------------------------------------------
 
-def q1_value(labels: np.ndarray, emb: Embedding) -> float:
-    """Sum of squared distances from each row to its community mean."""
+def q1_value(labels: np.ndarray, rows: np.ndarray) -> float:
+    """Sum of squared distances from each of the (n, d) ``rows`` to its
+    community mean."""
     labels = np.asarray(labels, dtype=np.int64)
     total = 0.0
     for k in np.unique(labels):
-        pts = emb.rows[labels == k]
+        pts = rows[labels == k]
         centroid = pts.mean(axis=0)
         total += float(((pts - centroid) ** 2).sum())
     return total
 
 
-def q_subspace_value(labels: np.ndarray, emb: Embedding, r: int) -> float:
-    """Sum of squared residuals to each community's best rank-r subspace.
+def q_subspace_value(labels: np.ndarray, rows: np.ndarray, r: int) -> float:
+    """Sum of squared residuals of the (n, d) ``rows`` to each community's
+    best rank-r subspace.
 
     Equals sum_k ||M_k||_F^2 - ||V_k^T M_k||_F^2 where M_k stacks the
     community's rows as columns and V_k holds its top left singular
@@ -95,7 +99,7 @@ def q_subspace_value(labels: np.ndarray, emb: Embedding, r: int) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     total = 0.0
     for k in np.unique(labels):
-        pts = emb.rows[labels == k]
+        pts = rows[labels == k]
         svals = np.linalg.svd(pts, compute_uv=False)
         total += float((svals[min(r, svals.size):] ** 2).sum())
     return total
@@ -240,7 +244,7 @@ class _Best(NamedTuple):
 
 
 def _best_restart(
-    emb: Embedding,
+    rows: np.ndarray,
     k: int,
     n_restarts: int,
     start: Callable[[range], tuple[np.ndarray, Model, np.ndarray]],
@@ -265,12 +269,12 @@ def _best_restart(
     and the error of the lowest block that fails, are those of the serial
     run at every worker count.
     """
-    n, d = emb.rows.shape
+    n, d = rows.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    margin = _SCORE_MARGIN * float((emb.rows**2).sum())
+    margin = _SCORE_MARGIN * float((rows**2).sum())
     scored: dict[bytes, float] = {}  # a forked worker scores into its own copy
 
     def score(labels: np.ndarray) -> float:
@@ -332,10 +336,9 @@ def _centroid_refit(rows: np.ndarray, labels: np.ndarray, k: int):
     return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
-def minimize_q1(emb: Embedding, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
-    """Minimize the centroid loss with Lloyd's algorithm, k-means++
-    seeding, and ``n_restarts`` independent starts."""
-    rows = emb.rows
+def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
+    """Minimize the centroid loss of the (n, d) ``rows`` with Lloyd's
+    algorithm, k-means++ seeding, and ``n_restarts`` independent starts."""
     n = rows.shape[0]
     row_sq = (rows**2).sum(axis=1)
     rows_t = np.ascontiguousarray(rows.T)
@@ -350,10 +353,10 @@ def minimize_q1(emb: Embedding, k: int, n_restarts: int, seed: int = 0) -> Clust
         return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
 
     best = _best_restart(
-        emb, k, n_restarts, start,
+        rows, k, n_restarts, start,
         lambda model: _centroid_cost(rows_t, row_sq, model),
         lambda labels: _centroid_refit(rows, labels, k),
-        lambda labels: q1_value(labels, emb),
+        lambda labels: q1_value(labels, rows),
     )
     return ClusterSolution(
         labels=best.labels,
@@ -425,13 +428,13 @@ def _seed_labels(
 
 
 def minimize_q_subspace(
-    emb: Embedding,
+    rows: np.ndarray,
     k: int,
     r: int,
     n_restarts: int,
     seed: int = 0,
 ) -> ClusterSolution:
-    """Greedy minimization of the rank-r subspace loss.
+    """Greedy minimization of the rank-r subspace loss of the (n, d) ``rows``.
 
     Alternates refitting each community's rank-r basis with reassigning
     every point to the community of smallest projection residual (ties to
@@ -440,7 +443,6 @@ def minimize_q_subspace(
     """
     if r < 1:
         raise ValueError("rank r must be >= 1")
-    rows = emb.rows
     row_sq = (rows**2).sum(axis=1)
     rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
@@ -453,10 +455,10 @@ def minimize_q_subspace(
         return labels, model, obj
 
     best = _best_restart(
-        emb, k, n_restarts, start,
+        rows, k, n_restarts, start,
         lambda model: _subspace_cost(row_sq, rows_t, model[0]),
         lambda labels: _subspace_refit(outer, labels, k, r),
-        lambda labels: q_subspace_value(labels, emb, r),
+        lambda labels: q_subspace_value(labels, rows, r),
     )
     basis, rank = best.model
     # degenerate: rank-deficient clusters at the solution or an
@@ -485,8 +487,8 @@ def _require_pabm_embedding(n: int, k: int) -> None:
 @_pool.one_blas_thread()
 def sc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolution:
     """K-means on the normalized-Laplacian embedding."""
-    emb = laplacian_embedding(g, k, regularize=False)
-    return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
+    rows = laplacian_embedding(g, k, regularize=False).rows
+    return minimize_q1(rows, k, n_restarts=n_restarts, seed=seed)
 
 
 @_pool.one_blas_thread()
@@ -494,8 +496,8 @@ def rsc_l(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolut
     """Regularized spectral clustering (Qin & Rohe 2013): K-means on the
     row-normalized embedding of the Laplacian regularized by the average
     degree."""
-    emb = laplacian_embedding(g, k, regularize=True)
-    return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
+    rows = laplacian_embedding(g, k, regularize=True).rows
+    return minimize_q1(rows, k, n_restarts=n_restarts, seed=seed)
 
 
 @_pool.one_blas_thread()
@@ -516,9 +518,8 @@ def osc(g: Graph, k: int, n_restarts: int = 10, seed: int = 0) -> ClusterSolutio
     inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
     affinity *= inv_sqrt[:, None]
     affinity *= inv_sqrt
-    values, vectors = top_eigenpairs(affinity, k)
-    emb = Embedding(rows=vectors, eigenvalues=values, source=EmbeddingSource.ADJACENCY, d=k)
-    return minimize_q1(emb, k, n_restarts=n_restarts, seed=seed)
+    _, vectors = top_eigenpairs(affinity, k)
+    return minimize_q1(vectors, k, n_restarts=n_restarts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

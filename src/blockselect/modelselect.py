@@ -63,13 +63,13 @@ def detect(
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
     with _pool.one_blas_thread():
         if model is ModelKind.SBM:
-            return minimize_q1(ase(g, k), k, n_restarts=n_restarts, seed=seed)
+            return minimize_q1(ase(g, k).rows, k, n_restarts=n_restarts, seed=seed)
         if model is ModelKind.DCBM:
-            return minimize_q_subspace(ase(g, k), k, r=1, n_restarts=n_restarts, seed=seed)
+            return minimize_q_subspace(ase(g, k).rows, k, r=1, n_restarts=n_restarts, seed=seed)
         _require_pabm_embedding(g.n, k)
         # rank-K subspace structure lives in the orthonormal eigenvector rows
         return minimize_q_subspace(
-            ase(g, k * k, scaled=False), k, r=k, n_restarts=n_restarts, seed=seed
+            ase(g, k * k, scaled=False).rows, k, r=k, n_restarts=n_restarts, seed=seed
         )
 
 

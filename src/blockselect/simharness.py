@@ -416,7 +416,7 @@ def _grid_point(keys, where: str) -> GridPoint:
 
 def load_experiment_config(stream) -> ExperimentSpec:
     """Parse an INI-style experiment file: one [experiment] section plus
-    [grid.N] sections, numbered from 1."""
+    [grid.N] sections, numbered 1, 2, ... without gaps."""
     parser = configparser.ConfigParser()
     try:
         parser.read_file(stream)
@@ -447,10 +447,8 @@ def load_experiment_config(stream) -> ExperimentSpec:
     while f"grid.{idx}" in parser:
         grid.append(_grid_point(parser[f"grid.{idx}"], f"grid point {idx}: "))
         idx += 1
-    stray = [
-        s for s in parser.sections()
-        if s != "experiment" and not (s.startswith("grid.") and s[5:].isdigit())
-    ]
+    known = {"experiment", *(f"grid.{i}" for i in range(1, idx))}
+    stray = [s for s in parser.sections() if s not in known]
     if stray:
         raise ConfigError(f"unknown section(s): {stray}")
     if not grid:

@@ -1,12 +1,13 @@
 """Eigendecomposition and spectral embeddings of graphs.
 
-The adjacency spectral embedding keeps the d eigenpairs of largest
-eigenvalue magnitude and returns latent-position rows scaled by
-sqrt(|eigenvalue|) per column (the usual adjacency-embedding convention;
-pass ``scaled=False`` for the bare orthonormal eigenvector rows). The
-Laplacian variant embeds D^{-1/2} A D^{-1/2}, or its regularized form,
-with the convention 0/0 = 0 for isolated nodes and returns unscaled
-eigenvector rows.
+An embedding is what an eigendecomposition gives: the d eigenpairs of
+largest eigenvalue magnitude, as an n x d array of rows and the
+eigenvalues. The adjacency spectral embedding scales each column by
+sqrt(|eigenvalue|) (the usual adjacency-embedding convention; pass
+``scaled=False`` for the bare orthonormal eigenvector rows). The Laplacian
+variant embeds D^{-1/2} A D^{-1/2}, or its regularized form, with the
+convention 0/0 = 0 for isolated nodes and returns unscaled eigenvector
+rows. The clustering losses read only the rows.
 
 Small or dense problems use a full dense symmetric eigendecomposition;
 large sparse ones go through ARPACK's implicitly restarted Lanczos with a
@@ -16,7 +17,6 @@ embeddings.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,39 +34,19 @@ _DENSE_FALLBACK_MAX_N = 8192
 _SYM_TOL = 1e-10
 
 
-class EmbeddingSource(enum.Enum):
-    ADJACENCY = "adjacency"
-    LAPLACIAN = "laplacian"
-
-
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """n x d matrix of estimated latent positions plus retained eigenvalues.
+    """The n x d rows of estimated latent positions and the d retained
+    eigenvalues.
 
-    ``rows[i]`` is the i-th latent position; ``eigenvalues`` are sorted by
-    decreasing magnitude. Columns follow the sign convention that the entry
-    of largest absolute value in each underlying eigenvector is
-    nonnegative. ``scaled`` records whether columns carry the
-    sqrt(|eigenvalue|) factor.
+    ``rows[i]`` is the i-th latent position; the clustering losses take
+    ``rows`` itself. ``eigenvalues`` are sorted by decreasing magnitude.
+    Columns follow the sign convention that the entry of largest absolute
+    value in each underlying eigenvector is nonnegative.
     """
 
     rows: np.ndarray
     eigenvalues: np.ndarray
-    source: EmbeddingSource
-    d: int
-    scaled: bool = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.d == other.d
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.eigenvalues, other.eigenvalues)
-        )
-
-    __hash__ = None
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -169,10 +149,7 @@ def ase(g: Graph, d: int, scaled: bool = True) -> Embedding:
     values, vectors = _embed(g.adjacency, d)
     if scaled:
         vectors = vectors * np.sqrt(np.abs(values))[None, :]
-    return Embedding(
-        rows=vectors, eigenvalues=values, source=EmbeddingSource.ADJACENCY,
-        d=d, scaled=scaled,
-    )
+    return Embedding(rows=vectors, eigenvalues=values)
 
 
 def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding:
@@ -202,8 +179,5 @@ def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding
         keep = norms > 1e-12
         vectors[keep] /= norms[keep, None]
         vectors[~keep] = 0.0
-    return Embedding(
-        rows=vectors, eigenvalues=values, source=EmbeddingSource.LAPLACIAN,
-        d=d, scaled=False,
-    )
+    return Embedding(rows=vectors, eigenvalues=values)
 

@@ -23,7 +23,6 @@ from blockselect.modelselect import (
     validate_workflow_result,
 )
 from blockselect.simharness import ExperimentSpec, GridPoint, Study, run_experiment
-from blockselect.spectral import Embedding, EmbeddingSource
 
 TABLE_OMEGA = ((4.0, 2.0, 1.0), (2.0, 4.0, 1.0), (1.0, 1.0, 4.0))
 FRACTIONS = (0.25, 0.25, 0.5)
@@ -33,13 +32,9 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def make_emb(rows: np.ndarray) -> Embedding:
-    return Embedding(
-        rows=np.asarray(rows, dtype=np.float64),
-        eigenvalues=np.ones(rows.shape[1]),
-        source=EmbeddingSource.ADJACENCY,
-        d=rows.shape[1],
-    )
+def make_emb(rows) -> np.ndarray:
+    """The (n, d) float array of points the losses take."""
+    return np.asarray(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

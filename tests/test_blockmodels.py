@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -161,6 +162,18 @@ def test_params_validation():
     with pytest.raises(ValueError, match="all-zero"):
         DcbmParams(k=2, omega=np.eye(2) * 0.5, theta=np.array([1.0, 0.0]),
                    labels=np.array([1, 2]))
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.ones((2, 2), dtype=int), "labels must be a 1-d vector"),
+    (np.array([], dtype=int), "labels must be nonempty"),
+    (np.array([1, 3, 2]), "labels must lie in [1, 2]"),
+    (np.array([0, 1, 2]), "labels must lie in [1, 2]"),
+    (np.array([2, 2]), "community 1 is empty"),
+])
+def test_params_label_messages(labels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SbmParams(k=2, omega=np.eye(2) * 0.5, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -101,6 +102,19 @@ def test_cluster_two_cliques_objective_zero(tmp_path, capsys):
     assert meta["objective"] <= 1e-12
     printed = capsys.readouterr().out
     assert "objective" in printed
+
+
+def test_cluster_labels_csv_quotes_ids_with_commas_and_quotes(tmp_path):
+    edges = write(tmp_path / "g.edges", 'a,b c\nc d\nd a,b\ne f\nf g"h\n')
+    out = tmp_path / "out"
+    code = main(["cluster", str(edges), "--k", "2", "--model", "sbm",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 0
+    with open(out / "labels.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["node", "label"]
+    assert all(len(row) == 2 for row in rows)
+    assert [row[0] for row in rows[1:]] == ["a,b", "c", "d", "e", "f", 'g"h']
 
 
 def test_cluster_k_zero_usage_error(tmp_path):
@@ -622,6 +636,12 @@ def test_importing_cli_leaves_numpy_unloaded():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves():
+    # public names load lazily, so a stale entry fails only when it is used
+    for name in blockselect.__all__:
+        assert getattr(blockselect, name) is not None, name
 
 
 def test_importing_modelselect_leaves_scipy_optimize_unloaded():

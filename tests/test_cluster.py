@@ -29,19 +29,14 @@ from blockselect.cluster import (
 )
 from blockselect.blockmodels import Beta, beta_ratio_omega, gen_dcbm, gen_pabm, gen_sbm
 from blockselect.errors import NumericalError
-from blockselect.spectral import Embedding, EmbeddingSource, ase
+from blockselect.spectral import ase
 
 from conftest import random_graph, solution_bytes
 
 
-def make_emb(rows: np.ndarray) -> Embedding:
-    rows = np.asarray(rows, dtype=np.float64)
-    return Embedding(
-        rows=rows,
-        eigenvalues=np.ones(rows.shape[1]),
-        source=EmbeddingSource.ADJACENCY,
-        d=rows.shape[1],
-    )
+def make_emb(rows) -> np.ndarray:
+    """The (n, d) float array of points the losses take."""
+    return np.asarray(rows, dtype=np.float64)
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:
@@ -189,8 +184,7 @@ def _serial_sq_dists(rows, centroids):
     return np.maximum(d2, 0.0)
 
 
-def serial_minimize_q1(emb, k, n_restarts=10, seed=0):
-    rows = emb.rows
+def serial_minimize_q1(rows, k, n_restarts=10, seed=0):
     n = rows.shape[0]
     best = None
     for restart in range(n_restarts):
@@ -216,7 +210,7 @@ def serial_minimize_q1(emb, k, n_restarts=10, seed=0):
         else:
             degenerate = True
             rounds = _MAX_ROUNDS
-        objective = q1_value(labels, emb)
+        objective = q1_value(labels, rows)
         if best is None or objective < best.objective:
             best = ClusterSolution(
                 labels=labels, objective=objective, centroids=centroids.copy(),
@@ -269,8 +263,7 @@ def _serial_seed_labels(rows, k, r, rng):
     return labels
 
 
-def serial_minimize_q_subspace(emb, k, r, n_restarts=20, seed=0):
-    rows = emb.rows
+def serial_minimize_q_subspace(rows, k, r, n_restarts=20, seed=0):
     n = rows.shape[0]
     best = None
     for restart in range(n_restarts):
@@ -291,7 +284,7 @@ def serial_minimize_q_subspace(emb, k, r, n_restarts=20, seed=0):
                 converged = True
                 break
             labels = new_labels
-        objective = q_subspace_value(labels, emb, r)
+        objective = q_subspace_value(labels, rows, r)
         if best is None or objective < best.objective:
             best = ClusterSolution(
                 labels=labels, objective=objective, bases=bases, n_iters=rounds,
@@ -430,7 +423,7 @@ _COST_RTOL = 1e-12
        zero_row=st.booleans())
 def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     emb, k, r = case
-    rows = emb.rows.copy()
+    rows = emb.copy()
     if zero_row:
         rows[0] = 0.0
     n, d = rows.shape
@@ -471,7 +464,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     assert np.all(np.abs(got - want) <= _COST_RTOL * scale)
 
 
-def _digest_embeddings() -> tuple[Embedding, Embedding]:
+def _digest_embeddings() -> tuple[np.ndarray, np.ndarray]:
     """Two fixed embeddings with a zero row: noisy lines through the origin
     (d=3), and two noisy 3-planes in d=9 with a two-point third cluster,
     smaller than the rank-3 fit."""
@@ -511,6 +504,27 @@ def test_minimizers_keep_the_recorded_solution_bytes(loss, name, seed):
         sol = minimize_q_subspace(emb, 3, r=1 if loss == "r1" else 3, n_restarts=20, seed=seed)
     digest = hashlib.sha256(repr(solution_bytes(sol)).encode()).hexdigest()
     assert digest == _SOLUTION_DIGESTS[loss, name, seed]
+
+
+# sha256 of ``repr(solution_bytes(...))`` of each baseline at k = 2, seed 0,
+# recorded when the baselines still handed the minimizer an ``Embedding``
+_BASELINE_DIGESTS = {
+    "osc": "191dc88186f7196598a747e71cd14d4a330c95777d59f1887558910620ad71c8",
+    "sc_l": "ca6dd427ce1fd6cfc41de26a6e49dca31d98267038f82acc0801d5d20cecfc8b",
+    "rsc_l": "e4c819fa3a14f4fb4fc9ea428b084b4f33742fe5130ad9066544aa296bf3d7a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BASELINE_DIGESTS))
+def test_baselines_keep_the_recorded_solution_bytes(name):
+    if name == "osc":
+        g = gen_pabm(120, 2, seed=0)[0]
+    else:
+        g = gen_dcbm(120, 2, [0.5, 0.5], beta_ratio_omega(2, 0.3), Beta(1, 5),
+                     target_avg_degree=10, seed=0)[0]
+    sol = {"osc": osc, "sc_l": sc_l, "rsc_l": rsc_l}[name](g, 2, seed=0)
+    digest = hashlib.sha256(repr(solution_bytes(sol)).encode()).hexdigest()
+    assert digest == _BASELINE_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +600,9 @@ def test_each_labeling_is_scored_once_per_process(monkeypatch, set_workers):
         assert len(set(scored)) == len(scored)
 
 
-def _first_round_labels(emb: Embedding, k: int, r: int, seed: int, restart: int):
+def _first_round_labels(rows: np.ndarray, k: int, r: int, seed: int, restart: int):
     """The start labels and objective of one restart of
     ``minimize_q_subspace``, and its labels after the first assignment."""
-    rows = emb.rows
     row_sq = (rows**2).sum(axis=1)
     rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
@@ -622,7 +635,7 @@ def test_monotone_guard_error_comes_from_the_lowest_failing_block(monkeypatch, s
     monkeypatch.setattr(cluster, "_subspace_refit", trapped_refit)
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
     first, prev = traps[3]
-    outer = emb.rows[:, :, None] * emb.rows[:, None, :]
+    outer = emb[:, :, None] * emb[:, None, :]
     inflated = float(original(outer, first[None], k, r)[1][0]) + 1e6
     want = f"objective increased within an iteration: {prev!r} -> {inflated!r}"
     for workers in (1, 2, 3):
@@ -834,7 +847,7 @@ def test_q1_on_ase_recovers_planted_sbm():
         400, 2, [0.5, 0.5], np.array([[1.0, 0.1], [0.1, 1.0]]),
         target_avg_degree=25, seed=5,
     )
-    sol = minimize_q1(ase(g, 2), 2, n_restarts=10, seed=0)
+    sol = minimize_q1(ase(g, 2).rows, 2, n_restarts=10, seed=0)
     assert mislabel_rate(sol.labels, params.labels, 2) <= 0.02
 
 

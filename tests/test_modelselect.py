@@ -50,11 +50,11 @@ from conftest import constant_prob, random_graph, solution_bytes
 def _direct_minimize(g, k, model, n_restarts, seed):
     """The embed-and-minimize call ``detect`` stands for, written out."""
     if model is ModelKind.SBM:
-        return minimize_q1(ase(g, k), k, n_restarts=n_restarts, seed=seed)
+        return minimize_q1(ase(g, k).rows, k, n_restarts=n_restarts, seed=seed)
     if model is ModelKind.DCBM:
-        return minimize_q_subspace(ase(g, k), k, r=1, n_restarts=n_restarts, seed=seed)
-    emb = ase(g, k * k, scaled=False)
-    return minimize_q_subspace(emb, k, r=k, n_restarts=n_restarts, seed=seed)
+        return minimize_q_subspace(ase(g, k).rows, k, r=1, n_restarts=n_restarts, seed=seed)
+    rows = ase(g, k * k, scaled=False).rows
+    return minimize_q_subspace(rows, k, r=k, n_restarts=n_restarts, seed=seed)
 
 
 @pytest.mark.parametrize("model, default_restarts", [

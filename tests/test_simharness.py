@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -284,9 +285,11 @@ def test_config_reports_field_context():
 
 
 def test_config_rejects_stray_sections():
-    text = GOOD_CONFIG + "\n[grid.extra]\nn = 10\nk = 2\n"
-    with pytest.raises(ConfigError, match="unknown section"):
-        load_experiment_config(io.StringIO(text))
+    # a grid section is read only as part of the unbroken run grid.1, grid.2, ...
+    for section in ("grid.extra", "grid.4", "grid.0", "grid.01"):
+        text = GOOD_CONFIG + f"\n[{section}]\nn = 10\nk = 2\n"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section(s): ['{section}']")):
+            load_experiment_config(io.StringIO(text))
 
 
 def test_config_requires_grid():

@@ -9,12 +9,7 @@ from scipy.sparse.linalg import ArpackError, eigsh
 
 from blockselect import spectral
 from blockselect.netcore import Graph
-from blockselect.spectral import (
-    EmbeddingSource,
-    ase,
-    laplacian_embedding,
-    top_eigenpairs,
-)
+from blockselect.spectral import ase, laplacian_embedding, top_eigenpairs
 
 from conftest import graph_from_text, random_graph
 
@@ -102,7 +97,6 @@ def test_scaled_rows_are_sqrt_eigenvalue_multiples():
     np.testing.assert_allclose(
         scl.rows, raw.rows * np.sqrt(np.abs(raw.eigenvalues))[None, :], atol=1e-14
     )
-    assert raw.scaled is False and scl.scaled is True
 
 
 def test_d_out_of_range():
@@ -120,7 +114,6 @@ def test_k3_laplacian_leading_pair():
     assert emb.eigenvalues[0] == pytest.approx(1.0)
     np.testing.assert_allclose(np.abs(emb.rows[:, 0]), np.full(3, 1 / np.sqrt(3)),
                                atol=1e-12)
-    assert emb.source is EmbeddingSource.LAPLACIAN
 
 
 def test_star_laplacian_top2_by_magnitude():
