@@ -231,8 +231,19 @@ class ProbMatrix:
 # factored edge probabilities
 # ---------------------------------------------------------------------------
 
+def _integer_labels(labels, name: str = "labels") -> np.ndarray:
+    """``labels`` as int64, refusing values that are not whole numbers
+    rather than truncating them; integer arrays pass unchecked."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu" and not (
+        np.isfinite(labels).all() and (labels == np.trunc(labels)).all()
+    ):
+        raise ValueError(f"{name} must be integers")
+    return labels.astype(np.int64, copy=False)
+
+
 def _validate_factor_labels(labels, k: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-d vector")
     if labels.size and (labels.min() < 1 or labels.max() > k):
@@ -636,7 +647,7 @@ def fit_sbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     A singleton community has no within pairs; its diagonal entry is set
     to 0 with a warning. Returned in factored form with theta = 1.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
     k = int(labels.max())
     _validate_labels(labels, k)
     sizes = np.bincount(labels, minlength=k + 1)[1:].astype(np.float64)
@@ -663,7 +674,7 @@ def fit_dcbm(g: Graph, labels: np.ndarray) -> FactoredProb:
 
     Raises ``DegenerateModelError`` when a community has zero total degree.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
     k = int(labels.max())
     _validate_labels(labels, k)
     deg = degrees(g).astype(np.float64)
@@ -723,7 +734,8 @@ def read_params(stream: IO[str]) -> ModelParams:
             header[key.strip()] = value.strip()
     model = header.get("model")
     k = int(header["k"])
-    labels = np.asarray(blocks["labels"], dtype=np.float64).ravel().astype(np.int64)
+    # the params classes turn whole-valued labels into int64, and refuse others
+    labels = np.asarray(blocks["labels"], dtype=np.float64).ravel()
     if model == "sbm":
         return SbmParams(k=k, omega=np.asarray(blocks["omega"]), labels=labels)
     if model == "dcbm":

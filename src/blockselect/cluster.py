@@ -12,10 +12,11 @@ to the community whose subspace is closest, repeat until the labels stop
 changing. The centroid loss is minimized by Lloyd's algorithm.
 
 All minimizers are restarted from multiple seeded initializations; the best
-objective wins, ties broken by restart index. Seeding is per restart, but
-the descent advances a block of restarts together: one round is a few
-stacked matmuls and one batched ``eigh`` over every (restart, community)
-pair, and a restart drops out of the block when its labels stop changing.
+objective wins, ties broken by restart index. Each restart draws from its
+own generator, but a block of restarts is seeded and descended together:
+one round is a few stacked matmuls and one batched ``eigh`` over every
+(restart, community) pair, and a restart drops out of the block when its
+labels stop changing.
 A point's residual to a community is ||x||^2 - sum_b (b.x)^2 over the
 community's kept eigenvectors b, all from one (restarts * communities *
 rank, d) x (d, n) product; costs are laid out (restart, community, node),
@@ -36,6 +37,7 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import _pool
 from ._seeds import derive_seed
+from .blockmodels import _integer_labels
 from .errors import InfeasibleModelError, NumericalError
 from .netcore import Graph
 from .spectral import ase, laplacian_embedding, top_eigenpairs
@@ -153,11 +155,12 @@ def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if j < k - 1:
             np.minimum(cost[:, :, j], least, out=least)
         np.putmask(labels, lower, j + 1)
-    offset = (k + 1) * np.arange(m)[:, None]
-    present = np.bincount((labels + offset).ravel(), minlength=m * (k + 1)) > 0
+    present = (labels[:, None, :] == np.arange(1, k + 1)[:, None]).any(axis=2)
     repaired = np.zeros(m, dtype=bool)
+    if present.all():
+        return labels, repaired
     points = np.arange(n)
-    for i in np.flatnonzero(~present.reshape(m, k + 1)[:, 1:].all(axis=1)):
+    for i in np.flatnonzero(~present.all(axis=1)):
         repaired[i] = _repair_empty(labels[i], cost[i, points, labels[i] - 1], k)
     return labels, repaired
 
@@ -195,8 +198,10 @@ def _descend(
         labels.copy(), tuple(a.copy() for a in model), np.empty(m),
         np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool),
     )
+    # every restart still running has done the same number of rounds
     active = np.arange(m)
-    while active.size:
+    rounds = 0
+    while True:
         new_labels, repaired = _assign(cost(model), k)
         model, obj, truncated = refit(new_labels)
         limit = prev_obj + _MONOTONE_RTOL * np.maximum(1.0, np.abs(prev_obj))
@@ -207,9 +212,9 @@ def _descend(
                 "objective increased within an iteration: "
                 f"{float(prev_obj[i])!r} -> {float(obj[i])!r}"
             )
-        out.rounds[active] += 1
+        rounds += 1
         same = (new_labels == labels).all(axis=1)
-        done = same | (out.rounds[active] >= _MAX_ROUNDS)
+        done = same | (rounds >= _MAX_ROUNDS)
         labels, prev_obj = new_labels, obj
         if not done.any():
             continue
@@ -218,12 +223,14 @@ def _descend(
         for kept, a in zip(out.model, model):
             kept[finished] = a[done]
         out.objective[finished] = obj[done]
+        out.rounds[finished] = rounds
         out.degenerate[finished] = truncated[done] | ~same[done]
+        if done.all():
+            return out
         running = ~done
         active = active[running]
         labels, prev_obj = new_labels[running], obj[running]
         model = tuple(a[running] for a in model)
-    return out
 
 
 def _blocks(n_restarts: int, n: int, k: int, d: int) -> list[range]:
@@ -252,9 +259,9 @@ def _best_restart(
     refit: Callable[[np.ndarray], tuple[Model, np.ndarray, np.ndarray]],
     exact: Callable[[np.ndarray], float],
 ) -> _Best:
-    """The restart driver of every minimizer: check ``k`` and
-    ``n_restarts``, descend all restarts block by block, and keep the one
-    of lowest exact loss ``exact(labels)``.
+    """The restart driver of every minimizer: check ``k``, ``n_restarts``
+    and that the rows are finite, descend all restarts block by block, and
+    keep the one of lowest exact loss ``exact(labels)``.
 
     ``start(block)`` gives the block's start labels, model and objective.
     The descent objective is accurate to about 1e-14 of the rows' total
@@ -274,6 +281,8 @@ def _best_restart(
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
+    if not np.isfinite(rows).all():
+        raise ValueError("rows must be finite")
     margin = _SCORE_MARGIN * float((rows**2).sum())
     scored: dict[bytes, float] = {}  # a forked worker scores into its own copy
 
@@ -299,19 +308,40 @@ def _best_restart(
 # centroid loss minimization (Lloyd + k-means++ restarts)
 # ---------------------------------------------------------------------------
 
-def _kmeanspp_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = rows.shape[0]
-    centroids = np.empty((k, rows.shape[1]))
-    centroids[0] = rows[rng.integers(n)]
-    d2 = ((rows - centroids[0]) ** 2).sum(axis=1)
+def _kmeanspp_init(
+    rows: np.ndarray, k: int, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """(m, k, d) k-means++ centroids of the rows, one set per generator in
+    ``rngs``, all advanced together over (m, n) squared distances.
+
+    Each generator makes the draws of a one-generator pass in its order:
+    ``integers(n)`` for the first centroid, then one ``random()`` per
+    further centroid, turned into a row by the inverse-CDF step that
+    ``Generator.choice(n, p=d2 / total)`` takes, or ``integers(n)`` when
+    the distances total 0.
+    """
+    n, d = rows.shape
+    m = len(rngs)
+    centroids = np.empty((m, k, d))
+    centroids[:, 0] = rows[[rng.integers(n) for rng in rngs]]
+    d2 = ((rows - centroids[:, :1]) ** 2).sum(axis=2)
+    idx = np.empty(m, dtype=np.int64)
+    u = np.empty(m)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = rows[idx]
-        d2 = np.minimum(d2, ((rows - centroids[j]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        spread = total > 0.0
+        for i, (rng, draw) in enumerate(zip(rngs, spread.tolist())):
+            if draw:
+                u[i] = rng.random()
+            else:
+                idx[i] = rng.integers(n)
+        # cdf is nondecreasing, so counting its entries <= u is
+        # searchsorted(u, side="right")
+        cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
+        cdf = cdf / cdf[:, -1:]
+        idx[spread] = (cdf <= u[spread, None]).sum(axis=1)
+        centroids[:, j] = rows[idx]
+        d2 = np.minimum(d2, ((rows - centroids[:, j : j + 1]) ** 2).sum(axis=2))
     return centroids
 
 
@@ -344,9 +374,8 @@ def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> Clu
     rows_t = np.ascontiguousarray(rows.T)
 
     def start(block: range):
-        centroids = np.stack([
-            _kmeanspp_init(rows, k, np.random.default_rng(
-                derive_seed(seed, "q1-restart", restart)))
+        centroids = _kmeanspp_init(rows, k, [
+            np.random.default_rng(derive_seed(seed, "q1-restart", restart))
             for restart in block
         ])
         m = len(block)
@@ -399,8 +428,13 @@ def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int):
     counts = onehot.sum(axis=2)
     scatter = (onehot.reshape(m * k, n) @ outer.reshape(n, d * d)).reshape(m, k, d, d)
     evals, evecs = np.linalg.eigh(scatter)
-    rank = np.minimum(counts, full_rank).astype(np.int64)
     top = evecs[..., ::-1][..., :full_rank].transpose(0, 1, 3, 2)
+    if counts.min() >= full_rank:
+        # no community below full rank: nothing to mask
+        evals[..., d - full_rank :] = 0.0
+        rank = np.full((m, k), full_rank, dtype=np.int64)
+        return (top, rank), evals.sum(axis=(1, 2)), np.zeros(m, dtype=bool)
+    rank = np.minimum(counts, full_rank).astype(np.int64)
     basis = top * (np.arange(full_rank) < rank[:, :, None])[..., None]
     obj = np.where(np.arange(d) >= d - rank[:, :, None], 0.0, evals).sum(axis=(1, 2))
     return (basis, rank), obj, (counts < full_rank).any(axis=1)
@@ -536,8 +570,8 @@ def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> fl
     matching's total shifts by exactly k. The counts are integers, so the
     maximum is exact.
     """
-    est = np.asarray(est_labels, dtype=np.int64)
-    true = np.asarray(true_labels, dtype=np.int64)
+    est = _integer_labels(est_labels, "est labels")
+    true = _integer_labels(true_labels, "true labels")
     if est.shape != true.shape:
         raise ValueError("label vectors must have equal length")
     for name, vec in (("est", est), ("true", true)):

@@ -127,10 +127,12 @@ def _top_eigenpairs_sparse(matrix: sp.spmatrix, d: int):
     return values, _fix_signs(vectors)
 
 
+def _lanczos_ok(n: int, d: int, nnz: int) -> bool:
+    return n > _DENSE_CUTOFF and d <= n // 8 and nnz > 0
+
+
 def _embed(matrix_sparse: sp.spmatrix, d: int) -> tuple[np.ndarray, np.ndarray]:
-    n = matrix_sparse.shape[0]
-    sparse_ok = n > _DENSE_CUTOFF and d <= n // 8 and matrix_sparse.nnz > 0
-    if sparse_ok:
+    if _lanczos_ok(matrix_sparse.shape[0], d, matrix_sparse.nnz):
         return _top_eigenpairs_sparse(matrix_sparse, d)
     return top_eigenpairs(matrix_sparse.toarray(), d)
 
@@ -146,7 +148,16 @@ def ase(g: Graph, d: int, scaled: bool = True) -> Embedding:
     """
     if not 1 <= d <= g.n:
         raise ValueError(f"embedding dimension d must be in [1, {g.n}], got {d}")
-    values, vectors = _embed(g.adjacency, d)
+    if _lanczos_ok(g.n, d, 2 * g.edge_count):
+        values, vectors = _top_eigenpairs_sparse(g.adjacency, d)
+    else:
+        # the dense 0/1 matrix straight from the edges: the same matrix as
+        # the CSR adjacency's toarray(), without building the CSR
+        dense = np.zeros((g.n, g.n))
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        dense[i, j] = 1.0
+        dense[j, i] = 1.0
+        values, vectors = top_eigenpairs(dense, d)
     if scaled:
         vectors = vectors * np.sqrt(np.abs(values))[None, :]
     return Embedding(rows=vectors, eigenvalues=values)

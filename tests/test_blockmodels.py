@@ -176,6 +176,27 @@ def test_params_label_messages(labels, message):
         SbmParams(k=2, omega=np.eye(2) * 0.5, labels=labels)
 
 
+@pytest.mark.parametrize("labels", [[1.9, 2.5], [1.0, 2.5], [1.0, np.nan], [1.0, np.inf]])
+def test_params_reject_fractional_labels(labels):
+    # a cast to int64 would truncate [1.9, 2.5] to the valid [1, 2]
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        SbmParams(k=2, omega=np.eye(2) * 0.5, labels=labels)
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        fit_sbm(Graph(n=2, edges=np.array([[0, 1]])), labels)
+
+
+def test_params_accept_whole_valued_float_labels():
+    params = SbmParams(k=2, omega=np.eye(2) * 0.5, labels=[1.0, 2.0])
+    assert params.labels.dtype == np.int64
+    np.testing.assert_array_equal(params.labels, [1, 2])
+
+
+def test_read_params_rejects_fractional_labels():
+    text = "model = sbm\nn = 2\nk = 2\n\n[omega]\n0.5 0\n0 0.5\n\n[labels]\n1 2.5\n"
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        read_params(io.StringIO(text))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ def test_minimize_q1_k_bounds():
         minimize_q1(emb, 0, n_restarts=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_minimizers_reject_rows_that_are_not_finite(bad):
+    rows = np.random.default_rng(5).standard_normal((10, 2))
+    rows[3, 0] = bad
+    with pytest.raises(ValueError, match="^rows must be finite$"):
+        minimize_q1(rows, 2, n_restarts=3)
+    with pytest.raises(ValueError, match="^rows must be finite$"):
+        minimize_q_subspace(rows, 2, r=1, n_restarts=3)
+
+
 def test_minimize_q1_identical_points_repairs_empty_clusters():
     emb = make_emb(np.ones((6, 2)))
     sol = minimize_q1(emb, 2, n_restarts=2, seed=0)
@@ -184,12 +195,30 @@ def _serial_sq_dists(rows, centroids):
     return np.maximum(d2, 0.0)
 
 
+def _serial_kmeanspp_init(rows, k, rng):
+    """k-means++ seeding with one generator, each further centroid drawn by
+    ``Generator.choice``."""
+    n = rows.shape[0]
+    centroids = np.empty((k, rows.shape[1]))
+    centroids[0] = rows[rng.integers(n)]
+    d2 = ((rows - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = rows[idx]
+        d2 = np.minimum(d2, ((rows - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
 def serial_minimize_q1(rows, k, n_restarts=10, seed=0):
     n = rows.shape[0]
     best = None
     for restart in range(n_restarts):
         rng = np.random.default_rng(derive_seed(seed, "q1-restart", restart))
-        centroids = _kmeanspp_init(rows, k, rng)
+        centroids = _serial_kmeanspp_init(rows, k, rng)
         labels = np.zeros(n, dtype=np.int64)
         prev_obj = np.inf
         degenerate = False
@@ -346,6 +375,52 @@ def test_batched_minimizers_match_serial_reference_across_blocks(monkeypatch):
     _assert_same_solution(minimize_q1(emb, 2, n_restarts=7, seed=3), want_q1)
     _assert_same_solution(minimize_q_subspace(emb, 2, r=2, n_restarts=7, seed=3), want_sub)
     _assert_same_solution(want_sub, serial_minimize_q_subspace(emb, 2, 2, n_restarts=7, seed=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 5), d=st.integers(1, 4), spread=st.integers(0, 3),
+       m=st.integers(1, 6))
+def test_batched_kmeanspp_matches_choice_per_generator(data, k, d, spread, m):
+    # points from a few integers repeat, so distance rows hold zero-mass
+    # entries; spread 0 makes every point the same, and every total 0
+    n = data.draw(st.integers(k, 15))
+    values = data.draw(st.lists(st.integers(0, spread), min_size=n * d, max_size=n * d))
+    rows = np.array(values, dtype=np.float64).reshape(n, d)
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kmeanspp_init(rows, k, rngs)
+    for s, rng, centroids in zip(seeds, rngs, got):
+        serial_rng = np.random.default_rng(s)
+        assert centroids.tobytes() == _serial_kmeanspp_init(rows, k, serial_rng).tobytes()
+        # each generator made exactly the serial pass's draws
+        assert rng.bit_generator.state == serial_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("minimizer", ["q1", "r1", "rK"])
+def test_iteration_cap_exit_matches_serial_reference(monkeypatch, cap, minimizer):
+    # the serial references read this module's _MAX_ROUNDS
+    monkeypatch.setattr(cluster, "_MAX_ROUNDS", cap)
+    monkeypatch.setitem(globals(), "_MAX_ROUNDS", cap)
+    rng = np.random.default_rng(21)
+    k = 3
+    capped = 0
+    for seed in range(4):
+        if minimizer == "q1":
+            emb = make_emb(rng.standard_normal((50, k)))
+            got = minimize_q1(emb, k, n_restarts=6, seed=seed)
+            want = serial_minimize_q1(emb, k, n_restarts=6, seed=seed)
+        else:
+            r, d = (1, k) if minimizer == "r1" else (k, k * k)
+            emb = make_emb(rng.standard_normal((50, d)))
+            got = minimize_q_subspace(emb, k, r=r, n_restarts=6, seed=seed)
+            want = serial_minimize_q_subspace(emb, k, r, n_restarts=6, seed=seed)
+        _assert_same_solution(got, want)
+        assert got.n_iters <= cap
+        capped += got.degenerate
+    assert capped > 0
 
 
 @pytest.mark.parametrize("refit", ["_centroid_refit", "_subspace_refit"])
@@ -732,6 +807,15 @@ def test_mislabel_hand_value():
 def test_mislabel_validates_range():
     with pytest.raises(ValueError):
         mislabel_rate(np.array([1, 3]), np.array([1, 2]), 2)
+
+
+def test_mislabel_rejects_fractional_labels():
+    with pytest.raises(ValueError, match="^est labels must be integers$"):
+        mislabel_rate(np.array([1.5, 2.0]), np.array([1, 2]), 2)
+    with pytest.raises(ValueError, match="^true labels must be integers$"):
+        mislabel_rate(np.array([1, 2]), np.array([1.0, np.nan]), 2)
+    # whole-valued floats are labels
+    assert mislabel_rate(np.array([2.0, 1.0]), np.array([1, 2]), 2) == 0.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -264,3 +264,22 @@ def test_lanczos_failure_falls_back_to_dense(monkeypatch):
     values, vectors = top_eigenpairs(g.adjacency.toarray(), 3)
     np.testing.assert_array_equal(emb.eigenvalues, values)
     np.testing.assert_array_equal(emb.rows, vectors * np.sqrt(np.abs(values)))
+
+
+@pytest.mark.parametrize("n, d, p", [
+    (34, 2, 0.15),    # dense path by size
+    (200, 9, 0.05),
+    (512, 3, 0.02),   # the size cutoff itself
+    (6, 2, 0.0),      # no edges
+    (600, 3, 0.0),    # no edges past the size cutoff
+    (530, 80, 0.02),  # past the cutoff, but d > n // 8
+    (600, 3, 0.02),   # Lanczos
+])
+def test_ase_from_edges_matches_csr_embedding(n, d, p):
+    g = random_graph(n, p, seed=n + d)
+    values, vectors = spectral._embed(g.adjacency, d)
+    raw = ase(Graph(n=g.n, edges=g.edges), d, scaled=False)
+    assert raw.rows.tobytes() == vectors.tobytes()
+    assert raw.eigenvalues.tobytes() == values.tobytes()
+    scl = ase(Graph(n=g.n, edges=g.edges), d)
+    assert scl.rows.tobytes() == (vectors * np.sqrt(np.abs(values))[None, :]).tobytes()
