@@ -4,8 +4,8 @@ thread everywhere.
 
 ``ordered_results(fn, units)`` yields ``fn(unit)`` for each unit, in unit
 order; ``fn`` is a plain callable (a closure or ``functools.partial``).
-The bootstrap's replicate chunks and the minimizers' restart blocks are
-its two callers. Units run in forked workers, one per CPU this process may
+The bootstrap's replicate chunks and the minimizers' descents are its two
+callers. Units run in forked workers, one per CPU this process may
 run on, which inherit ``fn`` and ``units``: only a unit's index and its
 result are pickled. A unit's exception is raised when its result is read.
 

@@ -703,7 +703,8 @@ def _write_matrix(stream: IO[str], name: str, m: np.ndarray) -> None:
 
 
 def write_params(params: ModelParams, stream: IO[str]) -> None:
-    """Key/value header plus matrix blocks; round-trips via read_params."""
+    """Key/value header plus matrix blocks, with every value written to 17
+    significant digits: a record of the generating parameters."""
     model = {SbmParams: "sbm", DcbmParams: "dcbm", PabmParams: "pabm"}[type(params)]
     stream.write(f"model = {model}\n")
     stream.write(f"n = {params.n}\n")
@@ -715,32 +716,3 @@ def write_params(params: ModelParams, stream: IO[str]) -> None:
     if isinstance(params, PabmParams):
         _write_matrix(stream, "lambda", params.lam)
     _write_matrix(stream, "labels", params.labels[None, :].astype(np.float64))
-
-
-def read_params(stream: IO[str]) -> ModelParams:
-    header: dict[str, str] = {}
-    blocks: dict[str, list[list[float]]] = {}
-    current: list[list[float]] | None = None
-    for raw in stream:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = blocks.setdefault(line[1:-1], [])
-        elif current is not None:
-            current.append([float(tok) for tok in line.split()])
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-    model = header.get("model")
-    k = int(header["k"])
-    # the params classes turn whole-valued labels into int64, and refuse others
-    labels = np.asarray(blocks["labels"], dtype=np.float64).ravel()
-    if model == "sbm":
-        return SbmParams(k=k, omega=np.asarray(blocks["omega"]), labels=labels)
-    if model == "dcbm":
-        theta = np.asarray(blocks["theta"], dtype=np.float64).ravel()
-        return DcbmParams(k=k, omega=np.asarray(blocks["omega"]), theta=theta, labels=labels)
-    if model == "pabm":
-        return PabmParams(k=k, lam=np.asarray(blocks["lambda"]), labels=labels)
-    raise ValueError(f"unknown model {model!r} in params file")

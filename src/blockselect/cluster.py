@@ -19,17 +19,26 @@ one round is a few stacked matmuls and one batched ``eigh`` over every
 labels stop changing.
 A point's residual to a community is ||x||^2 - sum_b (b.x)^2 over the
 community's kept eigenvectors b, all from one (restarts * communities *
-rank, d) x (d, n) product; costs are laid out (restart, community, node),
-so the assignment compares contiguous rows.
-The blocks run in parallel on the package's worker pool (``_pool``).
+rank, d) x (d, n) product per block; costs are laid out (restart,
+community, node), so the assignment compares contiguous rows.
+The ``*_stack`` minimizers take a stack of point sets of one shape, such
+as the replicates of a bootstrap chunk, and pack the small blocks of many
+sets into one descent: each block keeps its own BLAS products, and the
+rest of a round runs once for the whole descent. A set's solution, or
+its error, is that of the set minimized alone; ``minimize_q1`` and
+``minimize_q_subspace`` are the one-set case.
+The descents run in parallel on the package's worker pool (``_pool``).
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,6 +123,55 @@ def q_subspace_value(labels: np.ndarray, rows: np.ndarray, r: int) -> float:
 # per-restart state is a tuple of arrays whose leading axis is the restart
 Model = tuple[np.ndarray, ...]
 
+# the (point set, restarts) blocks of one descent, in row order
+Pack = list[tuple[int, range]]
+
+
+# where a descent's running restarts lie: the (point set, rows) of each
+# restart block with restarts still running, in row order
+Layout = list[tuple[int, slice]]
+
+
+# the start, cost and refit of a loss over a run of point sets
+Loss = tuple[
+    Callable[[Pack, Layout], tuple[np.ndarray, Model, np.ndarray]],
+    Callable[[Model, Layout], np.ndarray],
+    Callable[[np.ndarray, Layout], tuple[Model, np.ndarray, np.ndarray]],
+]
+
+
+def _layout(sets: Sequence[int], sizes: Sequence[int]) -> Layout:
+    """The layout of restart blocks in row order, block b holding
+    ``sizes[b]`` running restarts of point set ``sets[b]``."""
+    layout, end = [], 0
+    for s, size in zip(sets, sizes):
+        if size:
+            layout.append((int(s), slice(end, end + size)))
+            end += size
+    return layout
+
+
+def _owner(layout: Layout) -> np.ndarray:
+    """The point set of each running restart."""
+    return np.repeat([s for s, _ in layout], [rows.stop - rows.start for _, rows in layout])
+
+
+def _blockwise(product: Callable[[int, slice], np.ndarray], layout: Layout) -> np.ndarray:
+    """``product(s, rows)`` of each block, stacked in row order. Each BLAS
+    product covers one block's running restarts, as when the block
+    descends alone: OpenBLAS may round a product over many blocks' rows
+    differently from the same rows taken a block at a time."""
+    parts = [product(s, rows) for s, rows in layout]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _per_restart(values: np.ndarray, layout: Layout) -> np.ndarray:
+    """``values[s]`` of each running restart's point set s, along a new
+    leading axis; one broadcastable entry when they share one set (the
+    sets of a descent never decrease in row order)."""
+    first, last = layout[0][0], layout[-1][0]
+    return values[first][None] if first == last else values[_owner(layout)]
+
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
     """(m, k, n) float indicator of ``labels`` (m, n) with values in [1, k]."""
@@ -166,7 +224,7 @@ def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Descent(NamedTuple):
-    """Final state of a block of restarts, one row per restart;
+    """Final state of the restarts of one descent, one row per restart;
     ``degenerate`` flags a truncated refit or an iteration-cap exit."""
 
     labels: np.ndarray
@@ -180,30 +238,37 @@ def _descend(
     labels: np.ndarray,
     model: Model,
     prev_obj: np.ndarray,
-    cost: Callable[[Model], np.ndarray],
-    refit: Callable[[np.ndarray], tuple[Model, np.ndarray, np.ndarray]],
+    cost: Callable[[Model, Layout], np.ndarray],
+    refit: Callable[[np.ndarray, Layout], tuple[Model, np.ndarray, np.ndarray]],
     k: int,
+    sets: Sequence[int],
+    sizes: Sequence[int],
 ) -> _Descent:
-    """Alternate assignment and refit for a block of restarts.
+    """Alternate assignment and refit for the restarts of one descent.
 
-    ``labels`` (m, n) and ``model`` are each restart's start, ``prev_obj``
-    the objective of that start. ``cost(model)`` gives the (m, n, k) cost
-    of every point in every community; ``refit(labels)`` gives the model,
-    the objective and a truncation flag per restart. Each restart stops
-    when its labels repeat or after ``_MAX_ROUNDS`` rounds; only restarts
-    still running are advanced.
+    The restarts lie in blocks in row order, block b holding ``sizes[b]``
+    restarts of point set ``sets[b]``. ``labels`` (m, n) and ``model`` are
+    each restart's start, ``prev_obj`` the objective of that start.
+    ``cost(model, layout)`` gives the (m, n, k) cost of every point in
+    every community; ``refit(labels, layout)`` gives the model, the
+    objective and a truncation flag per restart; ``layout`` (``Layout``)
+    says where the running restarts lie. Each restart stops when its labels
+    repeat or after ``_MAX_ROUNDS`` rounds; only restarts still running are
+    advanced.
     """
     m = labels.shape[0]
     out = _Descent(
         labels.copy(), tuple(a.copy() for a in model), np.empty(m),
         np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool),
     )
+    block_of = np.repeat(np.arange(len(sets)), sizes)
+    layout = _layout(sets, sizes)
     # every restart still running has done the same number of rounds
     active = np.arange(m)
     rounds = 0
     while True:
-        new_labels, repaired = _assign(cost(model), k)
-        model, obj, truncated = refit(new_labels)
+        new_labels, repaired = _assign(cost(model, layout), k)
+        model, obj, truncated = refit(new_labels, layout)
         limit = prev_obj + _MONOTONE_RTOL * np.maximum(1.0, np.abs(prev_obj))
         bad = np.flatnonzero(~repaired & (obj > limit))
         if bad.size:
@@ -229,17 +294,35 @@ def _descend(
             return out
         running = ~done
         active = active[running]
+        layout = _layout(sets, np.bincount(block_of[active], minlength=len(sets)).tolist())
         labels, prev_obj = new_labels[running], obj[running]
         model = tuple(a[running] for a in model)
 
 
-def _blocks(n_restarts: int, n: int, k: int, d: int) -> list[range]:
-    """Split the restarts into near-equal blocks within ``_BLOCK_BYTES``."""
-    per_restart = 8 * n * (3 * k + d + 2)
-    cap = max(1, _BLOCK_BYTES // per_restart)
+def _packs(sets: Sequence[int], n_restarts: int, n: int, k: int, d: int) -> list[Pack]:
+    """The descents of a minimization over the point sets ``sets``: each
+    set's restarts split into near-equal blocks within ``_BLOCK_BYTES``,
+    and consecutive blocks, of any sets, packed into one descent while
+    their per-round arrays fit in ``_BLOCK_BYTES`` together.
+
+    Two blocks of one set never fit together, nor does a block of a set
+    that needs more than one block with any other; so only sets whose
+    restarts fit in one block at most half the budget share descents.
+    """
+    cap = max(1, _BLOCK_BYTES // (8 * n * (3 * k + d + 2)))
     n_blocks = -(-n_restarts // cap)
     size = -(-n_restarts // n_blocks)
-    return [range(s, min(s + size, n_restarts)) for s in range(0, n_restarts, size)]
+    blocks = [range(s, min(s + size, n_restarts)) for s in range(0, n_restarts, size)]
+    packs: list[Pack] = []
+    room = 0
+    for i in sets:
+        for block in blocks:
+            if len(block) > room:
+                packs.append([])
+                room = cap
+            packs[-1].append((i, block))
+            room -= len(block)
+    return packs
 
 
 class _Best(NamedTuple):
@@ -250,58 +333,119 @@ class _Best(NamedTuple):
     degenerate: bool
 
 
-def _best_restart(
-    rows: np.ndarray,
+def _best_restarts(
+    points: np.ndarray,
     k: int,
     n_restarts: int,
-    start: Callable[[range], tuple[np.ndarray, Model, np.ndarray]],
-    cost: Callable[[Model], np.ndarray],
-    refit: Callable[[np.ndarray], tuple[Model, np.ndarray, np.ndarray]],
-    exact: Callable[[np.ndarray], float],
-) -> _Best:
-    """The restart driver of every minimizer: check ``k``, ``n_restarts``
-    and that the rows are finite, descend all restarts block by block, and
-    keep the one of lowest exact loss ``exact(labels)``.
+    loss: Callable[[int, int], Loss],
+    exact: Callable[[np.ndarray, int], float],
+) -> list[_Best | Exception]:
+    """The restart driver of every minimizer, over a stack of (n, d) point
+    sets: check ``k`` and ``n_restarts``, descend the restarts of every set
+    whose rows are finite, and keep each set's restart of lowest exact loss
+    ``exact(labels, set)``. Returns each set's best restart, or the error
+    that stopped it.
 
-    ``start(block)`` gives the block's start labels, model and objective.
-    The descent objective is accurate to about 1e-14 of the rows' total
-    energy, so only restarts within ``_SCORE_MARGIN`` of that energy of a
-    block's lowest can hold the lowest exact loss; only those are scored,
-    each distinct labeling once per process.
+    ``loss(lo, hi)`` gives the ``start``, ``cost`` and ``refit`` of the
+    point sets ``lo .. hi-1``, numbered from 0 in a descent's blocks and
+    ``Layout``: ``start(pack, layout)`` gives the start labels, model and
+    objective of the (point set, restarts) blocks of one descent. A loss
+    is made for the sets of each descent and kept while the next descents
+    cover the same sets, so what it derives from the points is held for
+    one descent's sets at a time. The descent objective is accurate to
+    about 1e-14 of the rows' total energy, so only restarts within
+    ``_SCORE_MARGIN`` of that energy of a block's lowest can hold the
+    lowest exact loss; only those are scored, each distinct labeling of a
+    set once per process, and a set's scores are dropped after its last
+    block.
 
-    A block depends only on its restarts' seeds, so the blocks run on the
-    worker pool (``_pool``). Both the pick within a block and the merge of
-    the blocks' bests, in block order, are ``min``, which keeps the first
-    of equal losses: ties go to the lowest restart index, and the solution,
-    and the error of the lowest block that fails, are those of the serial
-    run at every worker count.
+    A block depends only on its set and its restarts' seeds, and gets the
+    same bits whichever blocks share its descent, so the descents
+    (``_packs``) run on the worker pool (``_pool``). Both the pick within a
+    block and the merge of a set's blocks, in block order, are ``min``,
+    which keeps the first of equal losses: ties go to the lowest restart
+    index, and each set's solution, or the error of its lowest block that
+    fails, is that of a serial run of the set alone at every worker count.
     """
-    n, d = rows.shape
+    n_sets, n, d = points.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    if not np.isfinite(rows).all():
-        raise ValueError("rows must be finite")
-    margin = _SCORE_MARGIN * float((rows**2).sum())
-    scored: dict[bytes, float] = {}  # a forked worker scores into its own copy
+    outcomes: list = [None] * n_sets
+    margins = [0.0] * n_sets
+    for i, rows in enumerate(points):
+        if np.isfinite(rows).all():
+            margins[i] = _SCORE_MARGIN * float((rows**2).sum())
+        else:
+            outcomes[i] = ValueError("rows must be finite")
+    loss = functools.lru_cache(maxsize=1)(loss)
+    # each set's scores by labeling; a forked worker scores into its own copy
+    scored: dict[int, dict[bytes, float]] = {}
 
-    def score(labels: np.ndarray) -> float:
+    def score(i: int, labels: np.ndarray) -> float:
+        known = scored.setdefault(i, {})
         key = labels.tobytes()
-        if key not in scored:
-            scored[key] = exact(labels)
-        return scored[key]
+        if key not in known:
+            known[key] = exact(labels, i)
+        return known[key]
 
-    def block_best(block: range) -> _Best:
-        run = _descend(*start(block), cost, refit, k)
-        near = np.flatnonzero(run.objective <= run.objective.min() + margin)
-        i = min(near, key=lambda i: score(run.labels[i]))
-        return _Best(run.labels[i].copy(), score(run.labels[i]),
-                     tuple(a[i] for a in run.model), int(run.rounds[i]),
-                     bool(run.degenerate[i]))
+    def descent_bests(pack: Pack) -> list[_Best]:
+        """Each block's best restart, from one descent of the pack."""
+        lo = pack[0][0]
+        local = [(i - lo, restarts) for i, restarts in pack]
+        sets = [i for i, _ in local]
+        sizes = [len(restarts) for _, restarts in pack]
+        start, cost, refit = loss(lo, pack[-1][0] + 1)
+        run = _descend(*start(local, _layout(sets, sizes)), cost, refit, k, sets, sizes)
+        bests, end = [], 0
+        for (i, restarts), size in zip(pack, sizes):
+            obj = run.objective[end : end + size]
+            near = end + np.flatnonzero(obj <= obj.min() + margins[i])
+            j = min(near, key=lambda j: score(i, run.labels[j]))
+            bests.append(_Best(run.labels[j].copy(), score(i, run.labels[j]),
+                               tuple(a[j] for a in run.model), int(run.rounds[j]),
+                               bool(run.degenerate[j])))
+            if restarts.stop == n_restarts:
+                scored.pop(i, None)
+            end += size
+        return bests
 
-    with _pool.ordered_results(block_best, _blocks(n_restarts, n, k, d)) as blocks:
-        return min(blocks, key=lambda best: best.objective)
+    def alone(block: tuple[int, range]) -> _Best | Exception:
+        try:
+            return descent_bests([block])[0]
+        except Exception as exc:
+            return exc
+
+    def pack_bests(pack: Pack) -> list:
+        """Each block's best restart, or the error that stopped it."""
+        if len(pack) == 1:
+            return [alone(pack[0])]
+        try:
+            return descent_bests(pack)
+        except Exception:
+            # the error is one block's: descend each block alone, so that
+            # it stops only its own set
+            return [alone(block) for block in pack]
+
+    packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, k, d)
+    with _pool.ordered_results(pack_bests, packs) as results:
+        for (i, _), best in zip(itertools.chain(*packs), itertools.chain.from_iterable(results)):
+            kept = outcomes[i]
+            if kept is None or (
+                not isinstance(kept, Exception)
+                and (isinstance(best, Exception) or best.objective < kept.objective)
+            ):
+                outcomes[i] = best
+    return outcomes
+
+
+def _solved(outcomes: list):
+    """The solution of a one-set minimization, or its error raised."""
+    (solution,) = outcomes
+    if isinstance(solution, Exception):
+        raise solution
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +453,11 @@ def _best_restart(
 # ---------------------------------------------------------------------------
 
 def _kmeanspp_init(
-    rows: np.ndarray, k: int, rngs: list[np.random.Generator]
+    points: np.ndarray, k: int, rngs: list[np.random.Generator], layout: Layout
 ) -> np.ndarray:
-    """(m, k, d) k-means++ centroids of the rows, one set per generator in
-    ``rngs``, all advanced together over (m, n) squared distances.
+    """(m, k, d) k-means++ centroids, one set per generator in ``rngs``, of
+    the rows of each restart's point set (``layout``), all advanced
+    together over (m, n) squared distances.
 
     Each generator makes the draws of a one-generator pass in its order:
     ``integers(n)`` for the first centroid, then one ``random()`` per
@@ -320,10 +465,12 @@ def _kmeanspp_init(
     ``Generator.choice(n, p=d2 / total)`` takes, or ``integers(n)`` when
     the distances total 0.
     """
-    n, d = rows.shape
+    n, d = points.shape[1:]
     m = len(rngs)
+    rows = _per_restart(points, layout)
+    owner = _owner(layout)
     centroids = np.empty((m, k, d))
-    centroids[:, 0] = rows[[rng.integers(n) for rng in rngs]]
+    centroids[:, 0] = points[owner, [rng.integers(n) for rng in rngs]]
     d2 = ((rows - centroids[:, :1]) ** 2).sum(axis=2)
     idx = np.empty(m, dtype=np.int64)
     u = np.empty(m)
@@ -340,93 +487,119 @@ def _kmeanspp_init(
         cdf = (d2[spread] / total[spread, None]).cumsum(axis=1)
         cdf = cdf / cdf[:, -1:]
         idx[spread] = (cdf <= u[spread, None]).sum(axis=1)
-        centroids[:, j] = rows[idx]
+        centroids[:, j] = points[owner, idx]
         d2 = np.minimum(d2, ((rows - centroids[:, j : j + 1]) ** 2).sum(axis=2))
     return centroids
 
 
-def _centroid_cost(rows_t: np.ndarray, row_sq: np.ndarray, model: Model) -> np.ndarray:
+def _centroid_cost(
+    rows_t: np.ndarray, row_sq: np.ndarray, model: Model, layout: Layout
+) -> np.ndarray:
     """(m, n, k) squared distances of every row to every centroid, laid out
-    (m, k, n) in memory; ``rows_t`` is the (d, n) transpose of the rows."""
+    (m, k, n) in memory; ``rows_t`` (s, d, n) holds each point set's
+    transposed rows and ``row_sq`` (s, n) their squared norms."""
     (centroids,) = model
     m, k, d = centroids.shape
-    # one (m*k, d) x (d, n) product
-    cross = (centroids.reshape(m * k, d) @ rows_t).reshape(m, k, -1)
+    # one (m*k, d) x (d, n) product per block
+    cross = _blockwise(lambda s, b: centroids[b].reshape(-1, d) @ rows_t[s], layout)
+    cross = cross.reshape(m, k, -1)
+    row_sq = _per_restart(row_sq, layout)[:, None]
     d2 = row_sq - 2.0 * cross + (centroids**2).sum(axis=2)[:, :, None]
     return np.maximum(d2, 0.0, out=d2).transpose(0, 2, 1)
 
 
-def _centroid_refit(rows: np.ndarray, labels: np.ndarray, k: int):
-    """Community means of every restart as one one-hot matmul, with the
-    centroid loss and an all-False truncation flag."""
+def _centroid_refit(points: np.ndarray, labels: np.ndarray, k: int, layout: Layout):
+    """Community means of every restart as one one-hot matmul per block,
+    with the centroid loss and an all-False truncation flag."""
     m = labels.shape[0]
     onehot = _one_hot(labels, k)
-    centroids = (onehot @ rows) / onehot.sum(axis=2)[:, :, None]
-    resid = rows - centroids[np.arange(m)[:, None], labels - 1]
+    sums = _blockwise(lambda s, b: onehot[b] @ points[s], layout)
+    centroids = sums / onehot.sum(axis=2)[:, :, None]
+    resid = _per_restart(points, layout) - centroids[np.arange(m)[:, None], labels - 1]
     return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
-def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
-    """Minimize the centroid loss of the (n, d) ``rows`` with Lloyd's
-    algorithm, k-means++ seeding, and ``n_restarts`` independent starts."""
-    n = rows.shape[0]
-    row_sq = (rows**2).sum(axis=1)
-    rows_t = np.ascontiguousarray(rows.T)
+def minimize_q1_stack(
+    points: np.ndarray, k: int, n_restarts: int, seeds: Sequence[int]
+) -> list[ClusterSolution | Exception]:
+    """``minimize_q1`` of every (n, d) point set of the stack ``points``,
+    set i restarted from ``seeds[i]``: each set's solution, or the error
+    that stopped it. Sets whose restarts fit in small blocks share
+    descents (``_best_restarts``)."""
+    n = points.shape[1]
 
-    def start(block: range):
-        centroids = _kmeanspp_init(rows, k, [
-            np.random.default_rng(derive_seed(seed, "q1-restart", restart))
-            for restart in block
-        ])
-        m = len(block)
-        return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
+    def loss(lo: int, hi: int) -> Loss:
+        rows = points[lo:hi]
+        row_sq = (rows**2).sum(axis=2)
+        rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
 
-    best = _best_restart(
-        rows, k, n_restarts, start,
-        lambda model: _centroid_cost(rows_t, row_sq, model),
-        lambda labels: _centroid_refit(rows, labels, k),
-        lambda labels: q1_value(labels, rows),
-    )
-    return ClusterSolution(
+        def start(pack: Pack, layout: Layout):
+            rngs = [np.random.default_rng(derive_seed(seeds[lo + i], "q1-restart", restart))
+                    for i, restarts in pack for restart in restarts]
+            m = len(rngs)
+            centroids = _kmeanspp_init(rows, k, rngs, layout)
+            return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
+
+        return (start,
+                lambda model, layout: _centroid_cost(rows_t, row_sq, model, layout),
+                lambda labels, layout: _centroid_refit(rows, labels, k, layout))
+
+    bests = _best_restarts(points, k, n_restarts, loss,
+                           lambda labels, i: q1_value(labels, points[i]))
+    return [best if isinstance(best, Exception) else ClusterSolution(
         labels=best.labels,
         objective=best.objective,
         centroids=best.model[0].copy(),
         n_iters=best.n_iters,
         n_restarts_used=n_restarts,
         degenerate=best.degenerate,
-    )
+    ) for best in bests]
+
+
+def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
+    """Minimize the centroid loss of the (n, d) ``rows`` with Lloyd's
+    algorithm, k-means++ seeding, and ``n_restarts`` independent starts."""
+    return _solved(minimize_q1_stack(rows[None], k, n_restarts, [seed]))
 
 
 # ---------------------------------------------------------------------------
 # subspace loss minimization (greedy projection / reassignment)
 # ---------------------------------------------------------------------------
 
-def _subspace_cost(row_sq: np.ndarray, rows_t: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _subspace_cost(
+    row_sq: np.ndarray, rows_t: np.ndarray, basis: np.ndarray, layout: Layout
+) -> np.ndarray:
     """(m, n, k) squared residuals ||x||^2 - sum_b (b.x)^2 of every row to
     every community's subspace, laid out (m, k, n) in memory, from the
-    (m, k, r, d) basis rows (zero rows past a community's rank) and the
-    (d, n) transpose of the rows."""
+    (m, k, r, d) basis rows (zero rows past a community's rank), each point
+    set's squared norms ``row_sq`` (s, n) and its transposed rows
+    ``rows_t`` (s, d, n)."""
     m, k, r, d = basis.shape
-    # one (m*k*r, d) x (d, n) product
-    coef = (basis.reshape(m * k * r, d) @ rows_t).reshape(m, k, r, -1)
+    # one (m*k*r, d) x (d, n) product per block
+    coef = _blockwise(lambda s, b: basis[b].reshape(-1, d) @ rows_t[s], layout)
+    coef = coef.reshape(m, k, r, -1)
     np.square(coef, out=coef)
-    resid = np.subtract(row_sq, coef[:, :, 0] if r == 1 else coef.sum(axis=2))
+    resid = np.subtract(_per_restart(row_sq, layout)[:, None],
+                        coef[:, :, 0] if r == 1 else coef.sum(axis=2))
     return np.maximum(resid, 0.0, out=resid).transpose(0, 2, 1)
 
 
-def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int):
+def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int, layout: Layout):
     """Each community's top min(r, n_k, d) scatter eigenvectors, for every
-    restart at once: one one-hot matmul gives the (m, k, d, d) scatter
-    matrices and one batched ``eigh`` their eigenpairs. Returns the model
-    (the (m, k, min(r, d), d) eigenvectors as rows, largest first and zero
-    past the community's rank, and the ranks), the trailing-eigenvalue
+    restart at once: one one-hot matmul per block gives the (m, k, d, d)
+    scatter matrices from each point set's (n, d, d) row outer products
+    ``outer[s]``, and one batched ``eigh`` their eigenpairs. Returns the
+    model (the (m, k, min(r, d), d) eigenvectors as rows, largest first and
+    zero past the community's rank, and the ranks), the trailing-eigenvalue
     objective and the truncation flag."""
     m, n = labels.shape
-    d = outer.shape[1]
+    d = outer.shape[-1]
     full_rank = min(r, d)
     onehot = _one_hot(labels, k)
     counts = onehot.sum(axis=2)
-    scatter = (onehot.reshape(m * k, n) @ outer.reshape(n, d * d)).reshape(m, k, d, d)
+    scatter = _blockwise(
+        lambda s, b: onehot[b].reshape(-1, n) @ outer[s].reshape(n, d * d), layout
+    ).reshape(m, k, d, d)
     evals, evecs = np.linalg.eigh(scatter)
     top = evecs[..., ::-1][..., :full_rank].transpose(0, 1, 3, 2)
     if counts.min() >= full_rank:
@@ -441,24 +614,73 @@ def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int):
 
 
 def _seed_labels(
-    rows: np.ndarray, rows_t: np.ndarray, row_sq: np.ndarray, k: int, r: int,
-    rngs: list[np.random.Generator],
+    points: np.ndarray, rows_t: np.ndarray, row_sq: np.ndarray, k: int, r: int,
+    rngs: list[np.random.Generator], layout: Layout,
 ) -> np.ndarray:
     """Random initial assignments seeded by candidate subspaces, one per
-    generator in ``rngs``.
+    generator in ``rngs``, of the rows of each restart's point set
+    (``layout``).
 
     Draws k disjoint random point subsets, spans each, and assigns every
     point to its nearest candidate span. Uniform random labels make all
     initial clusters span nearly the same space, which strands the greedy
     descent in poor basins; subset spans give genuinely distinct starts.
     """
-    n, d = rows.shape
+    n, d = points.shape[1:]
     size = max(1, min(r, n // k))
     picks = np.stack([rng.permutation(n)[: k * size] for rng in rngs])
-    pts = rows[picks].reshape(len(rngs), k, size, d)
+    pts = points[_owner(layout)[:, None], picks].reshape(len(rngs), k, size, d)
     # the columns of each subset's Q factor are an orthonormal basis of its span
     q, _ = np.linalg.qr(pts.transpose(0, 1, 3, 2))
-    return _assign(_subspace_cost(row_sq, rows_t, q.transpose(0, 1, 3, 2)), k)[0]
+    return _assign(_subspace_cost(row_sq, rows_t, q.transpose(0, 1, 3, 2), layout), k)[0]
+
+
+def minimize_q_subspace_stack(
+    points: np.ndarray, k: int, r: int, n_restarts: int, seeds: Sequence[int]
+) -> list[ClusterSolution | Exception]:
+    """``minimize_q_subspace`` of every (n, d) point set of the stack
+    ``points``, set i restarted from ``seeds[i]``: each set's solution, or
+    the error that stopped it. Sets whose restarts fit in small blocks
+    share descents (``_best_restarts``)."""
+    if r < 1:
+        raise ValueError("rank r must be >= 1")
+
+    def loss(lo: int, hi: int) -> Loss:
+        rows = points[lo:hi]
+        row_sq = (rows**2).sum(axis=2)
+        rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
+        outer = rows[:, :, :, None] * rows[:, :, None, :]
+
+        def start(pack: Pack, layout: Layout):
+            rngs = [np.random.default_rng(derive_seed(seeds[lo + i], "qsub-restart", restart))
+                    for i, restarts in pack for restart in restarts]
+            labels = _seed_labels(rows, rows_t, row_sq, k, r, rngs, layout)
+            model, obj, _ = _subspace_refit(outer, labels, k, r, layout)
+            return labels, model, obj
+
+        return (start,
+                lambda model, layout: _subspace_cost(row_sq, rows_t, model[0], layout),
+                lambda labels, layout: _subspace_refit(outer, labels, k, r, layout))
+
+    bests = _best_restarts(points, k, n_restarts, loss,
+                           lambda labels, i: q_subspace_value(labels, points[i], r))
+    solutions: list[ClusterSolution | Exception] = []
+    for best in bests:
+        if isinstance(best, Exception):
+            solutions.append(best)
+            continue
+        basis, rank = best.model
+        # degenerate: rank-deficient clusters at the solution or an
+        # iteration-cap exit
+        solutions.append(ClusterSolution(
+            labels=best.labels,
+            objective=best.objective,
+            bases=[basis[j, : rank[j]].T.copy() for j in range(k)],
+            n_iters=best.n_iters,
+            n_restarts_used=n_restarts,
+            degenerate=best.degenerate,
+        ))
+    return solutions
 
 
 def minimize_q_subspace(
@@ -475,36 +697,7 @@ def minimize_q_subspace(
     the lowest community index). Every restart starts from random
     assignments seeded by candidate subspaces.
     """
-    if r < 1:
-        raise ValueError("rank r must be >= 1")
-    row_sq = (rows**2).sum(axis=1)
-    rows_t = np.ascontiguousarray(rows.T)
-    outer = rows[:, :, None] * rows[:, None, :]
-
-    def start(block: range):
-        rngs = [np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-                for restart in block]
-        labels = _seed_labels(rows, rows_t, row_sq, k, r, rngs)
-        model, obj, _ = _subspace_refit(outer, labels, k, r)
-        return labels, model, obj
-
-    best = _best_restart(
-        rows, k, n_restarts, start,
-        lambda model: _subspace_cost(row_sq, rows_t, model[0]),
-        lambda labels: _subspace_refit(outer, labels, k, r),
-        lambda labels: q_subspace_value(labels, rows, r),
-    )
-    basis, rank = best.model
-    # degenerate: rank-deficient clusters at the solution or an
-    # iteration-cap exit
-    return ClusterSolution(
-        labels=best.labels,
-        objective=best.objective,
-        bases=[basis[j, : rank[j]].T.copy() for j in range(k)],
-        n_iters=best.n_iters,
-        n_restarts_used=n_restarts,
-        degenerate=best.degenerate,
-    )
+    return _solved(minimize_q_subspace_stack(rows[None], k, r, n_restarts, [seed]))
 
 
 def _require_pabm_embedding(n: int, k: int) -> None:

@@ -7,6 +7,15 @@ from the estimated labels, and compare against the statistic recomputed
 on bootstrap graphs drawn from that fit. The p-value is the fraction of
 replicate statistics at least as large as the observed one.
 
+The replicates run in contiguous chunks on the worker pool (``_pool``). A
+chunk draws and embeds its replicates in order and minimizes them in one
+call (``cluster.minimize_q1_stack``, ``cluster.minimize_q_subspace_stack``),
+which packs the restart blocks of many replicates into one descent while
+their per-round arrays fit in ``cluster._BLOCK_BYTES``; a block over half
+that budget, as at n = 600 with K = 3 or larger, descends alone. The
+statistics, failures and errors are those of a serial loop that
+minimizes one replicate at a time, at every worker count.
+
 The workflow gate: if the centroid-loss test keeps the SBM, stop there;
 otherwise run the rank-1 subspace test; if that keeps the DCBM, stop;
 otherwise re-embed into K^2 dimensions and cluster with the rank-K loss.
@@ -18,7 +27,7 @@ import enum
 import functools
 import time
 import traceback
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -27,7 +36,14 @@ import numpy as np
 from . import _pool
 from ._seeds import derive_seed
 from .blockmodels import FactoredProb, fit_dcbm, fit_sbm, sample_graph
-from .cluster import ClusterSolution, _require_pabm_embedding, minimize_q1, minimize_q_subspace
+from .cluster import (
+    ClusterSolution,
+    _require_pabm_embedding,
+    minimize_q1,
+    minimize_q1_stack,
+    minimize_q_subspace,
+    minimize_q_subspace_stack,
+)
 from .errors import DegenerateModelError, NumericalError
 from .netcore import Graph
 from .spectral import ase
@@ -62,15 +78,24 @@ def detect(
     """
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
     with _pool.one_blas_thread():
+        rows = _embedding(g, k, model)
         if model is ModelKind.SBM:
-            return minimize_q1(ase(g, k).rows, k, n_restarts=n_restarts, seed=seed)
-        if model is ModelKind.DCBM:
-            return minimize_q_subspace(ase(g, k).rows, k, r=1, n_restarts=n_restarts, seed=seed)
+            return minimize_q1(rows, k, n_restarts=n_restarts, seed=seed)
+        return minimize_q_subspace(rows, k, r=_rank(model, k), n_restarts=n_restarts, seed=seed)
+
+
+def _embedding(g: Graph, k: int, model: ModelKind) -> np.ndarray:
+    """The points ``detect`` minimizes ``model``'s loss over."""
+    if model is ModelKind.PABM:
         _require_pabm_embedding(g.n, k)
         # rank-K subspace structure lives in the orthonormal eigenvector rows
-        return minimize_q_subspace(
-            ase(g, k * k, scaled=False).rows, k, r=k, n_restarts=n_restarts, seed=seed
-        )
+        return ase(g, k * k, scaled=False).rows
+    return ase(g, k).rows
+
+
+def _rank(model: ModelKind, k: int) -> int:
+    """The subspace rank of the DCBM and PABM losses."""
+    return 1 if model is ModelKind.DCBM else k
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,18 +184,52 @@ class _WorkerTraceback(Exception):
     """The traceback text of an error raised in a worker process."""
 
 
-def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, stat_fn,
+class _Statistic(NamedTuple):
+    """A replicate statistic in two steps: ``embed(g)`` turns each replicate
+    graph into points as it is drawn, and ``minimize(points, fit_seeds)``
+    takes the points of many replicates at once and gives each one's
+    statistic, or the error that stopped it."""
+
+    embed: Callable[[Graph], object]
+    minimize: Callable[[list, list[int]], list]
+
+
+def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _Statistic,
                      bounds: tuple[int, int]) -> _Chunk:
     """Replicates ``lo .. hi-1`` (``bounds = (lo, hi)``) of a bootstrap of
     ``n_boot`` replicates, in order, each failed attempt redrawn from the
     next derived seed.
 
-    Stops at the first error that is not retried, and before an attempt
-    that would exceed the 3 * R budget even if every replicate before
-    ``lo`` took one attempt: the serial order could not have made it
+    The first attempts of all the chunk's replicates are drawn and embedded
+    in order and minimized in one call; their outcomes are then read as the
+    serial loop meets them, and each retry is drawn and minimized alone. So
+    the statistics, failures, attempts and error are the serial loop's,
+    which stops at the first error that is not retried, and before an
+    attempt that would exceed the 3 * R budget even if every replicate
+    before ``lo`` took one attempt: the serial order could not have made it
     either, so the run is certain to be exhausted.
     """
     lo, hi = bounds
+
+    def outcomes(attempts: list[tuple[int, int]]) -> list:
+        """The statistic of each (replicate, attempt), or its error."""
+        found: list = [None] * len(attempts)
+        points, fit_seeds, drawn = [], [], []
+        for i, (r, attempt) in enumerate(attempts):
+            rep_seed = derive_seed(seed, "boot", r, attempt)
+            try:
+                points.append(statistic.embed(sample_graph(p_hat, derive_seed(rep_seed, "graph"))))
+            except Exception as exc:
+                found[i] = exc
+                continue
+            fit_seeds.append(derive_seed(rep_seed, "fit"))
+            drawn.append(i)
+        if points:
+            for i, out in zip(drawn, statistic.minimize(points, fit_seeds)):
+                found[i] = out
+        return found
+
+    first = outcomes([(r, 0) for r in range(lo, hi)])
     stats = np.empty(hi - lo)
     failures: list[tuple[int, str]] = []
     attempts = 0
@@ -181,18 +240,17 @@ def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, stat_fn,
                 # count the refused attempt: with one or more attempts per
                 # earlier replicate, the caller's total then exceeds 3 * R
                 return _Chunk(stats, failures, attempts + 1)
-            rep_seed = derive_seed(seed, "boot", r, attempt)
+            out = first[r - lo] if attempt == 0 else outcomes([(r, attempt)])[0]
             attempt += 1
             attempts += 1
-            try:
-                g_rep = sample_graph(p_hat, derive_seed(rep_seed, "graph"))
-                stats[r - lo] = stat_fn(g_rep, derive_seed(rep_seed, "fit"))
+            if isinstance(out, _REPLICATE_ERRORS):
+                failures.append((r, type(out).__name__))
+            elif isinstance(out, Exception):  # re-raised by the caller, in replicate order
+                tb = "".join(traceback.format_exception(out)) if _pool.in_worker() else ""
+                return _Chunk(stats, failures, attempts, out, tb)
+            else:
+                stats[r - lo] = out
                 break
-            except _REPLICATE_ERRORS as exc:
-                failures.append((r, type(exc).__name__))
-            except Exception as exc:  # re-raised by the caller, in replicate order
-                tb = "".join(traceback.format_exception(exc)) if _pool.in_worker() else ""
-                return _Chunk(stats, failures, attempts, exc, tb)
     return _Chunk(stats, failures, attempts)
 
 
@@ -200,7 +258,7 @@ def _bootstrap_statistics(
     p_hat: FactoredProb,
     n_boot: int,
     seed: int,
-    stat_fn,
+    statistic: _Statistic,
     failures: list[tuple[int, str]] | None = None,
 ) -> np.ndarray:
     """Replicate statistics under the fitted null.
@@ -221,7 +279,7 @@ def _bootstrap_statistics(
     attempts = 0
     n_chunks = min(n_boot, _CHUNKS_PER_WORKER * _pool.workers())
     bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
-    run_chunk = functools.partial(_replicate_chunk, p_hat, n_boot, seed, stat_fn)
+    run_chunk = functools.partial(_replicate_chunk, p_hat, n_boot, seed, statistic)
     with _pool.ordered_results(run_chunk, list(zip(bounds, bounds[1:]))) as chunks:
         for chunk in chunks:
             failed += chunk.failures
@@ -240,9 +298,26 @@ def _bootstrap_statistics(
 
 
 def _null_objective(
-    k: int, model: ModelKind, restarts: int | None, g_rep: Graph, fit_seed: int
-) -> float:
-    return detect(g_rep, k, model, restarts, seed=fit_seed).objective
+    k: int, model: ModelKind, restarts: int | None, points: list[np.ndarray],
+    fit_seeds: list[int],
+) -> list:
+    """The minimized loss of ``model`` (as ``detect`` gives it) of each
+    replicate's points from its fit seed, or the error that stopped it:
+    one minimization of the stacked points, in which small restart blocks
+    of many replicates share descents."""
+    n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
+    stack = np.stack(points)
+    if model is ModelKind.SBM:
+        solutions = minimize_q1_stack(stack, k, n_restarts, fit_seeds)
+    else:
+        solutions = minimize_q_subspace_stack(stack, k, _rank(model, k), n_restarts, fit_seeds)
+    return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
+
+
+def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statistic:
+    """The test statistic under the null ``model``: its minimized loss."""
+    return _Statistic(functools.partial(_embedding, k=k, model=model),
+                      functools.partial(_null_objective, k, model, restarts))
 
 
 def _run_test(
@@ -265,9 +340,8 @@ def _run_test(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sol = detect(g, k, null, restarts, seed=derive_seed(seed, "observed"))
     p_hat = fit(g, sol.labels)
-    stat_fn = functools.partial(_null_objective, k, null, restarts)
     failures: list[tuple[int, str]] = []
-    boot = _bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures)
+    boot = _bootstrap_statistics(p_hat, n_boot, seed, _null_statistic(k, null, restarts), failures)
     result = make_test_result(
         sol.objective, boot, alpha, null, alt, seed, failures=failures
     )

@@ -76,8 +76,10 @@ class Graph:
             return sp.csr_matrix((self.n, self.n), dtype=np.float64)
         i, j = self.edges[:, 0], self.edges[:, 1]
         data = np.ones(2 * m, dtype=np.float64)
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
+        # lower-triangle entries first: with the edges sorted, each row's
+        # columns then arrive in order, and the CSR build skips its sort
+        rows = np.concatenate([j, i])
+        cols = np.concatenate([i, j])
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 

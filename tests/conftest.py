@@ -26,8 +26,9 @@ def set_workers(monkeypatch):
 
 @pytest.fixture
 def block_pids(monkeypatch, tmp_path):
-    """Record the process id of every restart block; call the fixture's
-    value for the list, in the order the blocks started."""
+    """Record the process id of every descent; call the fixture's value for
+    the list, in the order the descents started. A block budget of one
+    byte gives every restart block a descent of its own."""
     path = tmp_path / "block_pids.txt"
     original = cluster._descend
 

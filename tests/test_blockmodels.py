@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import re
 import tracemalloc
 import warnings
@@ -29,9 +28,7 @@ from blockselect.blockmodels import (
     gen_pabm,
     gen_sbm,
     prob_matrix,
-    read_params,
     sample_graph,
-    write_params,
 )
 from blockselect.errors import DegenerateModelError, InfeasibleModelError
 from blockselect.netcore import Graph, avg_degree, density
@@ -189,12 +186,6 @@ def test_params_accept_whole_valued_float_labels():
     params = SbmParams(k=2, omega=np.eye(2) * 0.5, labels=[1.0, 2.0])
     assert params.labels.dtype == np.int64
     np.testing.assert_array_equal(params.labels, [1, 2])
-
-
-def test_read_params_rejects_fractional_labels():
-    text = "model = sbm\nn = 2\nk = 2\n\n[omega]\n0.5 0\n0 0.5\n\n[labels]\n1 2.5\n"
-    with pytest.raises(ValueError, match="^labels must be integers$"):
-        read_params(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------
@@ -677,29 +668,6 @@ def test_nesting_identities_fuzz():
         lam = theta[:, None] * np.sqrt(omega[labels - 1, :])
         pabm = prob_matrix(PabmParams(k=k, lam=lam, labels=labels))
         assert np.abs(dcbm.p - pabm.p).max() <= 1e-12
-
-
-@pytest.mark.parametrize("make", [
-    lambda: SbmParams(k=2, omega=np.array([[0.5, 0.1], [0.1, 0.4]]),
-                      labels=np.array([1, 1, 2])),
-    lambda: DcbmParams(k=2, omega=np.array([[0.5, 0.1], [0.1, 0.4]]),
-                       theta=np.array([1.0, 0.5, 1.0]), labels=np.array([1, 1, 2])),
-    lambda: PabmParams(k=2, lam=np.array([[0.9, 0.1], [0.5, 0.2], [0.3, 0.8]]),
-                       labels=np.array([1, 1, 2])),
-])
-def test_params_round_trip(make):
-    params = make()
-    buf = io.StringIO()
-    write_params(params, buf)
-    back = read_params(io.StringIO(buf.getvalue()))
-    assert type(back) is type(params)
-    np.testing.assert_array_equal(back.labels, params.labels)
-    if hasattr(params, "omega"):
-        np.testing.assert_allclose(back.omega, params.omega, rtol=1e-15)
-    if hasattr(params, "theta"):
-        np.testing.assert_allclose(back.theta, params.theta, rtol=1e-15)
-    if hasattr(params, "lam"):
-        np.testing.assert_allclose(back.lam, params.lam, rtol=1e-15)
 
 
 def test_fit_sbm_recovers_planted_omega_at_scale():

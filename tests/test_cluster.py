@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,11 @@ from conftest import random_graph, solution_bytes
 def make_emb(rows) -> np.ndarray:
     """The (n, d) float array of points the losses take."""
     return np.asarray(rows, dtype=np.float64)
+
+
+def one_block(m: int) -> cluster.Layout:
+    """The layout of ``m`` restarts of one point set in one block."""
+    return cluster._layout([0], [m])
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:
@@ -390,7 +396,7 @@ def test_batched_kmeanspp_matches_choice_per_generator(data, k, d, spread, m):
     rngs = [np.random.default_rng(s) for s in seeds]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _kmeanspp_init(rows, k, rngs)
+        got = _kmeanspp_init(rows[None], k, rngs, one_block(m))
     for s, rng, centroids in zip(seeds, rngs, got):
         serial_rng = np.random.default_rng(s)
         assert centroids.tobytes() == _serial_kmeanspp_init(rows, k, serial_rng).tobytes()
@@ -510,7 +516,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     labels = rng.integers(1, k + 1, (m, n))
     # refit bases (zero rows past each community's rank) and the seeding's
     # QR factors of random point subsets
-    (basis, rank), _, _ = cluster._subspace_refit(outer, labels, k, r)
+    (basis, rank), _, _ = cluster._subspace_refit(outer[None], labels, k, r, one_block(m))
     counts = (labels[:, None, :] == np.arange(1, k + 1)[:, None]).sum(axis=2)
     np.testing.assert_array_equal(rank, np.minimum(counts, min(r, d)))
     assert basis.shape == (m, k, min(r, d), d)
@@ -521,7 +527,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     for rows_of_basis in (basis, q.transpose(0, 1, 3, 2)):
         proj = rows_of_basis.transpose(0, 1, 3, 2) @ rows_of_basis
         want = reference_subspace_cost(row_sq, outer, proj)
-        got = cluster._subspace_cost(row_sq, rows_t, rows_of_basis)
+        got = cluster._subspace_cost(row_sq[None], rows_t[None], rows_of_basis, one_block(m))
         assert got.shape == want.shape == (m, n, k)
         assert np.all(np.abs(got - want) <= tol)
         got_labels, got_repaired = cluster._assign(got, k)
@@ -533,7 +539,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
         plain = ~got_repaired & ~want_repaired
         assert np.array_equal(got_labels[plain][clear[plain]], want_labels[plain][clear[plain]])
     centroids = rows[rng.integers(0, n, (m, k))]
-    got = cluster._centroid_cost(rows_t, row_sq, (centroids,))
+    got = cluster._centroid_cost(rows_t[None], row_sq[None], (centroids,), one_block(m))
     want = np.stack([_serial_sq_dists(rows, c) for c in centroids])
     scale = row_sq[None, :, None] + (centroids**2).sum(axis=2)[:, None, :]
     assert np.all(np.abs(got - want) <= _COST_RTOL * scale)
@@ -675,6 +681,136 @@ def test_each_labeling_is_scored_once_per_process(monkeypatch, set_workers):
         assert len(set(scored)) == len(scored)
 
 
+# ---------------------------------------------------------------------------
+# point sets packed into shared descents
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _point_sets(draw):
+    k = draw(st.sampled_from([2, 3]))
+    d, r = draw(st.sampled_from([(k, 1), (k * k, k)]))
+    n_sets = draw(st.integers(2, 4))
+    n = draw(st.integers(max(k * k, 12), 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.standard_normal((n_sets, k, d)) * draw(st.sampled_from([0.0, 1.0, 4.0]))
+    members = rng.integers(0, k, (n_sets, n))
+    points = centers[np.arange(n_sets)[:, None], members] + rng.standard_normal((n_sets, n, d))
+    return points, k, r
+
+
+def _negating(refit, planted: np.ndarray):
+    """``refit`` with the objective of each restart on the per-set data
+    ``planted`` negated: it then rises as the descent lowers the loss, and
+    the monotone check fails that restart."""
+    def negated(per_set, labels, *args):
+        model, obj, truncated = refit(per_set, labels, *args)
+        hit = np.array([np.array_equal(data, planted) for data in per_set])
+        return model, np.where(hit[cluster._owner(args[-1])], -obj, obj), truncated
+    return negated
+
+
+def _outcome(solution) -> tuple:
+    if isinstance(solution, Exception):
+        return type(solution), str(solution)
+    return solution_bytes(solution)
+
+
+def _alone(solve) -> tuple:
+    try:
+        return _outcome(solve())
+    except (NumericalError, ValueError) as exc:
+        return _outcome(exc)
+
+
+# the block budget in restarts of one set: one restart per block, then
+# one, two or every set per descent
+_SETS_PER_DESCENT = [0, 1, 2, None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_point_sets(), n_restarts=st.integers(1, 8), data=st.data(),
+       per_descent=st.sampled_from(_SETS_PER_DESCENT),
+       fault=st.sampled_from([None, "monotone", "not finite"]))
+def test_packed_point_sets_match_each_set_alone(case, n_restarts, data, per_descent, fault):
+    points, k, r = case
+    n_sets, n, d = points.shape
+    seeds = data.draw(st.lists(st.integers(0, 2**31), min_size=n_sets, max_size=n_sets))
+    victim = data.draw(st.integers(0, n_sets - 1))
+    set_bytes = n_restarts * 8 * n * (3 * k + d + 2)
+    budget = 1 if per_descent == 0 else set_bytes * (per_descent or n_sets)
+    if fault == "not finite":
+        points[victim, 0, 0] = np.nan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_BLOCK_BYTES", budget)
+        want_packs = {0: n_sets * n_restarts, 1: n_sets, 2: -(-n_sets // 2), None: 1}
+        assert len(cluster._packs(range(n_sets), n_restarts, n, k, d)) == want_packs[per_descent]
+        if fault == "monotone":
+            planted = points[victim]
+            mp.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
+            mp.setattr(cluster, "_subspace_refit", _negating(
+                cluster._subspace_refit, planted[:, :, None] * planted[:, None, :]))
+        for stack, alone in (
+            (lambda: cluster.minimize_q1_stack(points, k, n_restarts, seeds),
+             lambda i: minimize_q1(points[i], k, n_restarts, seed=seeds[i])),
+            (lambda: cluster.minimize_q_subspace_stack(points, k, r, n_restarts, seeds),
+             lambda i: minimize_q_subspace(points[i], k, r, n_restarts, seed=seeds[i])),
+        ):
+            want = [_alone(lambda: alone(i)) for i in range(n_sets)]
+            assert [_outcome(sol) for sol in stack()] == want
+            failed = [i for i, outcome in enumerate(want) if isinstance(outcome[0], type)]
+            if fault == "not finite":
+                assert failed == [victim] and want[victim][1] == "rows must be finite"
+            else:
+                # a plant fires only where a restart's labels change after
+                # its first refit
+                assert failed in ([], [victim]) if fault else failed == []
+                assert all(want[i][0] is NumericalError for i in failed)
+
+
+def test_packed_monotone_error_fails_its_set_alone(monkeypatch):
+    # three noise sets of one block each share one descent; the middle
+    # one's objective is negated, so its first decrease is an increase
+    rng = np.random.default_rng(31)
+    points = rng.standard_normal((3, 40, 2))
+    seeds = [5, 6, 7]
+    planted = points[1]
+    monkeypatch.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
+    monkeypatch.setattr(cluster, "_subspace_refit", _negating(
+        cluster._subspace_refit, planted[:, :, None] * planted[:, None, :]))
+    assert len(cluster._packs(range(3), 6, 40, 2, 2)) == 1
+    for stack, alone in (
+        (lambda: cluster.minimize_q1_stack(points, 2, 6, seeds),
+         lambda i: minimize_q1(points[i], 2, 6, seed=seeds[i])),
+        (lambda: cluster.minimize_q_subspace_stack(points, 2, 1, 6, seeds),
+         lambda i: minimize_q_subspace(points[i], 2, 1, 6, seed=seeds[i])),
+    ):
+        got = [_outcome(sol) for sol in stack()]
+        assert got == [_alone(lambda: alone(i)) for i in range(3)]
+        assert [type(outcome[0]) for outcome in got] == [tuple, type, tuple]
+        assert got[1][0] is NumericalError
+        assert got[1][1].startswith("objective increased within an iteration: ")
+
+
+def test_stack_derives_arrays_for_one_descent_at_a_time(set_workers):
+    # sets too large to share a descent: the rows' outer products and
+    # transposes exist for the sets of one descent at a time, so the
+    # stack's traced peak stays near that of one set alone
+    set_workers(1)
+    points = np.random.default_rng(41).standard_normal((8, 3000, 3))
+    tracemalloc.start()
+    try:
+        minimize_q_subspace(points[0], 3, r=1, n_restarts=2, seed=0)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cluster.minimize_q_subspace_stack(points, 3, 1, 2, list(range(8)))
+        many = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cluster._packs(range(8), 2, 3000, 3, 3)) == 8
+    assert many < 2 * one
+
+
 def _first_round_labels(rows: np.ndarray, k: int, r: int, seed: int, restart: int):
     """The start labels and objective of one restart of
     ``minimize_q_subspace``, and its labels after the first assignment."""
@@ -682,9 +818,11 @@ def _first_round_labels(rows: np.ndarray, k: int, r: int, seed: int, restart: in
     rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
     rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-    start = cluster._seed_labels(rows, rows_t, row_sq, k, r, [rng])
-    model, obj, _ = cluster._subspace_refit(outer, start, k, r)
-    first, _ = cluster._assign(cluster._subspace_cost(row_sq, rows_t, model[0]), k)
+    sets = rows[None], rows_t[None], row_sq[None]
+    start = cluster._seed_labels(*sets, k, r, [rng], one_block(1))
+    model, obj, _ = cluster._subspace_refit(outer[None], start, k, r, one_block(1))
+    first, _ = cluster._assign(
+        cluster._subspace_cost(row_sq[None], rows_t[None], model[0], one_block(1)), k)
     return start[0], float(obj[0]), first[0]
 
 
@@ -702,8 +840,8 @@ def test_monotone_guard_error_comes_from_the_lowest_failing_block(monkeypatch, s
     trap_labels = np.stack([first for first, _ in traps.values()])
     original = cluster._subspace_refit
 
-    def trapped_refit(outer, labels, k, r):
-        model, obj, truncated = original(outer, labels, k, r)
+    def trapped_refit(outer, labels, k, r, layout):
+        model, obj, truncated = original(outer, labels, k, r, layout)
         hit = (labels[:, None, :] == trap_labels[None]).all(axis=2).any(axis=1)
         return model, obj + 1e6 * hit, truncated
 
@@ -711,7 +849,7 @@ def test_monotone_guard_error_comes_from_the_lowest_failing_block(monkeypatch, s
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
     first, prev = traps[3]
     outer = emb[:, :, None] * emb[:, None, :]
-    inflated = float(original(outer, first[None], k, r)[1][0]) + 1e6
+    inflated = float(original(outer[None], first[None], k, r, one_block(1))[1][0]) + 1e6
     want = f"objective increased within an iteration: {prev!r} -> {inflated!r}"
     for workers in (1, 2, 3):
         set_workers(workers)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -18,7 +19,9 @@ from blockselect.blockmodels import (
     Beta,
     FactoredProb,
     PowerLaw,
+    SbmParams,
     beta_ratio_omega,
+    edge_probs,
     gen_dcbm,
     gen_pabm,
     gen_sbm,
@@ -135,7 +138,8 @@ def test_detect_in_a_bootstrap_replicate_stays_in_that_replicate_process(
 
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
     set_workers(2)
-    replicate_pids = set(ms._bootstrap_statistics(constant_prob(40, 0.3), 6, 0, replicate_pid))
+    replicate_pids = set(ms._bootstrap_statistics(
+        constant_prob(40, 0.3), 6, 0, per_replicate(replicate_pid)))
     assert os.getpid() not in replicate_pids
     # a nested pool would run the blocks in grandchild processes
     pids = block_pids()
@@ -170,7 +174,7 @@ def test_detect_and_bootstrap_run_blas_on_one_thread_and_restore_the_count(
         detect(g, 2, ModelKind.SBM, 2, seed=0)
         with pytest.raises(NumericalError, match="planted"):
             detect(g, 2, ModelKind.SBM, 2, seed=1)
-        ms._bootstrap_statistics(constant_prob(30, 0.3), 3, 2, statistic)
+        ms._bootstrap_statistics(constant_prob(30, 0.3), 3, 2, per_replicate(statistic))
         for baseline in (cluster.sc_l, cluster.rsc_l, cluster.osc):
             baseline(g, 2, n_restarts=2, seed=0)
         with pytest.raises(NumericalError, match="planted"):
@@ -272,37 +276,33 @@ def one_worker(set_workers):
 
 
 def test_bootstrap_resamples_failed_replicates(one_worker):
-    calls = {"n": 0}
+    first_attempts = {_fit_seed(0, r, 0) for r in range(5)}
+    calls = []
 
     def flaky(g_rep, fit_seed):
-        calls["n"] += 1
-        if calls["n"] % 2 == 1:
+        calls.append(fit_seed)
+        if fit_seed in first_attempts:
             raise NumericalError("transient")
-        return float(calls["n"])
+        return float(len(calls))
 
-    stats = ms._bootstrap_statistics(_tiny_phat(), 5, seed=0, stat_fn=flaky)
+    failures = []
+    stats = ms._bootstrap_statistics(_tiny_phat(), 5, 0, per_replicate(flaky), failures)
     assert stats.shape == (5,)
-    assert calls["n"] == 10  # every replicate needed exactly one retry
+    assert len(calls) == 10  # every replicate needed exactly one retry
+    assert failures == [(r, "NumericalError") for r in range(5)]
 
 
 def test_bootstrap_failures_are_recorded_in_result_and_report(monkeypatch, one_worker):
     g, _ = gen_sbm(60, 2, [0.5, 0.5], beta_ratio_omega(2, 0.2),
                    target_avg_degree=10, seed=0)
     clean = run_workflow(g, 2, n_boot=6, restarts=3, seed=1)
-    # call 1 is the observed fit; calls 3 and 6 are the first attempts of
-    # replicates 1 and 3, which are resampled from fresh seeds
-    original = ms.minimize_q1
-    calls = {"n": 0}
-
-    def flaky_q1(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise NumericalError("transient")
-        if calls["n"] == 6:
-            raise DegenerateModelError("empty community")
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ms, "minimize_q1", flaky_q1)
+    # the first attempts of replicates 1 and 3 fail, and are resampled from
+    # fresh seeds
+    test1 = derive_seed(1, "test1")
+    _fail_minimizers(monkeypatch, {
+        _fit_seed(test1, 1, 0): NumericalError("transient"),
+        _fit_seed(test1, 3, 0): DegenerateModelError("empty community"),
+    })
     result = run_workflow(g, 2, n_boot=6, restarts=3, seed=1)
     test = result.test_sbm_dcbm
     assert test.failures == ((1, "NumericalError"), (3, "DegenerateModelError"))
@@ -325,12 +325,27 @@ def test_bootstrap_exhaustion_raises():
         raise NumericalError("broken")
 
     with pytest.raises(NumericalError, match="exhausted"):
-        ms._bootstrap_statistics(_tiny_phat(), 4, seed=0, stat_fn=always_fails)
+        ms._bootstrap_statistics(_tiny_phat(), 4, 0, per_replicate(always_fails))
 
 
 # ---------------------------------------------------------------------------
 # bootstrap replicates in worker processes
 # ---------------------------------------------------------------------------
+
+def per_replicate(stat_fn) -> ms._Statistic:
+    """A bootstrap statistic that ``stat_fn(g_rep, fit_seed)`` computes one
+    replicate at a time, each error kept as that replicate's outcome."""
+    def minimize(graphs, fit_seeds):
+        found = []
+        for g_rep, fit_seed in zip(graphs, fit_seeds):
+            try:
+                found.append(stat_fn(g_rep, fit_seed))
+            except Exception as exc:
+                found.append(exc)
+        return found
+
+    return ms._Statistic(lambda g_rep: g_rep, minimize)
+
 
 def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures):
     """The one-process replicate loop the worker pool replaced: the
@@ -427,8 +442,47 @@ def test_bootstrap_matches_serial_reference(set_workers, scenario, workers):
         _tiny_phat(), _B, 5, stat_fn, failures))
     set_workers(workers)
     got = _outcome(lambda failures: ms._bootstrap_statistics(
-        _tiny_phat(), _B, 5, stat_fn, failures))
+        _tiny_phat(), _B, 5, per_replicate(stat_fn), failures))
     assert got == want
+
+
+def _planted(exc) -> Exception:
+    return exc("planted") if isinstance(exc, type) else exc
+
+
+# a two-block null the size of the karate club
+_KARATE_SIZE_NULL = edge_probs(SbmParams(
+    k=2, omega=np.array([[0.3, 0.05], [0.05, 0.3]]), labels=np.repeat([1, 2], 17)))
+
+
+@functools.cache
+def _serial_null_outcome(scenario: str, model: ModelKind) -> tuple:
+    """The serial loop's outcome of a bootstrap of ``model``'s minimized
+    loss, one ``detect`` per attempt, with the scenario's planted errors."""
+    plan = {_fit_seed(5, r, a): _planted(exc) for (r, a), exc in _SCENARIOS[scenario].items()}
+
+    def stat_fn(g_rep, fit_seed):
+        if fit_seed in plan:
+            raise plan[fit_seed]
+        return detect(g_rep, 2, model, seed=fit_seed).objective
+
+    return _outcome(lambda failures: serial_bootstrap_statistics(
+        _KARATE_SIZE_NULL, _B, 5, stat_fn, failures))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_packed_chunks_match_serial_reference(monkeypatch, set_workers, scenario, workers):
+    # the real statistic: a chunk minimizes its replicates' points in one
+    # call, whose restart blocks share descents, and the plan fails fit
+    # seeds inside that call
+    _fail_minimizers(monkeypatch, {
+        _fit_seed(5, r, a): _planted(exc) for (r, a), exc in _SCENARIOS[scenario].items()})
+    set_workers(workers)
+    for model in (ModelKind.SBM, ModelKind.DCBM):
+        got = _outcome(lambda failures: ms._bootstrap_statistics(
+            _KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None), failures))
+        assert got == _serial_null_outcome(scenario, model)
 
 
 def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(set_workers):
@@ -447,29 +501,36 @@ def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(set_workers
         return float(max(_blas_threads(), default=1))
 
     set_workers(2)
-    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, paired_pid))
+    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(paired_pid)))
     assert len(pids) == 2 and os.getpid() not in pids
-    assert set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, blas_threads)) == {1.0}
+    assert set(ms._bootstrap_statistics(
+        _tiny_phat(), 8, 0, per_replicate(blas_threads))) == {1.0}
     # forking a process that runs other threads is unsafe: stay in-process
     box = {}
     thread = threading.Thread(target=lambda: box.update(
-        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, worker_pid))))
+        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(worker_pid)))))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive() and box["pids"] == {os.getpid()}
     set_workers(1)
-    assert set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, worker_pid)) == {os.getpid()}
+    assert set(ms._bootstrap_statistics(
+        _tiny_phat(), 8, 0, per_replicate(worker_pid))) == {os.getpid()}
 
 
 def _fail_minimizers(monkeypatch, plan):
-    """Make both null minimizers raise ``plan[fit seed]``; fork carries the
-    patch into the worker processes."""
-    for name in ("minimize_q1", "minimize_q_subspace"):
-        def flaky(*args, _original=getattr(ms, name), **kwargs):
-            exc = plan.get(kwargs["seed"])
-            if exc is not None:
-                raise exc
-            return _original(*args, **kwargs)
+    """Make both packed null minimizers give ``plan[fit seed]``, raised
+    and caught here, as that replicate's outcome; fork carries the patch
+    into the worker processes."""
+    for name in ("minimize_q1_stack", "minimize_q_subspace_stack"):
+        def flaky(points, *args, _original=getattr(ms, name)):
+            found = _original(points, *args)
+            for i, seed in enumerate(args[-1]):
+                if seed in plan:
+                    try:
+                        raise plan[seed]
+                    except Exception as exc:
+                        found[i] = exc
+            return found
 
         monkeypatch.setattr(ms, name, flaky)
 

@@ -4,6 +4,9 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockselect.errors import EdgeListParseError
 from blockselect.netcore import (
@@ -179,6 +182,29 @@ def test_lcc_fuzz_connected_and_max_size():
                             nxt.append(int(v))
                 frontier = nxt
             assert len(seen) == sub.n
+
+
+def _upper_first_adjacency(g: Graph) -> sp.csr_matrix:
+    """The CSR adjacency built with the upper-triangle entries first, which
+    leaves the COO-to-CSR step its index sort."""
+    if g.edge_count == 0:
+        return sp.csr_matrix((g.n, g.n), dtype=np.float64)
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    data = np.ones(2 * g.edge_count, dtype=np.float64)
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    return sp.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(0, 60), p=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       seed=st.integers(0, 2**16))
+def test_adjacency_arrays_equal_the_upper_first_build(n, p, seed):
+    g = random_graph(n, p, seed)
+    got, want = g.adjacency, _upper_first_adjacency(g)
+    assert got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
