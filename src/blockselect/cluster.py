@@ -27,6 +27,10 @@ sets into one descent: each block keeps its own BLAS products, and the
 rest of a round runs once for the whole descent. A set's solution, or
 its error, is that of the set minimized alone; ``minimize_q1`` and
 ``minimize_q_subspace`` are the one-set case.
+One restart driver, ``_best_restarts``, serves both losses: it owns the
+restarts' generators, the arrays derived for each descent, the exact
+scoring and each set's ``ClusterSolution``, and each loss is a ``_Loss``
+record of its kernels (start, cost, refit, exact value, geometry).
 The descents run in parallel on the package's worker pool (``_pool``).
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
@@ -132,12 +136,32 @@ Pack = list[tuple[int, range]]
 Layout = list[tuple[int, slice]]
 
 
-# the start, cost and refit of a loss over a run of point sets
-Loss = tuple[
-    Callable[[Pack, Layout], tuple[np.ndarray, Model, np.ndarray]],
-    Callable[[Model, Layout], np.ndarray],
-    Callable[[np.ndarray, Layout], tuple[Model, np.ndarray, np.ndarray]],
-]
+class _Loss(NamedTuple):
+    """The arithmetic of one loss, which ``_best_restarts`` drives.
+
+    ``derive(rows)`` gives the arrays the kernels read from the (s, n, d)
+    point sets of one descent, which its ``Layout`` numbers from 0.
+    ``start(arrays, rngs, layout)`` gives the start labels, model and
+    objective of one restart per generator; ``cost(arrays, model,
+    layout)`` and ``refit(arrays, labels, layout)`` are those of
+    ``_descend``. ``value(labels, rows)`` is the exact loss of one set's
+    (n, d) rows, and ``geometry(model)`` the ``ClusterSolution`` fields of
+    one restart's model. ``tag`` seeds the restarts' generators.
+    """
+
+    tag: str
+    derive: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    start: Callable[..., tuple[np.ndarray, Model, np.ndarray]]
+    cost: Callable[..., np.ndarray]
+    refit: Callable[..., tuple[Model, np.ndarray, np.ndarray]]
+    value: Callable[[np.ndarray, np.ndarray], float]
+    geometry: Callable[[Model], dict]
+
+
+def _row_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (s, n, d) ``rows``, their (s, d, n) transposes and their (s, n)
+    squared norms."""
+    return rows, np.ascontiguousarray(rows.transpose(0, 2, 1)), (rows**2).sum(axis=2)
 
 
 def _layout(sets: Sequence[int], sizes: Sequence[int]) -> Layout:
@@ -325,39 +349,27 @@ def _packs(sets: Sequence[int], n_restarts: int, n: int, k: int, d: int) -> list
     return packs
 
 
-class _Best(NamedTuple):
-    labels: np.ndarray
-    objective: float
-    model: Model
-    n_iters: int
-    degenerate: bool
-
-
 def _best_restarts(
-    points: np.ndarray,
-    k: int,
-    n_restarts: int,
-    loss: Callable[[int, int], Loss],
-    exact: Callable[[np.ndarray, int], float],
-) -> list[_Best | Exception]:
+    points: np.ndarray, k: int, n_restarts: int, seeds: Sequence[int], loss: _Loss
+) -> list[ClusterSolution | Exception]:
     """The restart driver of every minimizer, over a stack of (n, d) point
-    sets: check ``k`` and ``n_restarts``, descend the restarts of every set
-    whose rows are finite, and keep each set's restart of lowest exact loss
-    ``exact(labels, set)``. Returns each set's best restart, or the error
-    that stopped it.
+    sets, set i restarted from ``seeds[i]``: check ``k`` and
+    ``n_restarts``, descend the restarts of every set whose rows are
+    finite, and keep each set's restart of lowest exact loss
+    ``loss.value``. Returns each set's solution, or the error that stopped
+    it.
 
-    ``loss(lo, hi)`` gives the ``start``, ``cost`` and ``refit`` of the
-    point sets ``lo .. hi-1``, numbered from 0 in a descent's blocks and
-    ``Layout``: ``start(pack, layout)`` gives the start labels, model and
-    objective of the (point set, restarts) blocks of one descent. A loss
-    is made for the sets of each descent and kept while the next descents
-    cover the same sets, so what it derives from the points is held for
-    one descent's sets at a time. The descent objective is accurate to
-    about 1e-14 of the rows' total energy, so only restarts within
-    ``_SCORE_MARGIN`` of that energy of a block's lowest can hold the
-    lowest exact loss; only those are scored, each distinct labeling of a
-    set once per process, and a set's scores are dropped after its last
-    block.
+    Everything but the loss's arithmetic (``_Loss``) is done here. Each
+    restart draws from its own generator, seeded by its set's seed,
+    ``loss.tag`` and its restart index. The arrays ``loss.derive`` gives
+    are made for the sets of each descent and kept while the next descents
+    cover the same sets, so they are held for one descent's sets at a
+    time. The descent objective is accurate to about 1e-14 of the rows'
+    total energy, so only restarts within ``_SCORE_MARGIN`` of that energy
+    of a block's lowest can hold the lowest exact loss; only those are
+    scored, each distinct labeling of a set once per process, and a set's
+    scores are dropped after its last block. A solution's geometry is
+    ``loss.geometry`` of its restart's model.
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
@@ -379,7 +391,7 @@ def _best_restarts(
             margins[i] = _SCORE_MARGIN * float((rows**2).sum())
         else:
             outcomes[i] = ValueError("rows must be finite")
-    loss = functools.lru_cache(maxsize=1)(loss)
+    derived = functools.lru_cache(maxsize=1)(lambda lo, hi: loss.derive(points[lo:hi]))
     # each set's scores by labeling; a forked worker scores into its own copy
     scored: dict[int, dict[bytes, float]] = {}
 
@@ -387,31 +399,39 @@ def _best_restarts(
         known = scored.setdefault(i, {})
         key = labels.tobytes()
         if key not in known:
-            known[key] = exact(labels, i)
+            known[key] = loss.value(labels, points[i])
         return known[key]
 
-    def descent_bests(pack: Pack) -> list[_Best]:
+    def descent_bests(pack: Pack) -> list[ClusterSolution]:
         """Each block's best restart, from one descent of the pack."""
         lo = pack[0][0]
-        local = [(i - lo, restarts) for i, restarts in pack]
-        sets = [i for i, _ in local]
+        sets = [i - lo for i, _ in pack]
         sizes = [len(restarts) for _, restarts in pack]
-        start, cost, refit = loss(lo, pack[-1][0] + 1)
-        run = _descend(*start(local, _layout(sets, sizes)), cost, refit, k, sets, sizes)
+        arrays = derived(lo, pack[-1][0] + 1)
+        rngs = [np.random.default_rng(derive_seed(seeds[i], loss.tag, restart))
+                for i, restarts in pack for restart in restarts]
+        run = _descend(*loss.start(arrays, rngs, _layout(sets, sizes)),
+                       functools.partial(loss.cost, arrays),
+                       functools.partial(loss.refit, arrays), k, sets, sizes)
         bests, end = [], 0
         for (i, restarts), size in zip(pack, sizes):
             obj = run.objective[end : end + size]
             near = end + np.flatnonzero(obj <= obj.min() + margins[i])
             j = min(near, key=lambda j: score(i, run.labels[j]))
-            bests.append(_Best(run.labels[j].copy(), score(i, run.labels[j]),
-                               tuple(a[j] for a in run.model), int(run.rounds[j]),
-                               bool(run.degenerate[j])))
+            bests.append(ClusterSolution(
+                labels=run.labels[j].copy(),
+                objective=score(i, run.labels[j]),
+                n_iters=int(run.rounds[j]),
+                n_restarts_used=n_restarts,
+                degenerate=bool(run.degenerate[j]),
+                **loss.geometry(tuple(a[j] for a in run.model)),
+            ))
             if restarts.stop == n_restarts:
                 scored.pop(i, None)
             end += size
         return bests
 
-    def alone(block: tuple[int, range]) -> _Best | Exception:
+    def alone(block: tuple[int, range]) -> ClusterSolution | Exception:
         try:
             return descent_bests([block])[0]
         except Exception as exc:
@@ -526,34 +546,20 @@ def minimize_q1_stack(
     set i restarted from ``seeds[i]``: each set's solution, or the error
     that stopped it. Sets whose restarts fit in small blocks share
     descents (``_best_restarts``)."""
-    n = points.shape[1]
+    def start(arrays, rngs: list[np.random.Generator], layout: Layout):
+        m, n = len(rngs), points.shape[1]
+        centroids = _kmeanspp_init(arrays[0], k, rngs, layout)
+        return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
 
-    def loss(lo: int, hi: int) -> Loss:
-        rows = points[lo:hi]
-        row_sq = (rows**2).sum(axis=2)
-        rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
-
-        def start(pack: Pack, layout: Layout):
-            rngs = [np.random.default_rng(derive_seed(seeds[lo + i], "q1-restart", restart))
-                    for i, restarts in pack for restart in restarts]
-            m = len(rngs)
-            centroids = _kmeanspp_init(rows, k, rngs, layout)
-            return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
-
-        return (start,
-                lambda model, layout: _centroid_cost(rows_t, row_sq, model, layout),
-                lambda labels, layout: _centroid_refit(rows, labels, k, layout))
-
-    bests = _best_restarts(points, k, n_restarts, loss,
-                           lambda labels, i: q1_value(labels, points[i]))
-    return [best if isinstance(best, Exception) else ClusterSolution(
-        labels=best.labels,
-        objective=best.objective,
-        centroids=best.model[0].copy(),
-        n_iters=best.n_iters,
-        n_restarts_used=n_restarts,
-        degenerate=best.degenerate,
-    ) for best in bests]
+    return _best_restarts(points, k, n_restarts, seeds, _Loss(
+        tag="q1-restart",
+        derive=_row_arrays,
+        start=start,
+        cost=lambda arrays, model, layout: _centroid_cost(*arrays[1:], model, layout),
+        refit=lambda arrays, labels, layout: _centroid_refit(arrays[0], labels, k, layout),
+        value=q1_value,
+        geometry=lambda model: {"centroids": model[0].copy()},
+    ))
 
 
 def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
@@ -645,42 +651,20 @@ def minimize_q_subspace_stack(
     if r < 1:
         raise ValueError("rank r must be >= 1")
 
-    def loss(lo: int, hi: int) -> Loss:
-        rows = points[lo:hi]
-        row_sq = (rows**2).sum(axis=2)
-        rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
-        outer = rows[:, :, :, None] * rows[:, :, None, :]
+    def start(arrays, rngs: list[np.random.Generator], layout: Layout):
+        labels = _seed_labels(*arrays[:3], k, r, rngs, layout)
+        model, obj, _ = _subspace_refit(arrays[3], labels, k, r, layout)
+        return labels, model, obj
 
-        def start(pack: Pack, layout: Layout):
-            rngs = [np.random.default_rng(derive_seed(seeds[lo + i], "qsub-restart", restart))
-                    for i, restarts in pack for restart in restarts]
-            labels = _seed_labels(rows, rows_t, row_sq, k, r, rngs, layout)
-            model, obj, _ = _subspace_refit(outer, labels, k, r, layout)
-            return labels, model, obj
-
-        return (start,
-                lambda model, layout: _subspace_cost(row_sq, rows_t, model[0], layout),
-                lambda labels, layout: _subspace_refit(outer, labels, k, r, layout))
-
-    bests = _best_restarts(points, k, n_restarts, loss,
-                           lambda labels, i: q_subspace_value(labels, points[i], r))
-    solutions: list[ClusterSolution | Exception] = []
-    for best in bests:
-        if isinstance(best, Exception):
-            solutions.append(best)
-            continue
-        basis, rank = best.model
-        # degenerate: rank-deficient clusters at the solution or an
-        # iteration-cap exit
-        solutions.append(ClusterSolution(
-            labels=best.labels,
-            objective=best.objective,
-            bases=[basis[j, : rank[j]].T.copy() for j in range(k)],
-            n_iters=best.n_iters,
-            n_restarts_used=n_restarts,
-            degenerate=best.degenerate,
-        ))
-    return solutions
+    return _best_restarts(points, k, n_restarts, seeds, _Loss(
+        tag="qsub-restart",
+        derive=lambda rows: (*_row_arrays(rows), rows[:, :, :, None] * rows[:, :, None, :]),
+        start=start,
+        cost=lambda arrays, model, layout: _subspace_cost(arrays[2], arrays[1], model[0], layout),
+        refit=lambda arrays, labels, layout: _subspace_refit(arrays[3], labels, k, r, layout),
+        value=lambda labels, rows: q_subspace_value(labels, rows, r),
+        geometry=lambda model: {"bases": [model[0][j, : model[1][j]].T.copy() for j in range(k)]},
+    ))
 
 
 def minimize_q_subspace(

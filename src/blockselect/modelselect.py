@@ -399,21 +399,33 @@ class WorkflowResult:
 
 
 def validate_workflow_result(result: WorkflowResult) -> None:
-    """Decision-consistency invariants; raises AssertionError on violation."""
+    """Decision-consistency invariants; raises AssertionError, naming the
+    invariant that failed, on violation. The checks are explicit raises,
+    so they also run under ``python -O``."""
+    def require(holds: bool, invariant: str) -> None:
+        if not holds:
+            raise AssertionError(f"inconsistent workflow result: {invariant}")
+
     t1, t2 = result.test_sbm_dcbm, result.test_dcbm_pabm
-    if result.selected_model is ModelKind.SBM:
-        assert not t1.rejected and t2 is None
-    elif result.selected_model is ModelKind.DCBM:
-        assert t1.rejected and t2 is not None and not t2.rejected
-    else:
-        assert t1.rejected and t2 is not None and t2.rejected
-    assert result.labels.min() >= 1 and result.labels.max() <= result.k
-    for t in (t1, t2):
+    picked = result.selected_model
+    require(t1.rejected == (picked is not ModelKind.SBM),
+            f"{picked.name} picked with SBM-vs-DCBM rejected={t1.rejected}")
+    require((t2 is None) == (picked is ModelKind.SBM),
+            f"{picked.name} picked {'without' if t2 is None else 'with'} a DCBM-vs-PABM test")
+    if t2 is not None:
+        require(t2.rejected == (picked is ModelKind.PABM),
+                f"{picked.name} picked with DCBM-vs-PABM rejected={t2.rejected}")
+    require(result.labels.min() >= 1 and result.labels.max() <= result.k,
+            f"labels outside [1, {result.k}]")
+    for name, t in (("SBM-vs-DCBM", t1), ("DCBM-vs-PABM", t2)):
         if t is None:
             continue
         count = int((t.boot_stats >= t.statistic).sum())
-        assert t.p_value == count / t.boot_stats.size
-        assert t.rejected == (t.p_value < t.alpha)
+        require(t.p_value == count / t.boot_stats.size,
+                f"{name} p-value {t.p_value!r} is not {count}/{t.boot_stats.size}, "
+                f"the share of bootstrap statistics >= {t.statistic!r}")
+        require(t.rejected == (t.p_value < t.alpha),
+                f"{name} rejected={t.rejected} at p-value {t.p_value!r}, alpha {t.alpha!r}")
 
 
 def run_workflow(

@@ -146,9 +146,10 @@ def load_labels(stream: IO[str], ids: dict[str, int], n: int) -> np.ndarray:
     """Read a ground-truth label file: one "node_id label" line per node,
     labels 1-based community integers. Returns a length-n int array aligned
     to graph indices. Nodes absent from ``ids`` are ignored; nodes of the
-    graph missing from the file are an error."""
+    graph missing from the file, or listed twice, are an error."""
     labels = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    # the line of each node's label, 0 while it has none
+    line_of = np.zeros(n, dtype=np.int64)
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,6 +162,10 @@ def load_labels(stream: IO[str], ids: dict[str, int], n: int) -> np.ndarray:
         if tokens[0] not in ids:
             continue
         idx = ids[tokens[0]]
+        if line_of[idx]:
+            raise EdgeListParseError(
+                f"node {tokens[0]!r} listed twice (first on line {line_of[idx]})", lineno
+            )
         try:
             lab = int(tokens[1])
         except ValueError as exc:
@@ -168,9 +173,9 @@ def load_labels(stream: IO[str], ids: dict[str, int], n: int) -> np.ndarray:
         if lab < 1:
             raise EdgeListParseError(f"labels are 1-based, got {lab}", lineno)
         labels[idx] = lab
-        seen[idx] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
+        line_of[idx] = lineno
+    if not line_of.all():
+        missing = int(np.flatnonzero(line_of == 0)[0])
         raise EdgeListParseError(f"no label for node index {missing}")
     return labels
 

@@ -111,6 +111,10 @@ class ExperimentSpec:
             bad = set(self.methods) - _METHODS
             if bad or not self.methods:
                 raise ConfigError(f"invalid methods {sorted(bad)} for {self.study.value}")
+            # a method's cells are keyed by its name, so each runs once
+            repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+            if repeated:
+                raise ConfigError(f"methods listed more than once: {repeated}")
         if self.restarts is not None and self.restarts < 1:
             raise ConfigError("restarts must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -394,6 +398,18 @@ def _get(section, key, conv, *, where=""):
         raise ConfigError(f"{where}{key} = {raw!r}: {exc}") from exc
 
 
+# the optional keys of a [grid.N] section, each named as its GridPoint field
+_GRID_KEYS = {
+    "beta": float, "omega": _parse_matrix, "fractions": _parse_floats, "density": float,
+    "avg_degree": float, "theta_law": _parse_theta_law, "true_model": str,
+}
+# the optional keys of [experiment]: (ExperimentSpec field, key, parser)
+_EXPERIMENT_KEYS = (
+    ("n_replicates", "replicates", int), ("n_boot", "bootstrap", int),
+    ("alpha", "alpha", float), ("restarts", "restarts", int), ("base_seed", "base_seed", int),
+)
+
+
 def _grid_point(keys, where: str) -> GridPoint:
     """A grid point from its ``[grid.N]`` keys: the text of a config
     section, or the flags of ``blockselect generate``."""
@@ -401,30 +417,36 @@ def _grid_point(keys, where: str) -> GridPoint:
     k = _get(keys, "k", int, where=where)
     if n is None or k is None:
         raise ConfigError(f"{where}requires n and k")
-    return GridPoint(
-        n=n,
-        k=k,
-        beta=_get(keys, "beta", float, where=where),
-        omega=_get(keys, "omega", _parse_matrix, where=where),
-        fractions=_get(keys, "fractions", _parse_floats, where=where),
-        density=_get(keys, "density", float, where=where),
-        avg_degree=_get(keys, "avg_degree", float, where=where),
-        theta_law=_get(keys, "theta_law", _parse_theta_law, where=where),
-        true_model=_get(keys, "true_model", str, where=where),
-    )
+    return GridPoint(n=n, k=k, **{
+        key: _get(keys, key, conv, where=where) for key, conv in _GRID_KEYS.items()
+    })
+
+
+def _check_keys(section, known) -> None:
+    """Reject the keys of a config section that no setting reads."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"[{section.name}]: unknown key(s) {unknown}")
 
 
 def load_experiment_config(stream) -> ExperimentSpec:
     """Parse an INI-style experiment file: one [experiment] section plus
-    [grid.N] sections, numbered 1, 2, ... without gaps."""
+    [grid.N] sections, numbered 1, 2, ... without gaps.
+
+    A key that no setting of its section reads is an error, as is any key
+    in [DEFAULT]: configparser would copy it into [experiment] and every
+    [grid.N] alike, and no key is read by both."""
     parser = configparser.ConfigParser()
     try:
         parser.read_file(stream)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT]: unknown key(s) {sorted(parser.defaults())}")
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
     exp = parser["experiment"]
+    _check_keys(exp, ["study", "methods", *(key for _, key, _ in _EXPERIMENT_KEYS)])
     try:
         study = Study(exp.get("study", ""))
     except ValueError:
@@ -435,16 +457,13 @@ def load_experiment_config(stream) -> ExperimentSpec:
     # keys the file leaves out keep the ExperimentSpec defaults
     settings = {
         name: _get(exp, key, conv, where="[experiment] ")
-        for name, key, conv in (
-            ("n_replicates", "replicates", int), ("n_boot", "bootstrap", int),
-            ("alpha", "alpha", float), ("restarts", "restarts", int),
-            ("base_seed", "base_seed", int),
-        )
+        for name, key, conv in _EXPERIMENT_KEYS
         if key in exp
     }
     grid: list[GridPoint] = []
     idx = 1
     while f"grid.{idx}" in parser:
+        _check_keys(parser[f"grid.{idx}"], ["n", "k", *_GRID_KEYS])
         grid.append(_grid_point(parser[f"grid.{idx}"], f"grid point {idx}: "))
         idx += 1
     known = {"experiment", *(f"grid.{i}" for i in range(1, idx))}

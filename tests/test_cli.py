@@ -117,6 +117,15 @@ def test_cluster_labels_csv_quotes_ids_with_commas_and_quotes(tmp_path):
     assert [row[0] for row in rows[1:]] == ["a,b", "c", "d", "e", "f", 'g"h']
 
 
+def test_cluster_truth_listing_a_node_twice_exits_2(tmp_path, capsys):
+    edges = write(tmp_path / "g.edges", TWO_CLIQUES)
+    truth = write(tmp_path / "truth.labels", "0 1\n1 1\n2 1\n3 2\n4 2\n5 2\n0 2\n")
+    code = main(["cluster", str(edges), "--k", "2", "--model", "sbm",
+                 "--truth", str(truth), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 7: node '0' listed twice" in capsys.readouterr().err
+
+
 def test_cluster_k_zero_usage_error(tmp_path):
     edges = write(tmp_path / "g.edges", TWO_CLIQUES)
     code = main(["cluster", str(edges), "--k", "0", "--model", "sbm",
@@ -330,6 +339,27 @@ def test_simulate_table_shows_the_configured_methods(tmp_path):
     assert header == "n,K,delta,Q2,RSC-L"
     cells = row.split(",")[3:]
     assert len(cells) == 2 and "NA" not in cells and all("+/-" in c for c in cells)
+
+
+def test_simulate_rejects_a_repeated_method_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path / "exp.cfg", SIM_CONFIG.replace("methods = q1", "methods = q1, q1"))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "methods listed more than once: ['q1']" in capsys.readouterr().err
+    assert not (out / "table.csv").exists()
+
+
+@pytest.mark.parametrize("section, typo, message", [
+    ("[grid.1]", "fractoins = 0.2, 0.8", "[grid.1]: unknown key(s) ['fractoins']"),
+    ("[experiment]", "base_sed = 7\nbootstarp = 5",
+     "[experiment]: unknown key(s) ['base_sed', 'bootstarp']"),
+])
+def test_simulate_rejects_unknown_keys_exit_2(tmp_path, capsys, section, typo, message):
+    cfg = write(tmp_path / "exp.cfg", SIM_CONFIG.replace(section, f"{section}\n{typo}"))
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "table.csv").exists()
 
 
 STUDY_TRUTH_CONFIG = """

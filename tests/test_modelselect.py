@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import blockselect
 import blockselect.modelselect as ms
 from blockselect import _pool, cluster
 from blockselect._seeds import derive_seed
@@ -31,6 +37,7 @@ from blockselect.cluster import minimize_q1, minimize_q_subspace
 from blockselect.errors import DegenerateModelError, InfeasibleModelError, NumericalError
 from blockselect.modelselect import (
     ModelKind,
+    WorkflowResult,
     bootstrap_p_value,
     detect,
     make_test_result,
@@ -669,6 +676,78 @@ def test_workflow_on_pabm_truth_selects_pabm():
     assert result.test_sbm_dcbm.rejected and result.test_dcbm_pabm.rejected
     assert result.embedding_dims["final"] == 4
     validate_workflow_result(result)
+
+
+def consistent_workflow(picked: ModelKind) -> WorkflowResult:
+    """A hand-made workflow result that picks ``picked`` and keeps every
+    decision invariant: p-values 1/4 (kept) or 0 (rejected) at alpha 0.05."""
+    def test(null, alt, rejected):
+        return make_test_result(9.0 if rejected else 3.5, [1.0, 2.0, 3.0, 4.0], 0.05,
+                                null, alt, seed=0)
+
+    t1 = test(ModelKind.SBM, ModelKind.DCBM, picked is not ModelKind.SBM)
+    t2 = None if picked is ModelKind.SBM else test(
+        ModelKind.DCBM, ModelKind.PABM, picked is ModelKind.PABM)
+    return WorkflowResult(picked, np.array([1, 2, 2, 1]), t1, t2, {}, {}, k=2)
+
+
+_TAMPERED_WORKFLOWS = {
+    "sbm pick with a second test": (
+        lambda r: dataclasses.replace(r, test_dcbm_pabm=r.test_sbm_dcbm),
+        "SBM picked with a DCBM-vs-PABM test"),
+    "dcbm pick with the sbm test kept": (
+        lambda r: dataclasses.replace(r, selected_model=ModelKind.DCBM),
+        "DCBM picked with SBM-vs-DCBM rejected=False"),
+    "p-value off the bootstrap": (
+        lambda r: dataclasses.replace(
+            r, test_sbm_dcbm=dataclasses.replace(r.test_sbm_dcbm, p_value=0.5)),
+        "SBM-vs-DCBM p-value 0.5 is not 1/4"),
+    "decision off the p-value": (
+        lambda r: dataclasses.replace(
+            r, test_sbm_dcbm=dataclasses.replace(r.test_sbm_dcbm, alpha=0.5)),
+        "SBM-vs-DCBM rejected=False at p-value 0.25, alpha 0.5"),
+    "label above k": (
+        lambda r: dataclasses.replace(r, labels=np.array([1, 3, 2, 1])),
+        "labels outside [1, 2]"),
+    "label zero": (
+        lambda r: dataclasses.replace(r, labels=np.array([0, 1, 2, 1])),
+        "labels outside [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("picked", list(ModelKind))
+def test_validate_workflow_result_accepts_consistent_results(picked):
+    validate_workflow_result(consistent_workflow(picked))
+
+
+@pytest.mark.parametrize("case", _TAMPERED_WORKFLOWS)
+def test_validate_workflow_result_names_the_broken_invariant(case):
+    tamper, message = _TAMPERED_WORKFLOWS[case]
+    with pytest.raises(AssertionError, match=f"^inconsistent workflow result: {re.escape(message)}"):
+        validate_workflow_result(tamper(consistent_workflow(ModelKind.SBM)))
+
+
+def test_validate_workflow_result_raises_under_python_dash_o():
+    # -O strips assert statements; the checks must not be ones
+    code = (
+        "import numpy as np\n"
+        "from blockselect.modelselect import ModelKind, WorkflowResult, make_test_result, "
+        "validate_workflow_result\n"
+        "t = make_test_result(3.5, [1.0, 2.0, 3.0, 4.0], 0.05, ModelKind.SBM, ModelKind.DCBM, 0)\n"
+        "r = WorkflowResult(ModelKind.SBM, np.array([1, 2]), t, t, {}, {}, k=2)\n"
+        "try:\n"
+        "    validate_workflow_result(r)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "print('optimized:', __debug__ is False)\n"
+    )
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.splitlines() == [
+        "raised: inconsistent workflow result: SBM picked with a DCBM-vs-PABM test",
+        "optimized: True",
+    ]
 
 
 def test_workflow_report_is_json_ready():

@@ -227,3 +227,10 @@ def test_load_labels_rejects_zero_based():
     g, ids = load_edge_list(io.StringIO("a b"))
     with pytest.raises(EdgeListParseError, match="1-based"):
         load_labels(io.StringIO("a 0\nb 1\n"), ids, g.n)
+
+
+def test_load_labels_rejects_a_node_listed_twice():
+    with pytest.raises(EdgeListParseError,
+                       match=r"^line 3: node 'a' listed twice \(first on line 1\)$") as info:
+        load_labels(io.StringIO("a 1\nb 2\na 2\n"), {"a": 0, "b": 1}, 2)
+    assert info.value.line_number == 3

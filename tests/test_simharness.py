@@ -292,6 +292,35 @@ def test_config_rejects_stray_sections():
             load_experiment_config(io.StringIO(text))
 
 
+@pytest.mark.parametrize("section, extra, unknown", [
+    ("[experiment]", "base_sed = 7\nbootstarp = 5", "[experiment]: unknown key(s) ['base_sed', 'bootstarp']"),
+    ("[grid.1]", "fractoins = 0.2, 0.8, 0.0", "[grid.1]: unknown key(s) ['fractoins']"),
+    ("[grid.2]", "seed = 3", "[grid.2]: unknown key(s) ['seed']"),
+    # keys read by the other kind of section
+    ("[experiment]", "n = 10", "[experiment]: unknown key(s) ['n']"),
+    ("[grid.2]", "alpha = 0.1", "[grid.2]: unknown key(s) ['alpha']"),
+])
+def test_config_rejects_keys_no_setting_reads(section, extra, unknown):
+    text = GOOD_CONFIG.replace(section, f"{section}\n{extra}", 1)
+    with pytest.raises(ConfigError, match=re.escape(unknown)):
+        load_experiment_config(io.StringIO(text))
+
+
+def test_config_rejects_default_section_keys():
+    # [DEFAULT] keys would flow into [experiment] and every [grid.N] alike
+    text = "[DEFAULT]\navg_degree = 20\n" + GOOD_CONFIG
+    with pytest.raises(ConfigError, match=re.escape("[DEFAULT]: unknown key(s) ['avg_degree']")):
+        load_experiment_config(io.StringIO(text))
+
+
+def test_config_rejects_a_repeated_method():
+    text = GOOD_CONFIG.replace("methods = q2, rsc_l", "methods = q2, rsc_l, q2")
+    with pytest.raises(ConfigError, match=re.escape("methods listed more than once: ['q2']")):
+        load_experiment_config(io.StringIO(text))
+    with pytest.raises(ConfigError, match="listed more than once"):
+        dataclasses.replace(TINY_SBM_SPEC, methods=("q1", "sc_l", "q1")).validate()
+
+
 def test_config_requires_grid():
     with pytest.raises(ConfigError, match="no \\[grid"):
         load_experiment_config(io.StringIO("[experiment]\nstudy = comm_det_sbm\nmethods = q1\n"))
