@@ -13,10 +13,13 @@ changing. The centroid loss is minimized by Lloyd's algorithm.
 
 All minimizers are restarted from multiple seeded initializations; the best
 objective wins, ties broken by restart index. Each restart draws from its
-own generator, but a block of restarts is seeded and descended together:
-one round is a few stacked matmuls and one batched ``eigh`` over every
-(restart, community) pair, and a restart drops out of the block when its
-labels stop changing.
+own generator, the stream of ``np.random.default_rng`` at its derived seed;
+the PCG64 states of every restart of a minimization are hashed in one
+vectorized pass (``_seeds.pcg64_words``), which costs far less than a
+``SeedSequence`` per restart. A block of restarts is seeded and descended
+together: one round is a few stacked matmuls and one batched ``eigh`` over
+every (restart, community) pair, and a restart drops out of the block when
+its labels stop changing.
 A point's residual to a community is ||x||^2 - sum_b (b.x)^2 over the
 community's kept eigenvectors b, all from one (restarts * communities *
 rank, d) x (d, n) product per block; costs are laid out (restart,
@@ -49,7 +52,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import _pool
-from ._seeds import derive_seed
+from ._seeds import _Words, derive_seed, pcg64_words
 from .blockmodels import _integer_labels
 from .errors import InfeasibleModelError, NumericalError
 from .netcore import Graph
@@ -361,14 +364,18 @@ def _best_restarts(
 
     Everything but the loss's arithmetic (``_Loss``) is done here. Each
     restart draws from its own generator, seeded by its set's seed,
-    ``loss.tag`` and its restart index. The arrays ``loss.derive`` gives
-    are made for the sets of each descent and kept while the next descents
-    cover the same sets, so they are held for one descent's sets at a
-    time. The descent objective is accurate to about 1e-14 of the rows'
-    total energy, so only restarts within ``_SCORE_MARGIN`` of that energy
-    of a block's lowest can hold the lowest exact loss; only those are
-    scored, each distinct labeling of a set once per process, and a set's
-    scores are dropped after its last block. A solution's geometry is
+    ``loss.tag`` and its restart index: the PCG64 state words of every
+    (set, restart) are hashed once per call (``pcg64_words``), and each
+    descent builds its restarts' generators from their rows, so a block
+    descended again alone draws the same streams. The arrays
+    ``loss.derive`` gives are made for the sets of each descent and kept
+    while the next descents cover the same sets, so they are held for one
+    descent's sets at a time. The descent objective is accurate to about
+    1e-14 of the rows' total energy, so only restarts within
+    ``_SCORE_MARGIN`` of that energy of a block's lowest can hold the
+    lowest exact loss; only those are scored, each distinct labeling of a
+    set once per process, and a set's scores are dropped after its last
+    block. A solution's geometry is
     ``loss.geometry`` of its restart's model.
 
     A block depends only on its set and its restarts' seeds, and gets the
@@ -392,6 +399,10 @@ def _best_restarts(
         else:
             outcomes[i] = ValueError("rows must be finite")
     derived = functools.lru_cache(maxsize=1)(lambda lo, hi: loss.derive(points[lo:hi]))
+    # every restart's PCG64 state, hashed in one pass: (set, restart, 4 words)
+    words = pcg64_words(np.array(
+        [[derive_seed(seed, loss.tag, restart) for restart in range(n_restarts)]
+         for seed in seeds], dtype=np.uint64).reshape(n_sets, n_restarts))
     # each set's scores by labeling; a forked worker scores into its own copy
     scored: dict[int, dict[bytes, float]] = {}
 
@@ -408,7 +419,7 @@ def _best_restarts(
         sets = [i - lo for i, _ in pack]
         sizes = [len(restarts) for _, restarts in pack]
         arrays = derived(lo, pack[-1][0] + 1)
-        rngs = [np.random.default_rng(derive_seed(seeds[i], loss.tag, restart))
+        rngs = [np.random.Generator(np.random.PCG64(_Words(words[i, restart])))
                 for i, restarts in pack for restart in restarts]
         run = _descend(*loss.start(arrays, rngs, _layout(sets, sizes)),
                        functools.partial(loss.cost, arrays),

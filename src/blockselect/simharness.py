@@ -148,6 +148,9 @@ class ExperimentSpec:
                             pt.density, pt.avg_degree)
             except ValueError as exc:
                 raise ConfigError(f"grid point {i + 1}: {exc}") from exc
+        if self.study not in _COMM_DET_STUDIES and self.methods:
+            # a test study runs its one test per replicate, whatever is listed
+            raise ConfigError(f"{self.study.value} runs no methods, got {list(self.methods)}")
 
 
 @dataclass

@@ -349,6 +349,16 @@ def test_simulate_rejects_a_repeated_method_exit_2(tmp_path, capsys):
     assert not (out / "table.csv").exists()
 
 
+@pytest.mark.parametrize("study", ["test_sbm_vs_dcbm", "test_dcbm_vs_pabm"])
+def test_simulate_test_study_with_methods_exit_2(tmp_path, capsys, study):
+    text = STUDY_TRUTH_CONFIG.format(study=study, method="q9, q9", truth="true_model = sbm")
+    cfg = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert f"{study} runs no methods, got ['q9', 'q9']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, typo, message", [
     ("[grid.1]", "fractoins = 0.2, 0.8", "[grid.1]: unknown key(s) ['fractoins']"),
     ("[experiment]", "base_sed = 7\nbootstarp = 5",

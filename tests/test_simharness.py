@@ -324,3 +324,22 @@ def test_config_rejects_a_repeated_method():
 def test_config_requires_grid():
     with pytest.raises(ConfigError, match="no \\[grid"):
         load_experiment_config(io.StringIO("[experiment]\nstudy = comm_det_sbm\nmethods = q1\n"))
+
+
+@pytest.mark.parametrize("methods", ["q9, q9", "q1"])
+def test_config_rejects_methods_in_a_test_study(methods):
+    # a test study runs one test per replicate, so a methods key would be
+    # dropped whatever it held
+    text = ("[experiment]\nstudy = test_sbm_vs_dcbm\nbootstrap = 5\n"
+            f"methods = {methods}\n"
+            "[grid.1]\nn = 40\nk = 2\nbeta = 0.2\navg_degree = 8\ntrue_model = sbm\n")
+    with pytest.raises(ConfigError, match="test_sbm_vs_dcbm runs no methods"):
+        load_experiment_config(io.StringIO(text))
+    load_experiment_config(io.StringIO(text.replace(f"methods = {methods}\n", "")))
+    spec = ExperimentSpec(
+        study=Study.TEST_DCBM_VS_PABM,
+        grid=(GridPoint(n=40, k=2, beta=0.2, avg_degree=8, true_model="dcbm"),),
+        methods=("q2",),
+    )
+    with pytest.raises(ConfigError, match=re.escape("runs no methods, got ['q2']")):
+        spec.validate()
