@@ -48,6 +48,10 @@ class Beta:
     a: float
     b: float
 
+    def __post_init__(self):
+        if not (self.a > 0 and self.b > 0):
+            raise ValueError(f"Beta needs a, b > 0, got a = {self.a}, b = {self.b}")
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
 
@@ -63,6 +67,13 @@ class PowerLaw:
     xmin: float = 1.0
     alpha: float = 5.0
 
+    def __post_init__(self):
+        if not (self.xmin > 0 and self.alpha > 1):
+            raise ValueError(
+                f"PowerLaw needs xmin > 0 and alpha > 1, got xmin = {self.xmin}, "
+                f"alpha = {self.alpha}"
+            )
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = 1.0 - rng.random(size)  # in (0, 1]; avoids u = 0
         return self.xmin * u ** (-1.0 / (self.alpha - 1.0))
@@ -73,6 +84,10 @@ class Constant:
     """Degenerate law; every draw equals ``value``."""
 
     value: float = 1.0
+
+    def __post_init__(self):
+        if not self.value > 0:
+            raise ValueError(f"Constant needs value > 0, got {self.value}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)

@@ -31,7 +31,7 @@ rest of a round runs once for the whole descent. A set's solution, or
 its error, is that of the set minimized alone; ``minimize_q1`` and
 ``minimize_q_subspace`` are the one-set case.
 One restart driver, ``_best_restarts``, serves both losses: it owns the
-restarts' generators, the arrays derived for each descent, the exact
+restarts' generators, each descent's ``Layout`` and ``_Rows``, the exact
 scoring and each set's ``ClusterSolution``, and each loss is a ``_Loss``
 record of its kernels (start, cost, refit, exact value, geometry).
 The descents run in parallel on the package's worker pool (``_pool``).
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -139,42 +139,55 @@ Pack = list[tuple[int, range]]
 Layout = list[tuple[int, slice]]
 
 
+class _Rows(NamedTuple):
+    """The arrays the kernels read of one descent's (s, n, d) ``points``,
+    which its ``Layout`` numbers from 0: their (s, d, n) transposes, (s, n)
+    squared norms and, for the subspace losses, (s, n, d, d) outer products."""
+
+    points: np.ndarray
+    transposed: np.ndarray
+    sq_norms: np.ndarray
+    outer: np.ndarray | None = None
+
+
+def _rows(points: np.ndarray, outer: bool = False) -> _Rows:
+    """The ``_Rows`` of the (s, n, d) ``points``, with their outer products
+    if ``outer``."""
+    return _Rows(points, np.ascontiguousarray(points.transpose(0, 2, 1)), (points**2).sum(axis=2),
+                 points[:, :, :, None] * points[:, :, None, :] if outer else None)
+
+
 class _Loss(NamedTuple):
     """The arithmetic of one loss, which ``_best_restarts`` drives.
 
-    ``derive(rows)`` gives the arrays the kernels read from the (s, n, d)
-    point sets of one descent, which its ``Layout`` numbers from 0.
-    ``start(arrays, rngs, layout)`` gives the start labels, model and
-    objective of one restart per generator; ``cost(arrays, model,
-    layout)`` and ``refit(arrays, labels, layout)`` are those of
-    ``_descend``. ``value(labels, rows)`` is the exact loss of one set's
-    (n, d) rows, and ``geometry(model)`` the ``ClusterSolution`` fields of
-    one restart's model. ``tag`` seeds the restarts' generators.
+    ``derive(points)`` gives the ``_Rows`` of one descent's point sets.
+    ``start(rows, rngs, layout)`` gives the start labels, model and
+    objective of one restart per generator; ``cost(rows, model, layout)``
+    the (m, n, k) cost of every point in every community; and
+    ``refit(rows, labels, layout)`` the model, the objective and a
+    truncation flag per restart, ``layout`` saying where the restarts lie.
+    ``value(labels, points)`` is the exact loss of one set's (n, d) points,
+    and ``geometry(model)`` the ``ClusterSolution`` fields of one restart's
+    model. ``tag`` seeds the restarts' generators.
     """
 
     tag: str
-    derive: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    start: Callable[..., tuple[np.ndarray, Model, np.ndarray]]
-    cost: Callable[..., np.ndarray]
-    refit: Callable[..., tuple[Model, np.ndarray, np.ndarray]]
+    derive: Callable[[np.ndarray], _Rows]
+    start: Callable[[_Rows, list, Layout], tuple[np.ndarray, Model, np.ndarray]]
+    cost: Callable[[_Rows, Model, Layout], np.ndarray]
+    refit: Callable[[_Rows, np.ndarray, Layout], tuple[Model, np.ndarray, np.ndarray]]
     value: Callable[[np.ndarray, np.ndarray], float]
     geometry: Callable[[Model], dict]
 
 
-def _row_arrays(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (s, n, d) ``rows``, their (s, d, n) transposes and their (s, n)
-    squared norms."""
-    return rows, np.ascontiguousarray(rows.transpose(0, 2, 1)), (rows**2).sum(axis=2)
-
-
-def _layout(sets: Sequence[int], sizes: Sequence[int]) -> Layout:
-    """The layout of restart blocks in row order, block b holding
-    ``sizes[b]`` running restarts of point set ``sets[b]``."""
-    layout, end = [], 0
-    for s, size in zip(sets, sizes):
+def _layout(blocks: Iterable[tuple[int, int]]) -> Layout:
+    """The layout of restart blocks in row order, from each block's (point
+    set, running restarts); a block with none is left out."""
+    layout, stop = [], 0
+    for s, size in blocks:
         if size:
-            layout.append((int(s), slice(end, end + size)))
-            end += size
+            layout.append((s, slice(stop, stop + size)))
+            stop += size
     return layout
 
 
@@ -262,40 +275,28 @@ class _Descent(NamedTuple):
 
 
 def _descend(
-    labels: np.ndarray,
-    model: Model,
-    prev_obj: np.ndarray,
-    cost: Callable[[Model, Layout], np.ndarray],
-    refit: Callable[[np.ndarray, Layout], tuple[Model, np.ndarray, np.ndarray]],
-    k: int,
-    sets: Sequence[int],
-    sizes: Sequence[int],
+    loss: _Loss, rows: _Rows, rngs: list[np.random.Generator], k: int, layout: Layout
 ) -> _Descent:
-    """Alternate assignment and refit for the restarts of one descent.
+    """Alternate assignment (``loss.cost``) and refit (``loss.refit``) for
+    the restarts of one descent, one per generator, from ``loss.start``.
 
-    The restarts lie in blocks in row order, block b holding ``sizes[b]``
-    restarts of point set ``sets[b]``. ``labels`` (m, n) and ``model`` are
-    each restart's start, ``prev_obj`` the objective of that start.
-    ``cost(model, layout)`` gives the (m, n, k) cost of every point in
-    every community; ``refit(labels, layout)`` gives the model, the
-    objective and a truncation flag per restart; ``layout`` (``Layout``)
-    says where the running restarts lie. Each restart stops when its labels
-    repeat or after ``_MAX_ROUNDS`` rounds; only restarts still running are
-    advanced.
+    ``layout`` says where each block's restarts lie; the kernels get the
+    layout of the restarts still running. Each restart stops when its
+    labels repeat or after ``_MAX_ROUNDS`` rounds; only restarts still
+    running are advanced.
     """
+    labels, model, prev_obj = loss.start(rows, rngs, layout)
     m = labels.shape[0]
     out = _Descent(
         labels.copy(), tuple(a.copy() for a in model), np.empty(m),
         np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool),
     )
-    block_of = np.repeat(np.arange(len(sets)), sizes)
-    layout = _layout(sets, sizes)
     # every restart still running has done the same number of rounds
     active = np.arange(m)
     rounds = 0
     while True:
-        new_labels, repaired = _assign(cost(model, layout), k)
-        model, obj, truncated = refit(new_labels, layout)
+        new_labels, repaired = _assign(loss.cost(rows, model, layout), k)
+        model, obj, truncated = loss.refit(rows, new_labels, layout)
         limit = prev_obj + _MONOTONE_RTOL * np.maximum(1.0, np.abs(prev_obj))
         bad = np.flatnonzero(~repaired & (obj > limit))
         if bad.size:
@@ -321,7 +322,9 @@ def _descend(
             return out
         running = ~done
         active = active[running]
-        layout = _layout(sets, np.bincount(block_of[active], minlength=len(sets)).tolist())
+        # the restarts each block has left, counted in one pass
+        left = np.add.reduceat(running, [b.start for _, b in layout], dtype=np.intp)
+        layout = _layout(zip([s for s, _ in layout], left.tolist()))
         labels, prev_obj = new_labels[running], obj[running]
         model = tuple(a[running] for a in model)
 
@@ -367,15 +370,15 @@ def _best_restarts(
     ``loss.tag`` and its restart index: the PCG64 state words of every
     (set, restart) are hashed once per call (``pcg64_words``), and each
     descent builds its restarts' generators from their rows, so a block
-    descended again alone draws the same streams. The arrays
-    ``loss.derive`` gives are made for the sets of each descent and kept
-    while the next descents cover the same sets, so they are held for one
-    descent's sets at a time. The descent objective is accurate to about
-    1e-14 of the rows' total energy, so only restarts within
-    ``_SCORE_MARGIN`` of that energy of a block's lowest can hold the
-    lowest exact loss; only those are scored, each distinct labeling of a
-    set once per process, and a set's scores are dropped after its last
-    block. A solution's geometry is
+    descended again alone draws the same streams. A block reads its
+    results through its slice of the descent's ``Layout``. A descent's
+    ``_Rows`` (``loss.derive``) are kept while the next descents cover the
+    same sets, so they are held for one descent's sets at a time. The
+    descent objective is accurate to about 1e-14 of the rows' total energy,
+    so only restarts within ``_SCORE_MARGIN`` of that energy of a block's
+    lowest can hold the lowest exact loss; only those are scored, each
+    distinct labeling of a set once per process, and a set's scores are
+    dropped after its last block. A solution's geometry is
     ``loss.geometry`` of its restart's model.
 
     A block depends only on its set and its restarts' seeds, and gets the
@@ -416,18 +419,15 @@ def _best_restarts(
     def descent_bests(pack: Pack) -> list[ClusterSolution]:
         """Each block's best restart, from one descent of the pack."""
         lo = pack[0][0]
-        sets = [i - lo for i, _ in pack]
-        sizes = [len(restarts) for _, restarts in pack]
-        arrays = derived(lo, pack[-1][0] + 1)
+        layout = _layout((i - lo, len(restarts)) for i, restarts in pack)
+        rows = derived(lo, pack[-1][0] + 1)
         rngs = [np.random.Generator(np.random.PCG64(_Words(words[i, restart])))
                 for i, restarts in pack for restart in restarts]
-        run = _descend(*loss.start(arrays, rngs, _layout(sets, sizes)),
-                       functools.partial(loss.cost, arrays),
-                       functools.partial(loss.refit, arrays), k, sets, sizes)
-        bests, end = [], 0
-        for (i, restarts), size in zip(pack, sizes):
-            obj = run.objective[end : end + size]
-            near = end + np.flatnonzero(obj <= obj.min() + margins[i])
+        run = _descend(loss, rows, rngs, k, layout)
+        bests = []
+        for (i, restarts), (_, block) in zip(pack, layout):
+            obj = run.objective[block]
+            near = block.start + np.flatnonzero(obj <= obj.min() + margins[i])
             j = min(near, key=lambda j: score(i, run.labels[j]))
             bests.append(ClusterSolution(
                 labels=run.labels[j].copy(),
@@ -439,7 +439,6 @@ def _best_restarts(
             ))
             if restarts.stop == n_restarts:
                 scored.pop(i, None)
-            end += size
         return bests
 
     def alone(block: tuple[int, range]) -> ClusterSolution | Exception:
@@ -484,10 +483,10 @@ def _solved(outcomes: list):
 # ---------------------------------------------------------------------------
 
 def _kmeanspp_init(
-    points: np.ndarray, k: int, rngs: list[np.random.Generator], layout: Layout
+    rows: _Rows, k: int, rngs: list[np.random.Generator], layout: Layout
 ) -> np.ndarray:
     """(m, k, d) k-means++ centroids, one set per generator in ``rngs``, of
-    the rows of each restart's point set (``layout``), all advanced
+    the points of each restart's point set (``layout``), all advanced
     together over (m, n) squared distances.
 
     Each generator makes the draws of a one-generator pass in its order:
@@ -496,13 +495,14 @@ def _kmeanspp_init(
     ``Generator.choice(n, p=d2 / total)`` takes, or ``integers(n)`` when
     the distances total 0.
     """
+    points = rows.points
     n, d = points.shape[1:]
     m = len(rngs)
-    rows = _per_restart(points, layout)
+    own = _per_restart(points, layout)
     owner = _owner(layout)
     centroids = np.empty((m, k, d))
     centroids[:, 0] = points[owner, [rng.integers(n) for rng in rngs]]
-    d2 = ((rows - centroids[:, :1]) ** 2).sum(axis=2)
+    d2 = ((own - centroids[:, :1]) ** 2).sum(axis=2)
     idx = np.empty(m, dtype=np.int64)
     u = np.empty(m)
     for j in range(1, k):
@@ -519,34 +519,31 @@ def _kmeanspp_init(
         cdf = cdf / cdf[:, -1:]
         idx[spread] = (cdf <= u[spread, None]).sum(axis=1)
         centroids[:, j] = points[owner, idx]
-        d2 = np.minimum(d2, ((rows - centroids[:, j : j + 1]) ** 2).sum(axis=2))
+        d2 = np.minimum(d2, ((own - centroids[:, j : j + 1]) ** 2).sum(axis=2))
     return centroids
 
 
-def _centroid_cost(
-    rows_t: np.ndarray, row_sq: np.ndarray, model: Model, layout: Layout
-) -> np.ndarray:
-    """(m, n, k) squared distances of every row to every centroid, laid out
-    (m, k, n) in memory; ``rows_t`` (s, d, n) holds each point set's
-    transposed rows and ``row_sq`` (s, n) their squared norms."""
+def _centroid_cost(rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
+    """(m, n, k) squared distances of every point to every centroid, laid
+    out (m, k, n) in memory."""
     (centroids,) = model
     m, k, d = centroids.shape
     # one (m*k, d) x (d, n) product per block
-    cross = _blockwise(lambda s, b: centroids[b].reshape(-1, d) @ rows_t[s], layout)
+    cross = _blockwise(lambda s, b: centroids[b].reshape(-1, d) @ rows.transposed[s], layout)
     cross = cross.reshape(m, k, -1)
-    row_sq = _per_restart(row_sq, layout)[:, None]
+    row_sq = _per_restart(rows.sq_norms, layout)[:, None]
     d2 = row_sq - 2.0 * cross + (centroids**2).sum(axis=2)[:, :, None]
     return np.maximum(d2, 0.0, out=d2).transpose(0, 2, 1)
 
 
-def _centroid_refit(points: np.ndarray, labels: np.ndarray, k: int, layout: Layout):
+def _centroid_refit(rows: _Rows, labels: np.ndarray, k: int, layout: Layout):
     """Community means of every restart as one one-hot matmul per block,
     with the centroid loss and an all-False truncation flag."""
     m = labels.shape[0]
     onehot = _one_hot(labels, k)
-    sums = _blockwise(lambda s, b: onehot[b] @ points[s], layout)
+    sums = _blockwise(lambda s, b: onehot[b] @ rows.points[s], layout)
     centroids = sums / onehot.sum(axis=2)[:, :, None]
-    resid = _per_restart(points, layout) - centroids[np.arange(m)[:, None], labels - 1]
+    resid = _per_restart(rows.points, layout) - centroids[np.arange(m)[:, None], labels - 1]
     return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
@@ -557,17 +554,17 @@ def minimize_q1_stack(
     set i restarted from ``seeds[i]``: each set's solution, or the error
     that stopped it. Sets whose restarts fit in small blocks share
     descents (``_best_restarts``)."""
-    def start(arrays, rngs: list[np.random.Generator], layout: Layout):
+    def start(rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
         m, n = len(rngs), points.shape[1]
-        centroids = _kmeanspp_init(arrays[0], k, rngs, layout)
+        centroids = _kmeanspp_init(rows, k, rngs, layout)
         return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
 
     return _best_restarts(points, k, n_restarts, seeds, _Loss(
         tag="q1-restart",
-        derive=_row_arrays,
+        derive=_rows,
         start=start,
-        cost=lambda arrays, model, layout: _centroid_cost(*arrays[1:], model, layout),
-        refit=lambda arrays, labels, layout: _centroid_refit(arrays[0], labels, k, layout),
+        cost=_centroid_cost,
+        refit=lambda rows, labels, layout: _centroid_refit(rows, labels, k, layout),
         value=q1_value,
         geometry=lambda model: {"centroids": model[0].copy()},
     ))
@@ -583,39 +580,35 @@ def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> Clu
 # subspace loss minimization (greedy projection / reassignment)
 # ---------------------------------------------------------------------------
 
-def _subspace_cost(
-    row_sq: np.ndarray, rows_t: np.ndarray, basis: np.ndarray, layout: Layout
-) -> np.ndarray:
-    """(m, n, k) squared residuals ||x||^2 - sum_b (b.x)^2 of every row to
-    every community's subspace, laid out (m, k, n) in memory, from the
-    (m, k, r, d) basis rows (zero rows past a community's rank), each point
-    set's squared norms ``row_sq`` (s, n) and its transposed rows
-    ``rows_t`` (s, d, n)."""
+def _subspace_cost(rows: _Rows, basis: np.ndarray, layout: Layout) -> np.ndarray:
+    """(m, n, k) squared residuals ||x||^2 - sum_b (b.x)^2 of every point
+    to every community's subspace, laid out (m, k, n) in memory, from the
+    (m, k, r, d) basis rows (zero rows past a community's rank)."""
     m, k, r, d = basis.shape
     # one (m*k*r, d) x (d, n) product per block
-    coef = _blockwise(lambda s, b: basis[b].reshape(-1, d) @ rows_t[s], layout)
+    coef = _blockwise(lambda s, b: basis[b].reshape(-1, d) @ rows.transposed[s], layout)
     coef = coef.reshape(m, k, r, -1)
     np.square(coef, out=coef)
-    resid = np.subtract(_per_restart(row_sq, layout)[:, None],
+    resid = np.subtract(_per_restart(rows.sq_norms, layout)[:, None],
                         coef[:, :, 0] if r == 1 else coef.sum(axis=2))
     return np.maximum(resid, 0.0, out=resid).transpose(0, 2, 1)
 
 
-def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int, layout: Layout):
+def _subspace_refit(rows: _Rows, labels: np.ndarray, k: int, r: int, layout: Layout):
     """Each community's top min(r, n_k, d) scatter eigenvectors, for every
     restart at once: one one-hot matmul per block gives the (m, k, d, d)
-    scatter matrices from each point set's (n, d, d) row outer products
-    ``outer[s]``, and one batched ``eigh`` their eigenpairs. Returns the
-    model (the (m, k, min(r, d), d) eigenvectors as rows, largest first and
-    zero past the community's rank, and the ranks), the trailing-eigenvalue
-    objective and the truncation flag."""
+    scatter matrices from each point set's (n, d, d) outer products, and one
+    batched ``eigh`` their eigenpairs. Returns the model (the (m, k,
+    min(r, d), d) eigenvectors as rows, largest first and zero past the
+    community's rank, and the ranks), the trailing-eigenvalue objective and
+    the truncation flag."""
     m, n = labels.shape
-    d = outer.shape[-1]
+    d = rows.outer.shape[-1]
     full_rank = min(r, d)
     onehot = _one_hot(labels, k)
     counts = onehot.sum(axis=2)
     scatter = _blockwise(
-        lambda s, b: onehot[b].reshape(-1, n) @ outer[s].reshape(n, d * d), layout
+        lambda s, b: onehot[b].reshape(-1, n) @ rows.outer[s].reshape(n, d * d), layout
     ).reshape(m, k, d, d)
     evals, evecs = np.linalg.eigh(scatter)
     top = evecs[..., ::-1][..., :full_rank].transpose(0, 1, 3, 2)
@@ -631,11 +624,10 @@ def _subspace_refit(outer: np.ndarray, labels: np.ndarray, k: int, r: int, layou
 
 
 def _seed_labels(
-    points: np.ndarray, rows_t: np.ndarray, row_sq: np.ndarray, k: int, r: int,
-    rngs: list[np.random.Generator], layout: Layout,
+    rows: _Rows, k: int, r: int, rngs: list[np.random.Generator], layout: Layout
 ) -> np.ndarray:
     """Random initial assignments seeded by candidate subspaces, one per
-    generator in ``rngs``, of the rows of each restart's point set
+    generator in ``rngs``, of the points of each restart's point set
     (``layout``).
 
     Draws k disjoint random point subsets, spans each, and assigns every
@@ -643,13 +635,13 @@ def _seed_labels(
     initial clusters span nearly the same space, which strands the greedy
     descent in poor basins; subset spans give genuinely distinct starts.
     """
-    n, d = points.shape[1:]
+    n, d = rows.points.shape[1:]
     size = max(1, min(r, n // k))
     picks = np.stack([rng.permutation(n)[: k * size] for rng in rngs])
-    pts = points[_owner(layout)[:, None], picks].reshape(len(rngs), k, size, d)
+    pts = rows.points[_owner(layout)[:, None], picks].reshape(len(rngs), k, size, d)
     # the columns of each subset's Q factor are an orthonormal basis of its span
     q, _ = np.linalg.qr(pts.transpose(0, 1, 3, 2))
-    return _assign(_subspace_cost(row_sq, rows_t, q.transpose(0, 1, 3, 2), layout), k)[0]
+    return _assign(_subspace_cost(rows, q.transpose(0, 1, 3, 2), layout), k)[0]
 
 
 def minimize_q_subspace_stack(
@@ -662,17 +654,17 @@ def minimize_q_subspace_stack(
     if r < 1:
         raise ValueError("rank r must be >= 1")
 
-    def start(arrays, rngs: list[np.random.Generator], layout: Layout):
-        labels = _seed_labels(*arrays[:3], k, r, rngs, layout)
-        model, obj, _ = _subspace_refit(arrays[3], labels, k, r, layout)
+    def start(rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
+        labels = _seed_labels(rows, k, r, rngs, layout)
+        model, obj, _ = _subspace_refit(rows, labels, k, r, layout)
         return labels, model, obj
 
     return _best_restarts(points, k, n_restarts, seeds, _Loss(
         tag="qsub-restart",
-        derive=lambda rows: (*_row_arrays(rows), rows[:, :, :, None] * rows[:, :, None, :]),
+        derive=functools.partial(_rows, outer=True),
         start=start,
-        cost=lambda arrays, model, layout: _subspace_cost(arrays[2], arrays[1], model[0], layout),
-        refit=lambda arrays, labels, layout: _subspace_refit(arrays[3], labels, k, r, layout),
+        cost=lambda rows, model, layout: _subspace_cost(rows, model[0], layout),
+        refit=lambda rows, labels, layout: _subspace_refit(rows, labels, k, r, layout),
         value=lambda labels, rows: q_subspace_value(labels, rows, r),
         geometry=lambda model: {"bases": [model[0][j, : model[1][j]].T.copy() for j in range(k)]},
     ))

@@ -25,8 +25,10 @@ from .errors import EdgeListParseError
 class Graph:
     """Immutable simple undirected graph.
 
-    ``edges`` is an (m, 2) int64 array with each row (i, j), i < j, sorted
-    lexicographically and free of duplicates. Safe to share across threads.
+    ``edges`` is an (m, 2) integer array with each row (i, j), i < j, sorted
+    lexicographically and free of duplicates; the dense and the CSR
+    adjacency agree only then. ``from_pairs`` puts any pairs in this form.
+    Safe to share across threads.
     """
 
     n: int
@@ -38,11 +40,16 @@ class Graph:
             raise ValueError("node count must be nonnegative")
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be an (m, 2) array")
+        if not np.issubdtype(e.dtype, np.integer):
+            raise ValueError(f"edges must be integers, got dtype {e.dtype}")
         if e.shape[0] > 0:
+            i, j = e[:, 0], e[:, 1]
             if e.min() < 0 or e.max() >= self.n:
                 raise ValueError("edge endpoint out of range")
-            if np.any(e[:, 0] >= e[:, 1]):
+            if np.any(i >= j):
                 raise ValueError("edges must satisfy i < j (no self-loops)")
+            if not ((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all():
+                raise ValueError("edges must be sorted lexicographically and free of duplicates")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":

@@ -30,7 +30,7 @@ from .blockmodels import (
     gen_pabm,
     gen_sbm,
 )
-from .cluster import mislabel_rate, osc, rsc_l, sc_l
+from .cluster import _require_pabm_embedding, mislabel_rate, osc, rsc_l, sc_l
 from .errors import ConfigError
 from .modelselect import ModelKind, detect, test_dcbm_vs_pabm, test_sbm_vs_dcbm
 from .netcore import Graph
@@ -146,6 +146,9 @@ class ExperimentSpec:
                     setting = _sbm_params if model == "sbm" else _planted_setting
                     setting(pt.n, pt.k, pt.block_fractions(), pt.base_omega(),
                             pt.density, pt.avg_degree)
+                # q3 and osc embed into K^2 dimensions
+                if self.study in _COMM_DET_STUDIES and {"q3", "osc"} & set(self.methods):
+                    _require_pabm_embedding(pt.n, pt.k)
             except ValueError as exc:
                 raise ConfigError(f"grid point {i + 1}: {exc}") from exc
         if self.study not in _COMM_DET_STUDIES and self.methods:

@@ -491,6 +491,20 @@ def test_gen_dcbm_constant_theta_matches_sbm_probabilities():
             assert g_d == g_s
 
 
+@pytest.mark.parametrize("law, message", [
+    (lambda: Beta(-1, 2), "Beta needs a, b > 0"),
+    (lambda: Beta(1, 0), "Beta needs a, b > 0"),
+    (lambda: PowerLaw(1, 1), "PowerLaw needs xmin > 0 and alpha > 1"),
+    (lambda: PowerLaw(0, 3), "PowerLaw needs xmin > 0 and alpha > 1"),
+    (lambda: Constant(0), "Constant needs value > 0"),
+    (lambda: Constant(float("nan")), "Constant needs value > 0"),
+], ids=["beta a", "beta b", "powerlaw alpha", "powerlaw xmin", "constant", "constant nan"])
+def test_degree_laws_refuse_parameters_no_draw_can_use(law, message):
+    # each would load and then fail or draw theta <= 0 in every replicate
+    with pytest.raises(ValueError, match=message):
+        law()
+
+
 def test_powerlaw_sampler_mean():
     # Pareto with density exponent 5: mean (5-1)/(5-2) = 4/3
     rng = np.random.default_rng(17)

@@ -349,6 +349,18 @@ def test_simulate_rejects_a_repeated_method_exit_2(tmp_path, capsys):
     assert not (out / "table.csv").exists()
 
 
+def test_simulate_refuses_a_k_squared_embedding_above_n_exit_2(tmp_path, capsys):
+    # q3 and osc embed into K^2 = 9 > n dimensions: every replicate would fail
+    text = SIM_CONFIG.replace("comm_det_sbm", "comm_det_pabm").replace(
+        "methods = q1", "methods = q3, osc").replace(
+        "n = 90\nk = 2\nbeta = 0.2\navg_degree = 12", "n = 6\nk = 3")
+    cfg = write(tmp_path / "exp.cfg", text)
+    out = tmp_path / "sim"
+    assert main(["simulate", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "grid point 1: K^2 = 9 exceeds n = 6" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("study", ["test_sbm_vs_dcbm", "test_dcbm_vs_pabm"])
 def test_simulate_test_study_with_methods_exit_2(tmp_path, capsys, study):
     text = STUDY_TRUTH_CONFIG.format(study=study, method="q9, q9", truth="true_model = sbm")
@@ -519,11 +531,11 @@ _SIMULATE_GOLDEN = {
         "22da2e6db00af07df1eba208dd14fe3492ec0a92e431eea700911526692ccbcc",
     ),
     "comm_det_pabm": (
-        # k^2 > n at the second point: every replicate is a recorded failure
+        # a point with K^2 > n, which q3 cannot embed, is refused at load
+        # (test_simulate_refuses_a_k_squared_embedding_above_n_exit_2)
         "[experiment]\nstudy = comm_det_pabm\nreplicates = 2\nbase_seed = 7\nmethods = q3\n"
-        "[grid.1]\nn = 60\nk = 2\ndensity = 0.2\n"
-        "[grid.2]\nn = 6\nk = 3\n",
-        "14b5d7f97df8b19642ce1075e298e3f30d6c3bd2cd79afb092f0511e9ce07b20",
+        "[grid.1]\nn = 60\nk = 2\ndensity = 0.2\n",
+        "2ce0217b17cc702facc3f8304bb9c19c4d20fb065183b044cf5aff6aa55779e4",
     ),
     "test_sbm_vs_dcbm": (
         "[experiment]\nstudy = test_sbm_vs_dcbm\nreplicates = 2\nbootstrap = 3\n"

@@ -43,7 +43,7 @@ def make_emb(rows) -> np.ndarray:
 
 def one_block(m: int) -> cluster.Layout:
     """The layout of ``m`` restarts of one point set in one block."""
-    return cluster._layout([0], [m])
+    return cluster._layout([(0, m)])
 
 
 def random_orthogonal(d: int, seed: int) -> np.ndarray:
@@ -396,7 +396,7 @@ def test_batched_kmeanspp_matches_choice_per_generator(data, k, d, spread, m):
     rngs = [np.random.default_rng(s) for s in seeds]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _kmeanspp_init(rows[None], k, rngs, one_block(m))
+        got = _kmeanspp_init(cluster._rows(rows[None]), k, rngs, one_block(m))
     for s, rng, centroids in zip(seeds, rngs, got):
         serial_rng = np.random.default_rng(s)
         assert centroids.tobytes() == _serial_kmeanspp_init(rows, k, serial_rng).tobytes()
@@ -510,13 +510,13 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     n, d = rows.shape
     rng = np.random.default_rng(seed)
     row_sq = (rows**2).sum(axis=1)
-    rows_t = np.ascontiguousarray(rows.T)
     outer = rows[:, :, None] * rows[:, None, :]
+    derived = cluster._rows(rows[None], outer=True)
     tol = _COST_RTOL * row_sq[None, :, None]
     labels = rng.integers(1, k + 1, (m, n))
     # refit bases (zero rows past each community's rank) and the seeding's
     # QR factors of random point subsets
-    (basis, rank), _, _ = cluster._subspace_refit(outer[None], labels, k, r, one_block(m))
+    (basis, rank), _, _ = cluster._subspace_refit(derived, labels, k, r, one_block(m))
     counts = (labels[:, None, :] == np.arange(1, k + 1)[:, None]).sum(axis=2)
     np.testing.assert_array_equal(rank, np.minimum(counts, min(r, d)))
     assert basis.shape == (m, k, min(r, d), d)
@@ -527,7 +527,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     for rows_of_basis in (basis, q.transpose(0, 1, 3, 2)):
         proj = rows_of_basis.transpose(0, 1, 3, 2) @ rows_of_basis
         want = reference_subspace_cost(row_sq, outer, proj)
-        got = cluster._subspace_cost(row_sq[None], rows_t[None], rows_of_basis, one_block(m))
+        got = cluster._subspace_cost(derived, rows_of_basis, one_block(m))
         assert got.shape == want.shape == (m, n, k)
         assert np.all(np.abs(got - want) <= tol)
         got_labels, got_repaired = cluster._assign(got, k)
@@ -539,7 +539,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
         plain = ~got_repaired & ~want_repaired
         assert np.array_equal(got_labels[plain][clear[plain]], want_labels[plain][clear[plain]])
     centroids = rows[rng.integers(0, n, (m, k))]
-    got = cluster._centroid_cost(rows_t[None], row_sq[None], (centroids,), one_block(m))
+    got = cluster._centroid_cost(derived, (centroids,), one_block(m))
     want = np.stack([_serial_sq_dists(rows, c) for c in centroids])
     scale = row_sq[None, :, None] + (centroids**2).sum(axis=2)[:, None, :]
     assert np.all(np.abs(got - want) <= _COST_RTOL * scale)
@@ -699,12 +699,12 @@ def _point_sets(draw):
 
 
 def _negating(refit, planted: np.ndarray):
-    """``refit`` with the objective of each restart on the per-set data
+    """``refit`` with the objective of each restart on the point set
     ``planted`` negated: it then rises as the descent lowers the loss, and
     the monotone check fails that restart."""
-    def negated(per_set, labels, *args):
-        model, obj, truncated = refit(per_set, labels, *args)
-        hit = np.array([np.array_equal(data, planted) for data in per_set])
+    def negated(rows, labels, *args):
+        model, obj, truncated = refit(rows, labels, *args)
+        hit = np.array([np.array_equal(points, planted) for points in rows.points])
         return model, np.where(hit[cluster._owner(args[-1])], -obj, obj), truncated
     return negated
 
@@ -748,8 +748,7 @@ def test_packed_point_sets_match_each_set_alone(case, n_restarts, data, per_desc
         if fault == "monotone":
             planted = points[victim]
             mp.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
-            mp.setattr(cluster, "_subspace_refit", _negating(
-                cluster._subspace_refit, planted[:, :, None] * planted[:, None, :]))
+            mp.setattr(cluster, "_subspace_refit", _negating(cluster._subspace_refit, planted))
         for stack, alone in (
             (lambda: cluster.minimize_q1_stack(points, k, n_restarts, seeds),
              lambda i: minimize_q1(points[i], k, n_restarts, seed=seeds[i])),
@@ -776,8 +775,7 @@ def test_packed_monotone_error_fails_its_set_alone(monkeypatch):
     seeds = [5, 6, 7]
     planted = points[1]
     monkeypatch.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
-    monkeypatch.setattr(cluster, "_subspace_refit", _negating(
-        cluster._subspace_refit, planted[:, :, None] * planted[:, None, :]))
+    monkeypatch.setattr(cluster, "_subspace_refit", _negating(cluster._subspace_refit, planted))
     assert len(cluster._packs(range(3), 6, 40, 2, 2)) == 1
     for stack, alone in (
         (lambda: cluster.minimize_q1_stack(points, 2, 6, seeds),
@@ -790,6 +788,33 @@ def test_packed_monotone_error_fails_its_set_alone(monkeypatch):
         assert [type(outcome[0]) for outcome in got] == [tuple, type, tuple]
         assert got[1][0] is NumericalError
         assert got[1][1].startswith("objective increased within an iteration: ")
+
+
+def test_a_packed_descent_keeps_each_restart_on_its_own_set(monkeypatch, set_workers):
+    # the restarts of three sets share one descent and stop at different
+    # rounds; as the layout shrinks each must keep reading its own set's
+    # rows, or the descent fails and every block is descended again alone
+    set_workers(1)
+    points = np.random.default_rng(0).standard_normal((3, 34, 2))
+    seeds = [3, 4, 5]
+    original = cluster._descend
+    runs = []
+
+    def recording(*args):
+        runs.append(original(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cluster, "_descend", recording)
+    for stack, alone in (
+        (lambda: cluster.minimize_q1_stack(points, 2, 5, seeds),
+         lambda i: minimize_q1(points[i], 2, 5, seed=seeds[i])),
+        (lambda: cluster.minimize_q_subspace_stack(points, 2, 1, 5, seeds),
+         lambda i: minimize_q_subspace(points[i], 2, 1, 5, seed=seeds[i])),
+    ):
+        runs.clear()
+        got = [solution_bytes(sol) for sol in stack()]
+        assert len(runs) == 1 and len(set(runs[0].rounds.tolist())) > 1
+        assert got == [solution_bytes(alone(i)) for i in range(3)]
 
 
 def test_stack_derives_arrays_for_one_descent_at_a_time(set_workers):
@@ -814,15 +839,11 @@ def test_stack_derives_arrays_for_one_descent_at_a_time(set_workers):
 def _first_round_labels(rows: np.ndarray, k: int, r: int, seed: int, restart: int):
     """The start labels and objective of one restart of
     ``minimize_q_subspace``, and its labels after the first assignment."""
-    row_sq = (rows**2).sum(axis=1)
-    rows_t = np.ascontiguousarray(rows.T)
-    outer = rows[:, :, None] * rows[:, None, :]
+    derived = cluster._rows(rows[None], outer=True)
     rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
-    sets = rows[None], rows_t[None], row_sq[None]
-    start = cluster._seed_labels(*sets, k, r, [rng], one_block(1))
-    model, obj, _ = cluster._subspace_refit(outer[None], start, k, r, one_block(1))
-    first, _ = cluster._assign(
-        cluster._subspace_cost(row_sq[None], rows_t[None], model[0], one_block(1)), k)
+    start = cluster._seed_labels(derived, k, r, [rng], one_block(1))
+    model, obj, _ = cluster._subspace_refit(derived, start, k, r, one_block(1))
+    first, _ = cluster._assign(cluster._subspace_cost(derived, model[0], one_block(1)), k)
     return start[0], float(obj[0]), first[0]
 
 
@@ -840,16 +861,16 @@ def test_monotone_guard_error_comes_from_the_lowest_failing_block(monkeypatch, s
     trap_labels = np.stack([first for first, _ in traps.values()])
     original = cluster._subspace_refit
 
-    def trapped_refit(outer, labels, k, r, layout):
-        model, obj, truncated = original(outer, labels, k, r, layout)
+    def trapped_refit(rows, labels, k, r, layout):
+        model, obj, truncated = original(rows, labels, k, r, layout)
         hit = (labels[:, None, :] == trap_labels[None]).all(axis=2).any(axis=1)
         return model, obj + 1e6 * hit, truncated
 
     monkeypatch.setattr(cluster, "_subspace_refit", trapped_refit)
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
     first, prev = traps[3]
-    outer = emb[:, :, None] * emb[:, None, :]
-    inflated = float(original(outer[None], first[None], k, r, one_block(1))[1][0]) + 1e6
+    derived = cluster._rows(emb[None], outer=True)
+    inflated = float(original(derived, first[None], k, r, one_block(1))[1][0]) + 1e6
     want = f"objective increased within an iteration: {prev!r} -> {inflated!r}"
     for workers in (1, 2, 3):
         set_workers(workers)

@@ -698,14 +698,6 @@ _TAMPERED_WORKFLOWS = {
     "dcbm pick with the sbm test kept": (
         lambda r: dataclasses.replace(r, selected_model=ModelKind.DCBM),
         "DCBM picked with SBM-vs-DCBM rejected=False"),
-    "p-value off the bootstrap": (
-        lambda r: dataclasses.replace(
-            r, test_sbm_dcbm=dataclasses.replace(r.test_sbm_dcbm, p_value=0.5)),
-        "SBM-vs-DCBM p-value 0.5 is not 1/4"),
-    "decision off the p-value": (
-        lambda r: dataclasses.replace(
-            r, test_sbm_dcbm=dataclasses.replace(r.test_sbm_dcbm, alpha=0.5)),
-        "SBM-vs-DCBM rejected=False at p-value 0.25, alpha 0.5"),
     "label above k": (
         lambda r: dataclasses.replace(r, labels=np.array([1, 3, 2, 1])),
         "labels outside [1, 2]"),

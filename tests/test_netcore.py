@@ -116,6 +116,24 @@ def test_graph_rejects_bad_edges():
         Graph(n=2, edges=np.array([[1, 1]]))
 
 
+@pytest.mark.parametrize("edges", [[[0, 1], [0, 1]], [[1, 2], [0, 3]], [[0, 2], [0, 1]]],
+                         ids=["repeated", "rows unsorted", "columns unsorted"])
+def test_graph_refuses_unsorted_or_repeated_edges(edges):
+    # a repeated edge counts once on the dense adjacency of small graphs
+    # and twice on the CSR one
+    with pytest.raises(ValueError, match="sorted lexicographically and free of duplicates"):
+        Graph(n=4, edges=np.array(edges))
+    want = sorted({tuple(e) for e in edges})
+    assert [tuple(e) for e in Graph.from_pairs(4, edges).edges.tolist()] == want
+
+
+@pytest.mark.parametrize("edges", [[[0.0, 1.0], [1.0, 2.0]], [[0.5, 1.0]]],
+                         ids=["float", "fractional"])
+def test_graph_refuses_edges_that_are_not_integers(edges):
+    with pytest.raises(ValueError, match="must be integers"):
+        Graph(n=4, edges=np.array(edges))
+
+
 # ---------------------------------------------------------------------------
 # largest connected component
 # ---------------------------------------------------------------------------

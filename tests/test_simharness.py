@@ -85,15 +85,18 @@ def test_test_study_runs_rejection_metric():
 
 
 @pytest.mark.parametrize("method", ["q3", "osc"])
-def test_q3_replicate_with_k_squared_above_n_records_infeasible(method):
+def test_k_squared_above_n_is_refused_at_load(method):
+    # every replicate would record the same error, so the config is refused
     spec = ExperimentSpec(
         study=Study.COMM_DET_PABM,
-        grid=(GridPoint(n=6, k=3),),
-        methods=(method,),
+        grid=(GridPoint(n=40, k=2), GridPoint(n=6, k=3)),
+        methods=("q1", method),
         n_replicates=1,
     )
-    cell = run_experiment(spec).cells[(0, method)]
-    assert cell.errors == ["replicate 0: K^2 = 9 exceeds n = 6"]
+    with pytest.raises(ConfigError, match=re.escape("grid point 2: K^2 = 9 exceeds n = 6")):
+        run_experiment(spec)
+    # the methods that embed into K dimensions run there
+    dataclasses.replace(spec, methods=("q1", "q2", "sc_l", "rsc_l")).validate()
 
 
 def test_spec_validation_errors():
@@ -281,6 +284,18 @@ def test_config_rejects_alpha_outside_unit_interval(alpha):
 def test_config_reports_field_context():
     text = GOOD_CONFIG.replace("n = 300", "n = many")
     with pytest.raises(ConfigError, match="grid point 1: n = 'many'"):
+        load_experiment_config(io.StringIO(text))
+
+
+@pytest.mark.parametrize("law, message", [
+    ("beta:-1,2", "Beta needs a, b > 0"),
+    ("powerlaw:1,1", "PowerLaw needs xmin > 0 and alpha > 1"),
+    ("constant:0", "Constant needs value > 0"),
+])
+def test_config_refuses_a_degree_law_no_draw_can_use(law, message):
+    text = GOOD_CONFIG.replace("theta_law = powerlaw:1,5", f"theta_law = {law}")
+    want = f"grid point 2: theta_law = '{law}': {message}"
+    with pytest.raises(ConfigError, match=re.escape(want)):
         load_experiment_config(io.StringIO(text))
 
 

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from blockselect import blockmodels, modelselect
+from blockselect.blockmodels import beta_ratio_omega, gen_pabm, gen_sbm
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +37,19 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
     assert (blockmodels.prob_matrix, modelselect.fit_sbm) == originals
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_tracer_sees_the_layers_of_detect(monkeypatch, set_workers):
+    # the benchmark's PABM detection workload splits its time by these spans
+    set_workers(1)
+    pabm, _ = gen_pabm(60, 2, seed=1)
+    sbm, _ = gen_sbm(60, 2, [0.5, 0.5], beta_ratio_omega(2, 0.2), target_avg_degree=10, seed=1)
+    tracer = _load_tracing(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        modelselect.detect(pabm, 2, modelselect.ModelKind.PABM, restarts=2)
+        modelselect.detect(sbm, 2, modelselect.ModelKind.SBM, restarts=2)
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert {"spectral.ase", "cluster.minimize_q_subspace_rK", "cluster.minimize_q1"} <= names
