@@ -8,6 +8,9 @@ The bootstrap's replicate chunks and the minimizers' descents are its two
 callers. Units run in forked workers, one per CPU this process may
 run on, which inherit ``fn`` and ``units``: only a unit's index and its
 result are pickled. A unit's exception is raised when its result is read.
+A unit may instead return an error (``returned``) for its caller to raise
+in order (``raise_returned``), from the worker's traceback text, which
+pickling would drop.
 
 Units run in this process instead when there is one worker or one unit,
 when the platform has no ``fork``, when other threads are running (fork
@@ -35,8 +38,10 @@ import functools
 import multiprocessing
 import os
 import threading
+import traceback
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from typing import NoReturn
 
 # the thread counts BLAS and OpenMP libraries read when they load
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -107,6 +112,24 @@ _WORKER: tuple | None = None
 def in_worker() -> bool:
     """Whether this process is a pool worker."""
     return _WORKER is not None
+
+
+class WorkerTraceback(Exception):
+    """The traceback text of an error a unit returned in a worker process."""
+
+
+def returned(exc: Exception) -> Exception:
+    """``exc``, for a unit to return: in a worker, with its traceback text
+    in its ``__dict__``, which pickling keeps."""
+    if in_worker():
+        exc._worker_traceback = "".join(traceback.format_exception(exc))
+    return exc
+
+
+def raise_returned(exc: Exception) -> NoReturn:
+    """Raise ``exc`` from the worker traceback text ``returned`` kept, if any."""
+    text = getattr(exc, "_worker_traceback", "")
+    raise exc from (WorkerTraceback(text) if text else None)
 
 
 def _init_worker(fn, units) -> None:

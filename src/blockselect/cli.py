@@ -258,23 +258,21 @@ def cmd_generate(args) -> int:
     from .blockmodels import write_params
     from .netcore import density as graph_density
     from .netcore import write_edge_list
-    from .simharness import _DEFAULT_THETA_LAW, _generate, _grid_point
+    from .simharness import _DEFAULT_THETA_LAW, _generate, _grid_point, _refuse_unread
 
     # the flags are the [grid.N] keys of a simulation config, and the
     # network is one draw of its generator
     keys = {
         key: getattr(args, key)
-        for key in ("n", "k", "omega", "beta", "fractions", "density", "avg_degree")
+        for key in ("n", "k", "omega", "beta", "fractions", "density", "avg_degree", "theta_law")
     }
-    keys["theta_law"] = None
-    if args.model == "dcbm":
-        keys["theta_law"] = _DEFAULT_THETA_LAW if args.theta_law is None else args.theta_law
+    if args.model == "dcbm" and args.theta_law is None:
+        keys["theta_law"] = _DEFAULT_THETA_LAW
     config = {"command": "generate", "model": args.model, **keys, "seed": args.seed}
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
-    # pabm reads no --omega
-    omega = None if args.model == "pabm" else args.omega
-    point = _grid_point(dict(keys, omega=omega, true_model=args.model), where="")
+    point = _grid_point(dict(keys, true_model=args.model), where="")
+    _refuse_unread(args.model, point, where="")
     g, params = _generate(None, point, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "edges.txt", "w", encoding="utf-8") as fh:

@@ -383,24 +383,20 @@ def _best_restarts(
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
-    (``_packs``) run on the worker pool (``_pool``). Both the pick within a
-    block and the merge of a set's blocks, in block order, are ``min``,
-    which keeps the first of equal losses: ties go to the lowest restart
-    index, and each set's solution, or the error of its lowest block that
-    fails, is that of a serial run of the set alone at every worker count.
+    (``_packs``) run on the worker pool (``_pool``), a block's error
+    returned through ``_pool.returned``. Both the pick within a block and
+    the merge of a set's blocks, in block order, are ``min``, which keeps
+    the first of equal losses: ties go to the lowest restart index, and
+    each set's solution, or the error of its lowest block that fails, is
+    that of a serial run of the set alone at every worker count.
     """
     n_sets, n, d = points.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    outcomes: list = [None] * n_sets
-    margins = [0.0] * n_sets
-    for i, rows in enumerate(points):
-        if np.isfinite(rows).all():
-            margins[i] = _SCORE_MARGIN * float((rows**2).sum())
-        else:
-            outcomes[i] = ValueError("rows must be finite")
+    outcomes: list = [None if np.isfinite(rows).all() else ValueError("rows must be finite")
+                      for rows in points]
     derived = functools.lru_cache(maxsize=1)(lambda lo, hi: loss.derive(points[lo:hi]))
     # every restart's PCG64 state, hashed in one pass: (set, restart, 4 words)
     words = pcg64_words(np.array(
@@ -427,7 +423,8 @@ def _best_restarts(
         bests = []
         for (i, restarts), (_, block) in zip(pack, layout):
             obj = run.objective[block]
-            near = block.start + np.flatnonzero(obj <= obj.min() + margins[i])
+            margin = _SCORE_MARGIN * float((points[i] ** 2).sum())
+            near = block.start + np.flatnonzero(obj <= obj.min() + margin)
             j = min(near, key=lambda j: score(i, run.labels[j]))
             bests.append(ClusterSolution(
                 labels=run.labels[j].copy(),
@@ -441,22 +438,20 @@ def _best_restarts(
                 scored.pop(i, None)
         return bests
 
-    def alone(block: tuple[int, range]) -> ClusterSolution | Exception:
-        try:
-            return descent_bests([block])[0]
-        except Exception as exc:
-            return exc
-
     def pack_bests(pack: Pack) -> list:
-        """Each block's best restart, or the error that stopped it."""
-        if len(pack) == 1:
-            return [alone(pack[0])]
+        """Each block's best restart, or the error that stopped it. A pack
+        that fails descends each block again alone, so that an error stops
+        only its own set; if none fails alone, the packing is at fault."""
         try:
             return descent_bests(pack)
-        except Exception:
-            # the error is one block's: descend each block alone, so that
-            # it stops only its own set
-            return [alone(block) for block in pack]
+        except Exception as exc:
+            if len(pack) == 1:
+                return [_pool.returned(exc)]
+            bests = [best for block in pack for best in pack_bests([block])]
+            if not any(isinstance(best, Exception) for best in bests):
+                raise NumericalError(
+                    "a packed descent failed, but no block of it fails alone") from exc
+            return bests
 
     packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, k, d)
     with _pool.ordered_results(pack_bests, packs) as results:
@@ -474,7 +469,7 @@ def _solved(outcomes: list):
     """The solution of a one-set minimization, or its error raised."""
     (solution,) = outcomes
     if isinstance(solution, Exception):
-        raise solution
+        _pool.raise_returned(solution)
     return solution
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import functools
 import time
-import traceback
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -167,22 +166,14 @@ _CHUNKS_PER_WORKER = 4
 
 
 class _Chunk(NamedTuple):
-    """What one contiguous range of replicates produced.
-
-    ``error``, an error that is not retried, stopped the chunk;
-    ``remote_tb`` is its traceback text when it was raised in a worker
-    process, since a traceback does not survive pickling.
-    """
+    """What one contiguous range of replicates produced. ``error``, an
+    error that is not retried, stopped the chunk; it is returned through
+    ``_pool.returned``, so it keeps a worker's traceback text."""
 
     stats: np.ndarray
     failures: list[tuple[int, str]]
     attempts: int
     error: Exception | None = None
-    remote_tb: str = ""
-
-
-class _WorkerTraceback(Exception):
-    """The traceback text of an error raised in a worker process."""
 
 
 class _Statistic(NamedTuple):
@@ -247,78 +238,74 @@ def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _St
             if isinstance(out, _REPLICATE_ERRORS):
                 failures.append((r, type(out).__name__))
             elif isinstance(out, Exception):  # re-raised by the caller, in replicate order
-                tb = "".join(traceback.format_exception(out)) if _pool.in_worker() else ""
-                return _Chunk(stats, failures, attempts, out, tb)
+                return _Chunk(stats, failures, attempts, _pool.returned(out))
             else:
                 stats[r - lo] = out
                 break
     return _Chunk(stats, failures, attempts)
 
 
+class _Bootstrap(NamedTuple):
+    """Replicate statistics, and the failed attempts as (replicate index,
+    exception class name) in replicate-then-attempt order."""
+
+    stats: np.ndarray
+    failures: list[tuple[int, str]]
+    # the replicate count, which the benchmark's tracer reads as an array's
+    size = property(lambda self: self.stats.size)
+
+
 def _bootstrap_statistics(
-    p_hat: FactoredProb,
-    n_boot: int,
-    seed: int,
-    statistic: _Statistic,
-    failures: list[tuple[int, str]] | None = None,
-) -> np.ndarray:
-    """Replicate statistics under the fitted null.
+    p_hat: FactoredProb, n_boot: int, seed: int, statistic: _Statistic
+) -> _Bootstrap:
+    """Replicate statistics under the fitted null, and the failed attempts.
 
     Failed replicates (eigensolver breakdown, degenerate clustering) are
     resampled from a fresh derived seed; more than 3 * R total attempts is
     an error, since silently dropping replicates would bias the p-value.
-    Each failed attempt is appended to ``failures`` as (replicate index,
-    exception class name), in replicate-then-attempt order.
 
     Replicate r's attempts depend only on ``(p_hat, seed, r)``, so the
     replicates run in contiguous chunks on the worker pool (``_pool``) and
     merge in replicate order. The statistics, the failures and any error
-    raised are those of the serial run, at every worker count.
+    raised are those of the serial run, at every worker count; an error
+    from a worker has the worker's traceback as its cause.
     """
     parts = []
-    failed: list[tuple[int, str]] = []
+    failures: list[tuple[int, str]] = []
     attempts = 0
     n_chunks = min(n_boot, _CHUNKS_PER_WORKER * _pool.workers())
     bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
     run_chunk = functools.partial(_replicate_chunk, p_hat, n_boot, seed, statistic)
     with _pool.ordered_results(run_chunk, list(zip(bounds, bounds[1:]))) as chunks:
         for chunk in chunks:
-            failed += chunk.failures
+            failures += chunk.failures
             attempts += chunk.attempts
             if attempts > 3 * n_boot:
                 raise NumericalError(
                     f"bootstrap exhausted {3 * n_boot} attempts for {n_boot} replicates"
                 )
             if chunk.error is not None:
-                cause = _WorkerTraceback(chunk.remote_tb) if chunk.remote_tb else None
-                raise chunk.error from cause
+                _pool.raise_returned(chunk.error)
             parts.append(chunk.stats)
-    if failures is not None:
-        failures += failed
-    return np.concatenate(parts)
-
-
-def _null_objective(
-    k: int, model: ModelKind, restarts: int | None, points: list[np.ndarray],
-    fit_seeds: list[int],
-) -> list:
-    """The minimized loss of ``model`` (as ``detect`` gives it) of each
-    replicate's points from its fit seed, or the error that stopped it:
-    one minimization of the stacked points, in which small restart blocks
-    of many replicates share descents."""
-    n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
-    stack = np.stack(points)
-    if model is ModelKind.SBM:
-        solutions = minimize_q1_stack(stack, k, n_restarts, fit_seeds)
-    else:
-        solutions = minimize_q_subspace_stack(stack, k, _rank(model, k), n_restarts, fit_seeds)
-    return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
+    return _Bootstrap(np.concatenate(parts), failures)
 
 
 def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statistic:
-    """The test statistic under the null ``model``: its minimized loss."""
-    return _Statistic(functools.partial(_embedding, k=k, model=model),
-                      functools.partial(_null_objective, k, model, restarts))
+    """The test statistic under the null ``model``: its minimized loss, as
+    ``detect`` gives it. The replicates' points are minimized as one stack,
+    in which small restart blocks of many replicates share descents."""
+    n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
+
+    def minimize(points: list[np.ndarray], fit_seeds: list[int]) -> list:
+        stack = np.stack(points)
+        if model is ModelKind.SBM:
+            solutions = minimize_q1_stack(stack, k, n_restarts, fit_seeds)
+        else:
+            solutions = minimize_q_subspace_stack(stack, k, _rank(model, k), n_restarts,
+                                                  fit_seeds)
+        return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
+
+    return _Statistic(functools.partial(_embedding, k=k, model=model), minimize)
 
 
 def _run_test(
@@ -341,12 +328,8 @@ def _run_test(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     sol = detect(g, k, null, restarts, seed=derive_seed(seed, "observed"))
     p_hat = fit(g, sol.labels)
-    failures: list[tuple[int, str]] = []
-    boot = _bootstrap_statistics(p_hat, n_boot, seed, _null_statistic(k, null, restarts), failures)
-    result = make_test_result(
-        sol.objective, boot, alpha, null, alt, seed, failures=failures
-    )
-    return result, sol
+    boot, failures = _bootstrap_statistics(p_hat, n_boot, seed, _null_statistic(k, null, restarts))
+    return make_test_result(sol.objective, boot, alpha, null, alt, seed, failures), sol
 
 
 def test_sbm_vs_dcbm(

@@ -50,6 +50,12 @@ _COMM_DET_STUDIES = {
 }
 # the degree law of a DCBM grid point that sets none
 _DEFAULT_THETA_LAW = "beta:1,5"
+# the optional grid keys the generator of each model reads
+_MODEL_KEYS = {
+    "sbm": {"beta", "omega", "fractions", "density", "avg_degree"},
+    "dcbm": {"beta", "omega", "fractions", "density", "avg_degree", "theta_law"},
+    "pabm": {"density"},
+}
 # detection methods: the model whose loss ``detect`` minimizes, or a
 # spectral-clustering baseline
 _DETECTORS = {"q1": ModelKind.SBM, "q2": ModelKind.DCBM, "q3": ModelKind.PABM}
@@ -151,6 +157,7 @@ class ExperimentSpec:
                     _require_pabm_embedding(pt.n, pt.k)
             except ValueError as exc:
                 raise ConfigError(f"grid point {i + 1}: {exc}") from exc
+            _refuse_unread(model, pt, f"grid point {i + 1}: ")
         if self.study not in _COMM_DET_STUDIES and self.methods:
             # a test study runs its one test per replicate, whatever is listed
             raise ConfigError(f"{self.study.value} runs no methods, got {list(self.methods)}")
@@ -202,6 +209,16 @@ def _drawn_model(study: Study | None, pt: GridPoint) -> str | None:
     else the point's ``true_model`` (test studies, and ``generate``, which
     has no study)."""
     return _COMM_DET_STUDIES.get(study, pt.true_model)
+
+
+def _refuse_unread(model: str, pt: GridPoint, where: str) -> None:
+    """Refuse a grid point that sets a key the generator of ``model`` never
+    reads: the draw would silently differ from what the point says."""
+    unread = [key for key in _GRID_KEYS
+              if key != "true_model" and key not in _MODEL_KEYS[model]
+              and getattr(pt, key) is not None]
+    if unread:
+        raise ConfigError(f"{where}the {model} generator reads no {', '.join(unread)}")
 
 
 def _generate(study: Study | None, pt: GridPoint, seed: int):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import io
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,19 @@ from blockselect.blockmodels import FactoredProb, SbmParams, edge_probs
 from blockselect.netcore import Graph, load_edge_list
 
 DATA_DIR = Path(__file__).parent / "data"
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, name: str):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path, as
+    its entry script imports it, for the length of one test."""
+    path = PERFBENCH_DIR / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

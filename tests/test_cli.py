@@ -270,6 +270,21 @@ def test_generate_setting_rejected_before_drawing_is_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, flags, unread", [
+    ("pabm", ["--avg-degree", "10", "--fractions", "0.3,0.7", "--beta", "0.2"],
+     "beta, fractions, avg_degree"),
+    ("pabm", ["--omega", "1,0.5;0.5,1"], "omega"),
+    ("sbm", ["--beta", "0.2", "--density", "0.1", "--theta-law", "beta:1,5"], "theta_law"),
+])
+def test_generate_refuses_a_flag_the_model_never_reads_exit_2(
+    tmp_path, capsys, model, flags, unread
+):
+    out = tmp_path / "out"
+    assert main(["generate", model, "--n", "60", "--k", "2", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: the {model} generator reads no {unread}\n"
+    assert not out.exists()
+
+
 def test_generate_infeasible_density(tmp_path):
     code = main(["generate", "sbm", "--n", "30", "--k", "2", "--beta", "0.1",
                  "--density", "0.95", "--out", str(tmp_path / "out")])
@@ -413,6 +428,12 @@ def test_simulate_every_accepted_study_and_truth(tmp_path, study, truth):
         study=study, method=_STUDY_METHOD.get(study, ""),
         truth="" if truth is None else f"true_model = {truth}",
     )
+    drawn = study.removeprefix("comm_det_") if study.startswith("comm_det_") else truth
+    if drawn == "pabm":
+        # the PABM generator reads no beta or average degree
+        with pytest.raises(ConfigError, match="the pabm generator reads no beta, avg_degree$"):
+            load_experiment_config(io.StringIO(text))
+        text = text.replace("beta = 0.3\navg_degree = 8\n", "")
     cfg = write(tmp_path / "exp.cfg", text)
     out = tmp_path / "sim"
     try:

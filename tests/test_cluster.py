@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blockselect import cluster
+from blockselect import _pool, cluster
 from blockselect._seeds import derive_seed
 from blockselect.cluster import (
     ClusterSolution,
@@ -817,6 +817,27 @@ def test_a_packed_descent_keeps_each_restart_on_its_own_set(monkeypatch, set_wor
         assert got == [solution_bytes(alone(i)) for i in range(3)]
 
 
+def test_a_packed_descent_that_fails_only_when_packed_raises(monkeypatch):
+    # a descent that fails whenever it holds more than one block: every
+    # block succeeds alone, so only the packing can be at fault
+    original = cluster._descend
+
+    def fails_packed(loss, rows, rngs, k, layout):
+        if len(layout) > 1:
+            raise RuntimeError("planted packing fault")
+        return original(loss, rows, rngs, k, layout)
+
+    monkeypatch.setattr(cluster, "_descend", fails_packed)
+    points = np.random.default_rng(0).standard_normal((3, 34, 2))
+    assert len(cluster._packs(range(3), 10, 34, 2, 2)) == 1
+    for stack in (lambda: cluster.minimize_q1_stack(points, 2, 10, [3, 4, 5]),
+                  lambda: cluster.minimize_q_subspace_stack(points, 2, 1, 10, [3, 4, 5])):
+        with pytest.raises(NumericalError, match="^a packed descent failed, but no block "
+                                                 "of it fails alone$") as info:
+            stack()
+        assert str(info.value.__cause__) == "planted packing fault"
+
+
 def test_stack_derives_arrays_for_one_descent_at_a_time(set_workers):
     # sets too large to share a descent: the rows' outer products and
     # transposes exist for the sets of one descent at a time, so the
@@ -876,6 +897,33 @@ def test_monotone_guard_error_comes_from_the_lowest_failing_block(monkeypatch, s
         set_workers(workers)
         with pytest.raises(NumericalError, match=f"^{re.escape(want)}$"):
             minimize_q_subspace(emb, k, r=r, n_restarts=7, seed=seed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_restart_block_error_from_a_worker_has_its_traceback_as_cause(
+    monkeypatch, set_workers, workers,
+):
+    # one restart per block, so three blocks descend on the pool; every
+    # refit raises the objective, so every block fails its monotone check
+    original = cluster._subspace_refit
+    calls = []
+
+    def inflating_refit(*args):
+        model, obj, truncated = original(*args)
+        calls.append(None)
+        return model, obj + 1e6 * len(calls), truncated
+
+    monkeypatch.setattr(cluster, "_subspace_refit", inflating_refit)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
+    set_workers(workers)
+    emb = make_emb(np.random.default_rng(12).standard_normal((30, 2)))
+    with pytest.raises(NumericalError, match="objective increased within an iteration") as info:
+        minimize_q_subspace(emb, 2, r=1, n_restarts=3, seed=0)
+    if workers == 1:
+        assert info.value.__cause__ is None
+    else:
+        assert isinstance(info.value.__cause__, _pool.WorkerTraceback)
+        assert "in _descend" in str(info.value.__cause__)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_detect_in_a_bootstrap_replicate_stays_in_that_replicate_process(
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
     set_workers(2)
     replicate_pids = set(ms._bootstrap_statistics(
-        constant_prob(40, 0.3), 6, 0, per_replicate(replicate_pid)))
+        constant_prob(40, 0.3), 6, 0, per_replicate(replicate_pid)).stats)
     assert os.getpid() not in replicate_pids
     # a nested pool would run the blocks in grandchild processes
     pids = block_pids()
@@ -292,8 +292,7 @@ def test_bootstrap_resamples_failed_replicates(one_worker):
             raise NumericalError("transient")
         return float(len(calls))
 
-    failures = []
-    stats = ms._bootstrap_statistics(_tiny_phat(), 5, 0, per_replicate(flaky), failures)
+    stats, failures = ms._bootstrap_statistics(_tiny_phat(), 5, 0, per_replicate(flaky))
     assert stats.shape == (5,)
     assert len(calls) == 10  # every replicate needed exactly one retry
     assert failures == [(r, "NumericalError") for r in range(5)]
@@ -354,10 +353,11 @@ def per_replicate(stat_fn) -> ms._Statistic:
     return ms._Statistic(lambda g_rep: g_rep, minimize)
 
 
-def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures):
+def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn):
     """The one-process replicate loop the worker pool replaced: the
     reference for statistics, failures and the error raised."""
     stats = np.empty(n_boot)
+    failures = []
     attempts = 0
     for r in range(n_boot):
         attempt = 0
@@ -375,7 +375,7 @@ def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn, failures):
                 break
             except ms._REPLICATE_ERRORS as exc:
                 failures.append((r, type(exc).__name__))
-    return stats
+    return stats, failures
 
 
 def _fit_seed(boot_seed, r, attempt):
@@ -433,9 +433,8 @@ def _planned_statistic(plan, boot_seed):
 
 
 def _outcome(run):
-    failures = []
     try:
-        stats = run(failures)
+        stats, failures = run()
     except Exception as exc:
         return type(exc), str(exc)
     return stats.tobytes(), failures
@@ -445,11 +444,9 @@ def _outcome(run):
 @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
 def test_bootstrap_matches_serial_reference(set_workers, scenario, workers):
     stat_fn = _planned_statistic(_SCENARIOS[scenario], boot_seed=5)
-    want = _outcome(lambda failures: serial_bootstrap_statistics(
-        _tiny_phat(), _B, 5, stat_fn, failures))
+    want = _outcome(lambda: serial_bootstrap_statistics(_tiny_phat(), _B, 5, stat_fn))
     set_workers(workers)
-    got = _outcome(lambda failures: ms._bootstrap_statistics(
-        _tiny_phat(), _B, 5, per_replicate(stat_fn), failures))
+    got = _outcome(lambda: ms._bootstrap_statistics(_tiny_phat(), _B, 5, per_replicate(stat_fn)))
     assert got == want
 
 
@@ -473,8 +470,7 @@ def _serial_null_outcome(scenario: str, model: ModelKind) -> tuple:
             raise plan[fit_seed]
         return detect(g_rep, 2, model, seed=fit_seed).objective
 
-    return _outcome(lambda failures: serial_bootstrap_statistics(
-        _KARATE_SIZE_NULL, _B, 5, stat_fn, failures))
+    return _outcome(lambda: serial_bootstrap_statistics(_KARATE_SIZE_NULL, _B, 5, stat_fn))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -487,8 +483,8 @@ def test_packed_chunks_match_serial_reference(monkeypatch, set_workers, scenario
         _fit_seed(5, r, a): _planted(exc) for (r, a), exc in _SCENARIOS[scenario].items()})
     set_workers(workers)
     for model in (ModelKind.SBM, ModelKind.DCBM):
-        got = _outcome(lambda failures: ms._bootstrap_statistics(
-            _KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None), failures))
+        got = _outcome(lambda: ms._bootstrap_statistics(
+            _KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None)))
         assert got == _serial_null_outcome(scenario, model)
 
 
@@ -508,20 +504,20 @@ def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(set_workers
         return float(max(_blas_threads(), default=1))
 
     set_workers(2)
-    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(paired_pid)))
+    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(paired_pid)).stats)
     assert len(pids) == 2 and os.getpid() not in pids
     assert set(ms._bootstrap_statistics(
-        _tiny_phat(), 8, 0, per_replicate(blas_threads))) == {1.0}
+        _tiny_phat(), 8, 0, per_replicate(blas_threads)).stats) == {1.0}
     # forking a process that runs other threads is unsafe: stay in-process
     box = {}
     thread = threading.Thread(target=lambda: box.update(
-        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(worker_pid)))))
+        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(worker_pid)).stats)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive() and box["pids"] == {os.getpid()}
     set_workers(1)
     assert set(ms._bootstrap_statistics(
-        _tiny_phat(), 8, 0, per_replicate(worker_pid))) == {os.getpid()}
+        _tiny_phat(), 8, 0, per_replicate(worker_pid)).stats) == {os.getpid()}
 
 
 def _fail_minimizers(monkeypatch, plan):

@@ -287,6 +287,24 @@ def test_config_reports_field_context():
         load_experiment_config(io.StringIO(text))
 
 
+@pytest.mark.parametrize("study, grid, unread", [
+    ("test_dcbm_vs_pabm", "true_model = pabm\navg_degree = 10\ntheta_law = powerlaw:1,3",
+     "the pabm generator reads no avg_degree, theta_law"),
+    ("test_sbm_vs_dcbm", "true_model = sbm\nbeta = 0.3\navg_degree = 10\ntheta_law = beta:2,2",
+     "the sbm generator reads no theta_law"),
+    # a detection study draws from its own model, whatever true_model says
+    ("comm_det_pabm", "true_model = sbm\nbeta = 0.2\nomega = 1,0;0,1",
+     "the pabm generator reads no beta, omega"),
+    ("comm_det_sbm", "beta = 0.2\ndensity = 0.1\ntheta_law = beta:2,2",
+     "the sbm generator reads no theta_law"),
+], ids=["pabm_truth", "sbm_truth", "pabm_study", "sbm_study"])
+def test_config_refuses_a_key_the_drawn_model_never_reads(study, grid, unread):
+    methods = "methods = q1\n" if study.startswith("comm_det_") else ""
+    text = f"[experiment]\nstudy = {study}\n{methods}[grid.1]\nn = 60\nk = 2\n{grid}\n"
+    with pytest.raises(ConfigError, match=f"^grid point 1: {unread}$"):
+        load_experiment_config(io.StringIO(text))
+
+
 @pytest.mark.parametrize("law, message", [
     ("beta:-1,2", "Beta needs a, b > 0"),
     ("powerlaw:1,1", "PowerLaw needs xmin > 0 and alpha > 1"),
