@@ -1,22 +1,27 @@
-"""One private fork pool for every parallel loop in the package, and the
-one thread policy of every run: processes for parallelism, one BLAS
-thread everywhere.
+"""One private pool of worker processes for every parallel loop in the
+package, and the one thread policy of every run: processes for
+parallelism, one BLAS thread everywhere.
 
 ``ordered_results(fn, units)`` yields ``fn(unit)`` for each unit, in unit
-order; ``fn`` is a plain callable (a closure or ``functools.partial``).
-The bootstrap's replicate chunks and the minimizers' descents are its two
-callers. Units run in forked workers, one per CPU this process may
-run on, which inherit ``fn`` and ``units``: only a unit's index and its
-result are pickled. A unit's exception is raised when its result is read.
-A unit may instead return an error (``returned``) for its caller to raise
-in order (``raise_returned``), from the worker's traceback text, which
-pickling would drop.
+order. The bootstrap's replicate chunks and the minimizers' descents are
+its two callers. The units run on this process's warm pool: one worker
+per CPU this process may run on, forked by the first call that needs
+them, which live until the process ends, the worker count changes or a
+worker dies; the next call then forks a fresh pool (``shutdown`` ends it
+earlier). Each unit ships ``fn`` and the unit to a worker by ``pickle``,
+so both must pickle: module-level functions, ``functools.partial``s of
+them and plain data, not closures or lambdas. A worker sees module
+globals, such as a function a test patched, as they were when the pool
+forked. A unit's exception is raised when its result is read. A unit may
+instead return an error (``returned``) for its caller to raise in order
+(``raise_returned``), from the worker's traceback text, which pickling
+would drop.
 
 Units run in this process instead when there is one worker or one unit,
-when the platform has no ``fork``, when other threads are running (fork
-is unsafe then), or when this process is itself a pool worker: a
-minimization inside a bootstrap replicate stays in that replicate's
-worker rather than forking a pool of its own.
+when the platform has no ``fork``, when this process is itself a pool
+worker (a minimization inside a bootstrap replicate stays in that
+replicate's worker rather than forking a pool of its own), or when no pool
+is warm yet and other threads are running (fork is unsafe then).
 
 The policy. Parallel work runs on one worker per CPU in the affinity
 mask (``workers``), so ``taskset -c 0`` runs serially, in this process.
@@ -24,10 +29,11 @@ BLAS runs on one thread everywhere: the workers already occupy every CPU,
 and some LAPACK results differ in the last bits between one thread and
 several. ``one_blas_thread`` pins every OpenBLAS library it finds around
 each pool run, detection and spectral-clustering baseline, which is all
-the BLAS work of a run. The CLI also sets ``THREAD_VARS`` to 1 before it
-loads numpy, which reaches the builds the pin cannot find (MKL numpy, or
-no /proc/self/maps). Outputs are therefore byte-identical at any worker
-count, and there is no other configuration.
+the BLAS work of a run; the workers are forked inside that pin and keep
+one thread for their life. The CLI also sets ``THREAD_VARS`` to 1 before
+it loads numpy, which reaches the builds the pin cannot find (MKL numpy,
+or no /proc/self/maps). Outputs are therefore byte-identical at any
+worker count, and there is no other configuration.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ import contextlib
 import ctypes
 import functools
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import traceback
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from typing import NoReturn
 
 # the thread counts BLAS and OpenMP libraries read when they load
@@ -105,13 +112,29 @@ def workers() -> int:
         return os.cpu_count() or 1
 
 
-# (fn, units), set in each worker process only, by the initializer
-_WORKER: tuple | None = None
+# this process's warm pool, keyed by (process id, worker count)
+_POOL: tuple[tuple[int, int], ProcessPoolExecutor] | None = None
+# set in each worker process only, by the initializer
+_IN_WORKER = False
 
 
 def in_worker() -> bool:
     """Whether this process is a pool worker."""
-    return _WORKER is not None
+    return _IN_WORKER
+
+
+def _init_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+    # an idle worker waits for units as long as its parent lives, so it
+    # ends itself when its parent dies without shutting the pool down
+    sentinel = multiprocessing.parent_process().sentinel
+    threading.Thread(target=_exit_after, args=(sentinel,), daemon=True).start()
+
+
+def _exit_after(sentinel) -> None:
+    multiprocessing.connection.wait([sentinel])
+    os._exit(1)
 
 
 class WorkerTraceback(Exception):
@@ -132,21 +155,51 @@ def raise_returned(exc: Exception) -> NoReturn:
     raise exc from (WorkerTraceback(text) if text else None)
 
 
-def _init_worker(fn, units) -> None:
-    global _WORKER
-    _WORKER = (fn, units)
+def _usable(pool: ProcessPoolExecutor) -> bool:
+    """Whether every worker of ``pool`` is alive: a worker's sentinel is
+    ready from its exit on, before the executor's own thread marks the
+    pool broken."""
+    sentinels = [p.sentinel for p in pool._processes.values()]
+    return not pool._broken and not multiprocessing.connection.wait(sentinels, timeout=0)
 
 
-def _run_unit(i: int):
-    fn, units = _WORKER
-    return fn(units[i])
+def shutdown() -> None:
+    """End this process's pool, after its running units; the next pooled
+    call forks a fresh one. A pool inherited through ``fork`` belongs to
+    the parent process, and is only forgotten."""
+    global _POOL
+    if _POOL is not None and _POOL[0][0] == os.getpid():
+        pool = _POOL[1]
+        if not _usable(pool):
+            # an idle worker waits for its next unit holding the lock on
+            # the unit queue; if it died holding it, the others never see
+            # the shutdown, so they are stopped first
+            for p in pool._processes.values():
+                p.terminate()
+        pool.shutdown(cancel_futures=True)
+    _POOL = None
+
+
+def _warm_pool() -> ProcessPoolExecutor | None:
+    """This process's pool of ``workers()`` processes, made now if there is
+    none usable; ``None`` if there is none and other threads are running.
+    The executor forks its workers at the first unit submitted to it."""
+    global _POOL
+    key = (os.getpid(), workers())
+    if _POOL is not None and (_POOL[0] != key or not _usable(_POOL[1])):
+        shutdown()
+    if _POOL is None and threading.active_count() == 1:
+        _POOL = key, ProcessPoolExecutor(
+            key[1], mp_context=multiprocessing.get_context("fork"), initializer=_init_worker
+        )
+    return None if _POOL is None else _POOL[1]
 
 
 @contextlib.contextmanager
 def ordered_results(fn: Callable, units: Sequence) -> Iterator[Iterator]:
     """Yield an iterator over ``fn(unit)`` for each of ``units``, in unit
-    order; reading a unit whose call raised raises its exception. ``fn``
-    reaches the workers through ``fork``, so it may be a closure.
+    order; reading a unit whose call raised raises its exception. On the
+    pool, ``fn`` and each unit are pickled to a worker.
 
     Every unit runs on one BLAS thread, so a unit does the same arithmetic
     in a worker as in this process. The workers inherit that setting
@@ -155,27 +208,26 @@ def ordered_results(fn: Callable, units: Sequence) -> Iterator[Iterator]:
     CPUs).
 
     In this process the units run one by one as the iterator is read, so
-    units after the last one read never run. In the pool, units not yet
-    started when the body exits are dropped.
+    units after the last one read never run. On the pool, units not yet
+    started when the body exits are cancelled, and the body's exit waits
+    for those running.
     """
-    n_workers = min(workers(), len(units))
     with one_blas_thread():
+        pool = None
         if (
-            n_workers <= 1
-            or in_worker()
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1
+            len(units) > 1
+            and workers() > 1
+            and not in_worker()
+            and "fork" in multiprocessing.get_all_start_methods()
         ):
+            pool = _warm_pool()
+        if pool is None:
             yield (fn(unit) for unit in units)
             return
-        pool = ProcessPoolExecutor(
-            n_workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(fn, units),
-        )
+        futures = [pool.submit(fn, unit) for unit in units]
         try:
-            futures = [pool.submit(_run_unit, i) for i in range(len(units))]
             yield (f.result() for f in futures)
         finally:
-            pool.shutdown(cancel_futures=True)
+            for f in futures:
+                f.cancel()
+            wait(futures)

@@ -11,7 +11,9 @@ or parameters, 4 internal numerical failure.
 
 Every run follows the one thread policy stated in ``_pool``: ``main``
 sets the BLAS thread variables before any handler loads numpy, which is
-why the heavy imports happen inside the handlers. ``--threads`` is still
+why the heavy imports happen inside the handlers. The parallel work of a
+run goes to the process's warm worker pool, forked by its first pooled
+call, whose workers end with the process. ``--threads`` is still
 accepted, for old scripts, and has no effect.
 """
 

@@ -34,7 +34,9 @@ One restart driver, ``_best_restarts``, serves both losses: it owns the
 restarts' generators, each descent's ``Layout`` and ``_Rows``, the exact
 scoring and each set's ``ClusterSolution``, and each loss is a ``_Loss``
 record of its kernels (start, cost, refit, exact value, geometry).
-The descents run in parallel on the package's worker pool (``_pool``).
+The descents run in parallel on the package's worker pool (``_pool``),
+which pickles each one's ``_Restarts`` record to a worker, so the kernels
+are module-level functions and partials of them.
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
 """
@@ -355,6 +357,84 @@ def _packs(sets: Sequence[int], n_restarts: int, n: int, k: int, d: int) -> list
     return packs
 
 
+@dataclass(eq=False)
+class _Restarts:
+    """What a process needs to descend any pack of one minimization: the
+    stack of (n, d) ``points``, ``k``, ``n_restarts``, the PCG64 state
+    words of every (set, restart) and the ``loss``. It pickles, so the
+    pool ships it to the workers with each pack. ``derived`` (one
+    descent's ``_Rows``) and ``scored`` (each set's exact loss by labeling)
+    are caches: the packs run in this process share them, and a pack run
+    in a worker gets its own, empty copy."""
+
+    points: np.ndarray
+    k: int
+    n_restarts: int
+    words: np.ndarray
+    loss: _Loss
+    derived: dict[tuple[int, int], _Rows] = field(default_factory=dict)
+    scored: dict[int, dict[bytes, float]] = field(default_factory=dict)
+
+    def rows(self, lo: int, hi: int) -> _Rows:
+        """The ``_Rows`` of the sets ``lo .. hi-1``, kept for one range."""
+        if (lo, hi) not in self.derived:
+            self.derived.clear()
+            self.derived[lo, hi] = self.loss.derive(self.points[lo:hi])
+        return self.derived[lo, hi]
+
+    def score(self, i: int, labels: np.ndarray) -> float:
+        """The exact loss of set ``i`` at ``labels``, each labeling once."""
+        known = self.scored.setdefault(i, {})
+        key = labels.tobytes()
+        if key not in known:
+            known[key] = self.loss.value(labels, self.points[i])
+        return known[key]
+
+
+def _descent_bests(job: _Restarts, pack: Pack) -> list[ClusterSolution]:
+    """Each block's best restart, from one descent of the pack."""
+    lo = pack[0][0]
+    layout = _layout((i - lo, len(restarts)) for i, restarts in pack)
+    rows = job.rows(lo, pack[-1][0] + 1)
+    rngs = [np.random.Generator(np.random.PCG64(_Words(job.words[i, restart])))
+            for i, restarts in pack for restart in restarts]
+    run = _descend(job.loss, rows, rngs, job.k, layout)
+    bests = []
+    for (i, restarts), (_, block) in zip(pack, layout):
+        obj = run.objective[block]
+        margin = _SCORE_MARGIN * float((job.points[i] ** 2).sum())
+        near = block.start + np.flatnonzero(obj <= obj.min() + margin)
+        j = min(near, key=lambda j: job.score(i, run.labels[j]))
+        bests.append(ClusterSolution(
+            labels=run.labels[j].copy(),
+            objective=job.score(i, run.labels[j]),
+            n_iters=int(run.rounds[j]),
+            n_restarts_used=job.n_restarts,
+            degenerate=bool(run.degenerate[j]),
+            **job.loss.geometry(tuple(a[j] for a in run.model)),
+        ))
+        if restarts.stop == job.n_restarts:
+            job.scored.pop(i, None)
+    return bests
+
+
+def _pack_bests(job: _Restarts, pack: Pack) -> list:
+    """Each block's best restart, or the error that stopped it: the pool
+    unit of ``_best_restarts``. A pack that fails descends each block again
+    alone, so that an error stops only its own set; if none fails alone,
+    the packing is at fault."""
+    try:
+        return _descent_bests(job, pack)
+    except Exception as exc:
+        if len(pack) == 1:
+            return [_pool.returned(exc)]
+        bests = [best for block in pack for best in _pack_bests(job, [block])]
+        if not any(isinstance(best, Exception) for best in bests):
+            raise NumericalError(
+                "a packed descent failed, but no block of it fails alone") from exc
+        return bests
+
+
 def _best_restarts(
     points: np.ndarray, k: int, n_restarts: int, seeds: Sequence[int], loss: _Loss
 ) -> list[ClusterSolution | Exception]:
@@ -365,21 +445,22 @@ def _best_restarts(
     ``loss.value``. Returns each set's solution, or the error that stopped
     it.
 
-    Everything but the loss's arithmetic (``_Loss``) is done here. Each
-    restart draws from its own generator, seeded by its set's seed,
-    ``loss.tag`` and its restart index: the PCG64 state words of every
-    (set, restart) are hashed once per call (``pcg64_words``), and each
-    descent builds its restarts' generators from their rows, so a block
-    descended again alone draws the same streams. A block reads its
-    results through its slice of the descent's ``Layout``. A descent's
-    ``_Rows`` (``loss.derive``) are kept while the next descents cover the
-    same sets, so they are held for one descent's sets at a time. The
-    descent objective is accurate to about 1e-14 of the rows' total energy,
-    so only restarts within ``_SCORE_MARGIN`` of that energy of a block's
-    lowest can hold the lowest exact loss; only those are scored, each
-    distinct labeling of a set once per process, and a set's scores are
-    dropped after its last block. A solution's geometry is
-    ``loss.geometry`` of its restart's model.
+    Everything but the loss's arithmetic (``_Loss``) is done here and in
+    ``_pack_bests``. Each restart draws from its own generator, seeded by
+    its set's seed, ``loss.tag`` and its restart index: the PCG64 state
+    words of every (set, restart) are hashed once per call
+    (``pcg64_words``), and each descent builds its restarts' generators
+    from their rows, so a block descended again alone draws the same
+    streams. A block reads its results through its slice of the descent's
+    ``Layout``. A descent's ``_Rows`` (``loss.derive``) are kept while the
+    next descents cover the same sets, so they are held for one descent's
+    sets at a time. The descent objective is accurate to about 1e-14 of the
+    rows' total energy, so only restarts within ``_SCORE_MARGIN`` of that
+    energy of a block's lowest can hold the lowest exact loss; only those
+    are scored, each distinct labeling of a set once per copy of the
+    ``_Restarts`` record, and a set's scores are dropped after its last
+    block. A solution's geometry is ``loss.geometry`` of its restart's
+    model.
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
@@ -397,64 +478,13 @@ def _best_restarts(
         raise ValueError("need at least one restart")
     outcomes: list = [None if np.isfinite(rows).all() else ValueError("rows must be finite")
                       for rows in points]
-    derived = functools.lru_cache(maxsize=1)(lambda lo, hi: loss.derive(points[lo:hi]))
     # every restart's PCG64 state, hashed in one pass: (set, restart, 4 words)
     words = pcg64_words(np.array(
         [[derive_seed(seed, loss.tag, restart) for restart in range(n_restarts)]
          for seed in seeds], dtype=np.uint64).reshape(n_sets, n_restarts))
-    # each set's scores by labeling; a forked worker scores into its own copy
-    scored: dict[int, dict[bytes, float]] = {}
-
-    def score(i: int, labels: np.ndarray) -> float:
-        known = scored.setdefault(i, {})
-        key = labels.tobytes()
-        if key not in known:
-            known[key] = loss.value(labels, points[i])
-        return known[key]
-
-    def descent_bests(pack: Pack) -> list[ClusterSolution]:
-        """Each block's best restart, from one descent of the pack."""
-        lo = pack[0][0]
-        layout = _layout((i - lo, len(restarts)) for i, restarts in pack)
-        rows = derived(lo, pack[-1][0] + 1)
-        rngs = [np.random.Generator(np.random.PCG64(_Words(words[i, restart])))
-                for i, restarts in pack for restart in restarts]
-        run = _descend(loss, rows, rngs, k, layout)
-        bests = []
-        for (i, restarts), (_, block) in zip(pack, layout):
-            obj = run.objective[block]
-            margin = _SCORE_MARGIN * float((points[i] ** 2).sum())
-            near = block.start + np.flatnonzero(obj <= obj.min() + margin)
-            j = min(near, key=lambda j: score(i, run.labels[j]))
-            bests.append(ClusterSolution(
-                labels=run.labels[j].copy(),
-                objective=score(i, run.labels[j]),
-                n_iters=int(run.rounds[j]),
-                n_restarts_used=n_restarts,
-                degenerate=bool(run.degenerate[j]),
-                **loss.geometry(tuple(a[j] for a in run.model)),
-            ))
-            if restarts.stop == n_restarts:
-                scored.pop(i, None)
-        return bests
-
-    def pack_bests(pack: Pack) -> list:
-        """Each block's best restart, or the error that stopped it. A pack
-        that fails descends each block again alone, so that an error stops
-        only its own set; if none fails alone, the packing is at fault."""
-        try:
-            return descent_bests(pack)
-        except Exception as exc:
-            if len(pack) == 1:
-                return [_pool.returned(exc)]
-            bests = [best for block in pack for best in pack_bests([block])]
-            if not any(isinstance(best, Exception) for best in bests):
-                raise NumericalError(
-                    "a packed descent failed, but no block of it fails alone") from exc
-            return bests
-
+    job = _Restarts(points, k, n_restarts, words, loss)
     packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, k, d)
-    with _pool.ordered_results(pack_bests, packs) as results:
+    with _pool.ordered_results(functools.partial(_pack_bests, job), packs) as results:
         for (i, _), best in zip(itertools.chain(*packs), itertools.chain.from_iterable(results)):
             kept = outcomes[i]
             if kept is None or (
@@ -542,6 +572,22 @@ def _centroid_refit(rows: _Rows, labels: np.ndarray, k: int, layout: Layout):
     return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
+def _q1_start(k: int, rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
+    """All-zero start labels, k-means++ centroids and an infinite objective
+    for each restart."""
+    m, n = len(rngs), rows.points.shape[1]
+    centroids = _kmeanspp_init(rows, k, rngs, layout)
+    return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
+
+
+def _q1_refit(k: int, rows: _Rows, labels: np.ndarray, layout: Layout):
+    return _centroid_refit(rows, labels, k, layout)
+
+
+def _q1_geometry(model: Model) -> dict:
+    return {"centroids": model[0].copy()}
+
+
 def minimize_q1_stack(
     points: np.ndarray, k: int, n_restarts: int, seeds: Sequence[int]
 ) -> list[ClusterSolution | Exception]:
@@ -549,19 +595,14 @@ def minimize_q1_stack(
     set i restarted from ``seeds[i]``: each set's solution, or the error
     that stopped it. Sets whose restarts fit in small blocks share
     descents (``_best_restarts``)."""
-    def start(rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
-        m, n = len(rngs), points.shape[1]
-        centroids = _kmeanspp_init(rows, k, rngs, layout)
-        return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
-
     return _best_restarts(points, k, n_restarts, seeds, _Loss(
         tag="q1-restart",
         derive=_rows,
-        start=start,
+        start=functools.partial(_q1_start, k),
         cost=_centroid_cost,
-        refit=lambda rows, labels, layout: _centroid_refit(rows, labels, k, layout),
+        refit=functools.partial(_q1_refit, k),
         value=q1_value,
-        geometry=lambda model: {"centroids": model[0].copy()},
+        geometry=_q1_geometry,
     ))
 
 
@@ -639,6 +680,32 @@ def _seed_labels(
     return _assign(_subspace_cost(rows, q.transpose(0, 1, 3, 2), layout), k)[0]
 
 
+def _subspace_start(k: int, r: int, rows: _Rows, rngs: list[np.random.Generator],
+                    layout: Layout):
+    """Candidate-subspace start labels (``_seed_labels``) for each restart,
+    with their refit model and objective."""
+    labels = _seed_labels(rows, k, r, rngs, layout)
+    model, obj, _ = _subspace_refit(rows, labels, k, r, layout)
+    return labels, model, obj
+
+
+def _subspace_model_cost(rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
+    return _subspace_cost(rows, model[0], layout)
+
+
+def _subspace_model_refit(k: int, r: int, rows: _Rows, labels: np.ndarray, layout: Layout):
+    return _subspace_refit(rows, labels, k, r, layout)
+
+
+def _subspace_value(r: int, labels: np.ndarray, rows: np.ndarray) -> float:
+    return q_subspace_value(labels, rows, r)
+
+
+def _subspace_geometry(model: Model) -> dict:
+    basis, rank = model
+    return {"bases": [basis[j, : rank[j]].T.copy() for j in range(rank.size)]}
+
+
 def minimize_q_subspace_stack(
     points: np.ndarray, k: int, r: int, n_restarts: int, seeds: Sequence[int]
 ) -> list[ClusterSolution | Exception]:
@@ -648,20 +715,14 @@ def minimize_q_subspace_stack(
     share descents (``_best_restarts``)."""
     if r < 1:
         raise ValueError("rank r must be >= 1")
-
-    def start(rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
-        labels = _seed_labels(rows, k, r, rngs, layout)
-        model, obj, _ = _subspace_refit(rows, labels, k, r, layout)
-        return labels, model, obj
-
     return _best_restarts(points, k, n_restarts, seeds, _Loss(
         tag="qsub-restart",
         derive=functools.partial(_rows, outer=True),
-        start=start,
-        cost=lambda rows, model, layout: _subspace_cost(rows, model[0], layout),
-        refit=lambda rows, labels, layout: _subspace_refit(rows, labels, k, r, layout),
-        value=lambda labels, rows: q_subspace_value(labels, rows, r),
-        geometry=lambda model: {"bases": [model[0][j, : model[1][j]].T.copy() for j in range(k)]},
+        start=functools.partial(_subspace_start, k, r),
+        cost=_subspace_model_cost,
+        refit=functools.partial(_subspace_model_refit, k, r),
+        value=functools.partial(_subspace_value, r),
+        geometry=_subspace_geometry,
     ))
 
 

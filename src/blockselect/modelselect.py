@@ -180,7 +180,8 @@ class _Statistic(NamedTuple):
     """A replicate statistic in two steps: ``embed(g)`` turns each replicate
     graph into points as it is drawn, and ``minimize(points, fit_seeds)``
     takes the points of many replicates at once and gives each one's
-    statistic, or the error that stopped it."""
+    statistic, or the error that stopped it. Both pickle: the pool ships
+    the statistic to a worker with each chunk."""
 
     embed: Callable[[Graph], object]
     minimize: Callable[[list, list[int]], list]
@@ -290,22 +291,25 @@ def _bootstrap_statistics(
     return _Bootstrap(np.concatenate(parts), failures)
 
 
+def _null_minimize(k: int, model: ModelKind, n_restarts: int, points: list[np.ndarray],
+                   fit_seeds: list[int]) -> list:
+    """Each replicate's minimized loss under the null ``model``, or the
+    error that stopped it, from one stacked minimization."""
+    stack = np.stack(points)
+    if model is ModelKind.SBM:
+        solutions = minimize_q1_stack(stack, k, n_restarts, fit_seeds)
+    else:
+        solutions = minimize_q_subspace_stack(stack, k, _rank(model, k), n_restarts, fit_seeds)
+    return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
+
+
 def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statistic:
     """The test statistic under the null ``model``: its minimized loss, as
     ``detect`` gives it. The replicates' points are minimized as one stack,
     in which small restart blocks of many replicates share descents."""
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
-
-    def minimize(points: list[np.ndarray], fit_seeds: list[int]) -> list:
-        stack = np.stack(points)
-        if model is ModelKind.SBM:
-            solutions = minimize_q1_stack(stack, k, n_restarts, fit_seeds)
-        else:
-            solutions = minimize_q_subspace_stack(stack, k, _rank(model, k), n_restarts,
-                                                  fit_seeds)
-        return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
-
-    return _Statistic(functools.partial(_embedding, k=k, model=model), minimize)
+    return _Statistic(functools.partial(_embedding, k=k, model=model),
+                      functools.partial(_null_minimize, k, model, n_restarts))
 
 
 def _run_test(

@@ -213,12 +213,15 @@ def _drawn_model(study: Study | None, pt: GridPoint) -> str | None:
 
 def _refuse_unread(model: str, pt: GridPoint, where: str) -> None:
     """Refuse a grid point that sets a key the generator of ``model`` never
-    reads: the draw would silently differ from what the point says."""
+    reads, or ``beta`` beside ``omega``, which overrides it: the draw would
+    silently differ from what the point says."""
     unread = [key for key in _GRID_KEYS
               if key != "true_model" and key not in _MODEL_KEYS[model]
               and getattr(pt, key) is not None]
     if unread:
         raise ConfigError(f"{where}the {model} generator reads no {', '.join(unread)}")
+    if pt.omega is not None and pt.beta is not None:
+        raise ConfigError(f"{where}the {model} generator reads no beta when omega is set")
 
 
 def _generate(study: Study | None, pt: GridPoint, seed: int):

@@ -29,6 +29,15 @@ def load_perfbench(monkeypatch, name: str):
     return module
 
 
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """End the worker pool around each test: a test's first pooled call
+    forks workers that see the module globals its fixtures patched."""
+    _pool.shutdown()
+    yield
+    _pool.shutdown()
+
+
 @pytest.fixture
 def set_workers(monkeypatch):
     """``set_workers(w)`` makes the worker pool use ``w`` processes; one

@@ -285,6 +285,16 @@ def test_generate_refuses_a_flag_the_model_never_reads_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["sbm", "dcbm"])
+def test_generate_refuses_beta_beside_omega_exit_2(tmp_path, capsys, model):
+    out = tmp_path / "out"
+    assert main(["generate", model, "--n", "60", "--k", "2", "--omega", "1,0.5;0.5,1",
+                 "--beta", "0.2", "--density", "0.1", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the {model} generator reads no beta when omega is set\n")
+    assert not out.exists()
+
+
 def test_generate_infeasible_density(tmp_path):
     code = main(["generate", "sbm", "--n", "30", "--k", "2", "--beta", "0.1",
                  "--density", "0.95", "--out", str(tmp_path / "out")])

@@ -749,6 +749,8 @@ def test_packed_point_sets_match_each_set_alone(case, n_restarts, data, per_desc
             planted = points[victim]
             mp.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
             mp.setattr(cluster, "_subspace_refit", _negating(cluster._subspace_refit, planted))
+        # the pool's workers fork with this example's patches in place
+        _pool.shutdown()
         for stack, alone in (
             (lambda: cluster.minimize_q1_stack(points, k, n_restarts, seeds),
              lambda i: minimize_q1(points[i], k, n_restarts, seed=seeds[i])),

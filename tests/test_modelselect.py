@@ -136,17 +136,18 @@ def test_detect_is_identical_at_every_worker_count(monkeypatch, set_workers, blo
     assert set(pids[:18]) == {os.getpid()} and os.getpid() not in pids[18:]
 
 
+def _replicate_pid(g_rep, fit_seed):
+    detect(g_rep, 2, ModelKind.DCBM, 4, seed=fit_seed)
+    return float(os.getpid())
+
+
 def test_detect_in_a_bootstrap_replicate_stays_in_that_replicate_process(
     monkeypatch, set_workers, block_pids,
 ):
-    def replicate_pid(g_rep, fit_seed):
-        detect(g_rep, 2, ModelKind.DCBM, 4, seed=fit_seed)
-        return float(os.getpid())
-
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 1)
     set_workers(2)
     replicate_pids = set(ms._bootstrap_statistics(
-        constant_prob(40, 0.3), 6, 0, per_replicate(replicate_pid)).stats)
+        constant_prob(40, 0.3), 6, 0, per_replicate(_replicate_pid)).stats)
     assert os.getpid() not in replicate_pids
     # a nested pool would run the blocks in grandchild processes
     pids = block_pids()
@@ -326,31 +327,39 @@ def test_bootstrap_failures_are_recorded_in_result_and_report(monkeypatch, one_w
     ]
 
 
-def test_bootstrap_exhaustion_raises():
-    def always_fails(g_rep, fit_seed):
-        raise NumericalError("broken")
+def _always_fails(g_rep, fit_seed):
+    raise NumericalError("broken")
 
+
+def test_bootstrap_exhaustion_raises():
     with pytest.raises(NumericalError, match="exhausted"):
-        ms._bootstrap_statistics(_tiny_phat(), 4, 0, per_replicate(always_fails))
+        ms._bootstrap_statistics(_tiny_phat(), 4, 0, per_replicate(_always_fails))
 
 
 # ---------------------------------------------------------------------------
 # bootstrap replicates in worker processes
 # ---------------------------------------------------------------------------
 
+def _same_graph(g_rep):
+    return g_rep
+
+
+def _each_replicate(stat_fn, graphs, fit_seeds):
+    found = []
+    for g_rep, fit_seed in zip(graphs, fit_seeds):
+        try:
+            found.append(stat_fn(g_rep, fit_seed))
+        except Exception as exc:
+            found.append(exc)
+    return found
+
+
 def per_replicate(stat_fn) -> ms._Statistic:
     """A bootstrap statistic that ``stat_fn(g_rep, fit_seed)`` computes one
-    replicate at a time, each error kept as that replicate's outcome."""
-    def minimize(graphs, fit_seeds):
-        found = []
-        for g_rep, fit_seed in zip(graphs, fit_seeds):
-            try:
-                found.append(stat_fn(g_rep, fit_seed))
-            except Exception as exc:
-                found.append(exc)
-        return found
-
-    return ms._Statistic(lambda g_rep: g_rep, minimize)
+    replicate at a time, each error kept as that replicate's outcome. The
+    pool pickles the statistic, so on more than one worker ``stat_fn`` is a
+    module-level function or a partial of one."""
+    return ms._Statistic(_same_graph, functools.partial(_each_replicate, stat_fn))
 
 
 def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn):
@@ -420,16 +429,16 @@ def _planned_statistic(plan, boot_seed):
     finishes last."""
     by_seed = {_fit_seed(boot_seed, r, a): exc for (r, a), exc in plan.items()}
     slow = {_fit_seed(boot_seed, 0, a) for a in range(3 * _B)}
+    return functools.partial(_planned_value, by_seed, slow)
 
-    def stat_fn(g_rep, fit_seed):
-        if fit_seed in slow:
-            time.sleep(0.002)
-        exc = by_seed.get(fit_seed)
-        if exc is not None:
-            raise exc("planted") if isinstance(exc, type) else exc
-        return g_rep.edge_count + fit_seed / 2.0**63
 
-    return stat_fn
+def _planned_value(by_seed, slow, g_rep, fit_seed):
+    if fit_seed in slow:
+        time.sleep(0.002)
+    exc = by_seed.get(fit_seed)
+    if exc is not None:
+        raise exc("planted") if isinstance(exc, type) else exc
+    return g_rep.edge_count + fit_seed / 2.0**63
 
 
 def _outcome(run):
@@ -488,36 +497,45 @@ def test_packed_chunks_match_serial_reference(monkeypatch, set_workers, scenario
         assert got == _serial_null_outcome(scenario, model)
 
 
-def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(set_workers):
+# the barrier ``_paired_pid`` waits at; the workers inherit it through fork
+_PAIR_BARRIER = None
+
+
+def _paired_pid(g_rep, fit_seed):
+    _PAIR_BARRIER.wait()
+    return float(os.getpid())
+
+
+def _worker_pid(g_rep, fit_seed):
+    return float(os.getpid())
+
+
+def _worker_blas_threads(g_rep, fit_seed):
+    return float(max(_blas_threads(), default=1))
+
+
+def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch, set_workers):
     # each replicate waits for one running at the same time, which only
     # the other worker can be running
-    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=60)
-
-    def paired_pid(g_rep, fit_seed):
-        barrier.wait()
-        return float(os.getpid())
-
-    def worker_pid(g_rep, fit_seed):
-        return float(os.getpid())
-
-    def blas_threads(g_rep, fit_seed):
-        return float(max(_blas_threads(), default=1))
-
+    monkeypatch.setitem(globals(), "_PAIR_BARRIER",
+                        multiprocessing.get_context("fork").Barrier(2, timeout=60))
     set_workers(2)
-    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(paired_pid)).stats)
+    pids = set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(_paired_pid)).stats)
     assert len(pids) == 2 and os.getpid() not in pids
     assert set(ms._bootstrap_statistics(
-        _tiny_phat(), 8, 0, per_replicate(blas_threads)).stats) == {1.0}
-    # forking a process that runs other threads is unsafe: stay in-process
+        _tiny_phat(), 8, 0, per_replicate(_worker_blas_threads)).stats) == {1.0}
+    # forking a process that runs other threads is unsafe: with no pool
+    # warm yet, stay in-process
+    _pool.shutdown()
     box = {}
     thread = threading.Thread(target=lambda: box.update(
-        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(worker_pid)).stats)))
+        pids=set(ms._bootstrap_statistics(_tiny_phat(), 8, 0, per_replicate(_worker_pid)).stats)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive() and box["pids"] == {os.getpid()}
     set_workers(1)
     assert set(ms._bootstrap_statistics(
-        _tiny_phat(), 8, 0, per_replicate(worker_pid)).stats) == {os.getpid()}
+        _tiny_phat(), 8, 0, per_replicate(_worker_pid)).stats) == {os.getpid()}
 
 
 def _fail_minimizers(monkeypatch, plan):
@@ -579,6 +597,8 @@ def test_bootstrap_errors_are_identical_at_every_worker_count(monkeypatch, set_w
     plan.clear()
     plan[_fit_seed(0, 8, 0)] = InfeasibleModelError("late")
     plan[_fit_seed(0, 6, 0)] = InfeasibleModelError("first")
+    # the workers fork again, with the new plan
+    _pool.shutdown()
     with pytest.raises(InfeasibleModelError, match="^first$") as info:
         run_test_dcbm_vs_pabm(g, 2, n_boot=10, restarts=3, seed=0)
     if workers > 1:  # the worker's traceback text is the cause

@@ -305,6 +305,21 @@ def test_config_refuses_a_key_the_drawn_model_never_reads(study, grid, unread):
         load_experiment_config(io.StringIO(text))
 
 
+@pytest.mark.parametrize("study, truth", [
+    ("comm_det_sbm", ""), ("comm_det_dcbm", ""),
+    ("test_sbm_vs_dcbm", "true_model = dcbm\n"),
+])
+def test_config_refuses_beta_beside_omega(study, truth):
+    # omega sets the block matrix, so a beta beside it would be dropped
+    methods = "methods = q1\n" if study.startswith("comm_det_") else ""
+    model = study.split("_")[-1] if study.startswith("comm_det_") else "dcbm"
+    text = (f"[experiment]\nstudy = {study}\n{methods}[grid.1]\nn = 60\nk = 2\n{truth}"
+            "omega = 1,0.5;0.5,1\nbeta = 0.2\ndensity = 0.1\n")
+    want = f"grid point 1: the {model} generator reads no beta when omega is set"
+    with pytest.raises(ConfigError, match=f"^{want}$"):
+        load_experiment_config(io.StringIO(text))
+
+
 @pytest.mark.parametrize("law, message", [
     ("beta:-1,2", "Beta needs a, b > 0"),
     ("powerlaw:1,1", "PowerLaw needs xmin > 0 and alpha > 1"),
