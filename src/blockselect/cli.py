@@ -197,6 +197,13 @@ def cmd_cluster(args) -> int:
         "seed": args.seed,
         "lcc": args.lcc,
     }
+    truth = None
+    if args.truth is not None:
+        # a truth file that cannot be read or scored fails before detection
+        with open(args.truth, "r", encoding="utf-8") as fh:
+            truth = load_labels(fh, ids, graph.n)
+        if not ((truth >= 1) & (truth <= args.k)).all():
+            raise ValueError(f"true labels must lie in [1, {args.k}]")
     sol = detect(
         graph, args.k, ModelKind(args.model.upper()), args.restarts, seed=args.seed
     )
@@ -211,9 +218,7 @@ def cmd_cluster(args) -> int:
         "labels_file": "labels.csv",
     }
     print(f"objective: {sol.objective:.6g}")
-    if args.truth is not None:
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            truth = load_labels(fh, ids, graph.n)
+    if truth is not None:
         rate = mislabel_rate(sol.labels, truth, args.k)
         meta["mislabel_rate"] = rate
         print(f"mislabel rate: {rate:.4f}")

@@ -24,19 +24,20 @@ A point's residual to a community is ||x||^2 - sum_b (b.x)^2 over the
 community's kept eigenvectors b, all from one (restarts * communities *
 rank, d) x (d, n) product per block; costs are laid out (restart,
 community, node), so the assignment compares contiguous rows.
-The ``*_stack`` minimizers take a stack of point sets of one shape, such
-as the replicates of a bootstrap chunk, and pack the small blocks of many
+Each loss is a small object of its arithmetic: ``_Centroid(k)`` and
+``_Subspace(k, r)`` give a descent's derived rows, its restarts' starts,
+every point's cost in every community, the refit, the exact value and a
+solution's geometry. One minimizer, ``minimize_stack(points, loss,
+n_restarts, seeds)``, takes a stack of point sets of one shape, such as
+the replicates of a bootstrap chunk, and packs the small blocks of many
 sets into one descent: each block keeps its own BLAS products, and the
 rest of a round runs once for the whole descent. A set's solution, or
 its error, is that of the set minimized alone; ``minimize_q1`` and
-``minimize_q_subspace`` are the one-set case.
-One restart driver, ``_best_restarts``, serves both losses: it owns the
-restarts' generators, each descent's ``Layout`` and ``_Rows``, the exact
-scoring and each set's ``ClusterSolution``, and each loss is a ``_Loss``
-record of its kernels (start, cost, refit, exact value, geometry).
-The descents run in parallel on the package's worker pool (``_pool``),
-which pickles each one's ``_Restarts`` record to a worker, so the kernels
-are module-level functions and partials of them.
+``minimize_q_subspace`` are the one-set case. It owns the restarts'
+generators, each descent's ``Layout`` and ``_Rows``, the exact scoring
+and each set's ``ClusterSolution``. The descents run in parallel on the
+package's worker pool (``_pool``), which pickles each one's ``_Restarts``
+job, loss included, to a worker.
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
 """
@@ -159,29 +160,6 @@ def _rows(points: np.ndarray, outer: bool = False) -> _Rows:
                  points[:, :, :, None] * points[:, :, None, :] if outer else None)
 
 
-class _Loss(NamedTuple):
-    """The arithmetic of one loss, which ``_best_restarts`` drives.
-
-    ``derive(points)`` gives the ``_Rows`` of one descent's point sets.
-    ``start(rows, rngs, layout)`` gives the start labels, model and
-    objective of one restart per generator; ``cost(rows, model, layout)``
-    the (m, n, k) cost of every point in every community; and
-    ``refit(rows, labels, layout)`` the model, the objective and a
-    truncation flag per restart, ``layout`` saying where the restarts lie.
-    ``value(labels, points)`` is the exact loss of one set's (n, d) points,
-    and ``geometry(model)`` the ``ClusterSolution`` fields of one restart's
-    model. ``tag`` seeds the restarts' generators.
-    """
-
-    tag: str
-    derive: Callable[[np.ndarray], _Rows]
-    start: Callable[[_Rows, list, Layout], tuple[np.ndarray, Model, np.ndarray]]
-    cost: Callable[[_Rows, Model, Layout], np.ndarray]
-    refit: Callable[[_Rows, np.ndarray, Layout], tuple[Model, np.ndarray, np.ndarray]]
-    value: Callable[[np.ndarray, np.ndarray], float]
-    geometry: Callable[[Model], dict]
-
-
 def _layout(blocks: Iterable[tuple[int, int]]) -> Layout:
     """The layout of restart blocks in row order, from each block's (point
     set, running restarts); a block with none is left out."""
@@ -277,7 +255,7 @@ class _Descent(NamedTuple):
 
 
 def _descend(
-    loss: _Loss, rows: _Rows, rngs: list[np.random.Generator], k: int, layout: Layout
+    loss: _Centroid | _Subspace, rows: _Rows, rngs: list[np.random.Generator], layout: Layout
 ) -> _Descent:
     """Alternate assignment (``loss.cost``) and refit (``loss.refit``) for
     the restarts of one descent, one per generator, from ``loss.start``.
@@ -297,7 +275,7 @@ def _descend(
     active = np.arange(m)
     rounds = 0
     while True:
-        new_labels, repaired = _assign(loss.cost(rows, model, layout), k)
+        new_labels, repaired = _assign(loss.cost(rows, model, layout), loss.k)
         model, obj, truncated = loss.refit(rows, new_labels, layout)
         limit = prev_obj + _MONOTONE_RTOL * np.maximum(1.0, np.abs(prev_obj))
         bad = np.flatnonzero(~repaired & (obj > limit))
@@ -360,18 +338,17 @@ def _packs(sets: Sequence[int], n_restarts: int, n: int, k: int, d: int) -> list
 @dataclass(eq=False)
 class _Restarts:
     """What a process needs to descend any pack of one minimization: the
-    stack of (n, d) ``points``, ``k``, ``n_restarts``, the PCG64 state
-    words of every (set, restart) and the ``loss``. It pickles, so the
-    pool ships it to the workers with each pack. ``derived`` (one
-    descent's ``_Rows``) and ``scored`` (each set's exact loss by labeling)
-    are caches: the packs run in this process share them, and a pack run
-    in a worker gets its own, empty copy."""
+    stack of (n, d) ``points``, ``n_restarts``, the PCG64 state words of
+    every (set, restart) and the ``loss``. It pickles, so the pool ships it
+    to the workers with each pack. ``derived`` (one descent's ``_Rows``)
+    and ``scored`` (each set's exact loss by labeling) are caches: the
+    packs run in this process share them, and a pack run in a worker gets
+    its own, empty copy."""
 
     points: np.ndarray
-    k: int
     n_restarts: int
     words: np.ndarray
-    loss: _Loss
+    loss: _Centroid | _Subspace
     derived: dict[tuple[int, int], _Rows] = field(default_factory=dict)
     scored: dict[int, dict[bytes, float]] = field(default_factory=dict)
 
@@ -398,7 +375,7 @@ def _descent_bests(job: _Restarts, pack: Pack) -> list[ClusterSolution]:
     rows = job.rows(lo, pack[-1][0] + 1)
     rngs = [np.random.Generator(np.random.PCG64(_Words(job.words[i, restart])))
             for i, restarts in pack for restart in restarts]
-    run = _descend(job.loss, rows, rngs, job.k, layout)
+    run = _descend(job.loss, rows, rngs, layout)
     bests = []
     for (i, restarts), (_, block) in zip(pack, layout):
         obj = run.objective[block]
@@ -420,7 +397,7 @@ def _descent_bests(job: _Restarts, pack: Pack) -> list[ClusterSolution]:
 
 def _pack_bests(job: _Restarts, pack: Pack) -> list:
     """Each block's best restart, or the error that stopped it: the pool
-    unit of ``_best_restarts``. A pack that fails descends each block again
+    unit of ``minimize_stack``. A pack that fails descends each block again
     alone, so that an error stops only its own set; if none fails alone,
     the packing is at fault."""
     try:
@@ -435,32 +412,32 @@ def _pack_bests(job: _Restarts, pack: Pack) -> list:
         return bests
 
 
-def _best_restarts(
-    points: np.ndarray, k: int, n_restarts: int, seeds: Sequence[int], loss: _Loss
+def minimize_stack(
+    points: np.ndarray, loss: _Centroid | _Subspace, n_restarts: int, seeds: Sequence[int]
 ) -> list[ClusterSolution | Exception]:
-    """The restart driver of every minimizer, over a stack of (n, d) point
-    sets, set i restarted from ``seeds[i]``: check ``k`` and
+    """Minimize ``loss`` on every (n, d) point set of the stack ``points``,
+    set i restarted from ``seeds[i]``: check the loss's ``k`` and rank and
     ``n_restarts``, descend the restarts of every set whose rows are
     finite, and keep each set's restart of lowest exact loss
     ``loss.value``. Returns each set's solution, or the error that stopped
-    it.
+    it; ``minimize_q1`` and ``minimize_q_subspace`` are the one-set case.
 
-    Everything but the loss's arithmetic (``_Loss``) is done here and in
-    ``_pack_bests``. Each restart draws from its own generator, seeded by
-    its set's seed, ``loss.tag`` and its restart index: the PCG64 state
-    words of every (set, restart) are hashed once per call
-    (``pcg64_words``), and each descent builds its restarts' generators
-    from their rows, so a block descended again alone draws the same
-    streams. A block reads its results through its slice of the descent's
-    ``Layout``. A descent's ``_Rows`` (``loss.derive``) are kept while the
-    next descents cover the same sets, so they are held for one descent's
-    sets at a time. The descent objective is accurate to about 1e-14 of the
-    rows' total energy, so only restarts within ``_SCORE_MARGIN`` of that
-    energy of a block's lowest can hold the lowest exact loss; only those
-    are scored, each distinct labeling of a set once per copy of the
-    ``_Restarts`` record, and a set's scores are dropped after its last
-    block. A solution's geometry is ``loss.geometry`` of its restart's
-    model.
+    Everything but the loss's arithmetic (``_Centroid``, ``_Subspace``) is
+    done here and in ``_pack_bests``. Each restart draws from its own
+    generator, seeded by its set's seed, ``loss.tag`` and its restart
+    index: the PCG64 state words of every (set, restart) are hashed once
+    per call (``pcg64_words``), and each descent builds its restarts'
+    generators from their rows, so a block descended again alone draws the
+    same streams. A block reads its results through its slice of the
+    descent's ``Layout``. A descent's ``_Rows`` (``loss.derive``) are kept
+    while the next descents cover the same sets, so they are held for one
+    descent's sets at a time. The descent objective is accurate to about
+    1e-14 of the rows' total energy, so only restarts within
+    ``_SCORE_MARGIN`` of that energy of a block's lowest can hold the
+    lowest exact loss; only those are scored, each distinct labeling of a
+    set once per copy of the minimization's ``_Restarts`` job, and a set's
+    scores are dropped after its last block. A solution's geometry is
+    ``loss.geometry`` of its restart's model.
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
@@ -472,8 +449,10 @@ def _best_restarts(
     that of a serial run of the set alone at every worker count.
     """
     n_sets, n, d = points.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if isinstance(loss, _Subspace) and loss.r < 1:
+        raise ValueError("rank r must be >= 1")
+    if not 1 <= loss.k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {loss.k}")
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     outcomes: list = [None if np.isfinite(rows).all() else ValueError("rows must be finite")
@@ -482,8 +461,8 @@ def _best_restarts(
     words = pcg64_words(np.array(
         [[derive_seed(seed, loss.tag, restart) for restart in range(n_restarts)]
          for seed in seeds], dtype=np.uint64).reshape(n_sets, n_restarts))
-    job = _Restarts(points, k, n_restarts, words, loss)
-    packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, k, d)
+    job = _Restarts(points, n_restarts, words, loss)
+    packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, loss.k, d)
     with _pool.ordered_results(functools.partial(_pack_bests, job), packs) as results:
         for (i, _), best in zip(itertools.chain(*packs), itertools.chain.from_iterable(results)):
             kept = outcomes[i]
@@ -572,44 +551,49 @@ def _centroid_refit(rows: _Rows, labels: np.ndarray, k: int, layout: Layout):
     return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
-def _q1_start(k: int, rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
-    """All-zero start labels, k-means++ centroids and an infinite objective
-    for each restart."""
-    m, n = len(rngs), rows.points.shape[1]
-    centroids = _kmeanspp_init(rows, k, rngs, layout)
-    return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
+class _Centroid(NamedTuple):
+    """The centroid loss with ``k`` communities: k-means++ starts, Lloyd
+    rounds and ``q1_value``. A loss is the arithmetic ``minimize_stack``
+    drives: ``derive`` gives the ``_Rows`` of a descent's point sets;
+    ``start`` the start labels, model and objective of one restart per
+    generator; ``cost`` the (m, n, k) cost of every point in every
+    community; ``refit`` the model, objective and truncation flag of each
+    restart, ``layout`` saying where the restarts lie; ``value`` the exact
+    loss of one set's (n, d) points; ``geometry`` the ``ClusterSolution``
+    fields of one restart's model; and ``tag`` seeds the generators. The
+    methods look the kernels up by module name when they run, and the loss
+    pickles by value."""
 
+    k: int
+    tag = "q1-restart"
 
-def _q1_refit(k: int, rows: _Rows, labels: np.ndarray, layout: Layout):
-    return _centroid_refit(rows, labels, k, layout)
+    def derive(self, points: np.ndarray) -> _Rows:
+        return _rows(points)
 
+    def start(self, rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
+        """All-zero start labels, k-means++ centroids and an infinite
+        objective for each restart."""
+        m, n = len(rngs), rows.points.shape[1]
+        centroids = _kmeanspp_init(rows, self.k, rngs, layout)
+        return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
 
-def _q1_geometry(model: Model) -> dict:
-    return {"centroids": model[0].copy()}
+    def cost(self, rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
+        return _centroid_cost(rows, model, layout)
 
+    def refit(self, rows: _Rows, labels: np.ndarray, layout: Layout):
+        return _centroid_refit(rows, labels, self.k, layout)
 
-def minimize_q1_stack(
-    points: np.ndarray, k: int, n_restarts: int, seeds: Sequence[int]
-) -> list[ClusterSolution | Exception]:
-    """``minimize_q1`` of every (n, d) point set of the stack ``points``,
-    set i restarted from ``seeds[i]``: each set's solution, or the error
-    that stopped it. Sets whose restarts fit in small blocks share
-    descents (``_best_restarts``)."""
-    return _best_restarts(points, k, n_restarts, seeds, _Loss(
-        tag="q1-restart",
-        derive=_rows,
-        start=functools.partial(_q1_start, k),
-        cost=_centroid_cost,
-        refit=functools.partial(_q1_refit, k),
-        value=q1_value,
-        geometry=_q1_geometry,
-    ))
+    def value(self, labels: np.ndarray, points: np.ndarray) -> float:
+        return q1_value(labels, points)
+
+    def geometry(self, model: Model) -> dict:
+        return {"centroids": model[0].copy()}
 
 
 def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
     """Minimize the centroid loss of the (n, d) ``rows`` with Lloyd's
     algorithm, k-means++ seeding, and ``n_restarts`` independent starts."""
-    return _solved(minimize_q1_stack(rows[None], k, n_restarts, [seed]))
+    return _solved(minimize_stack(rows[None], _Centroid(k), n_restarts, [seed]))
 
 
 # ---------------------------------------------------------------------------
@@ -680,50 +664,38 @@ def _seed_labels(
     return _assign(_subspace_cost(rows, q.transpose(0, 1, 3, 2), layout), k)[0]
 
 
-def _subspace_start(k: int, r: int, rows: _Rows, rngs: list[np.random.Generator],
-                    layout: Layout):
-    """Candidate-subspace start labels (``_seed_labels``) for each restart,
-    with their refit model and objective."""
-    labels = _seed_labels(rows, k, r, rngs, layout)
-    model, obj, _ = _subspace_refit(rows, labels, k, r, layout)
-    return labels, model, obj
+class _Subspace(NamedTuple):
+    """The rank-``r`` subspace loss with ``k`` communities, as
+    ``minimize_stack`` drives it: candidate-subspace starts, greedy
+    projection rounds and ``q_subspace_value``. The methods are those of
+    ``_Centroid``."""
 
+    k: int
+    r: int
+    tag = "qsub-restart"
 
-def _subspace_model_cost(rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
-    return _subspace_cost(rows, model[0], layout)
+    def derive(self, points: np.ndarray) -> _Rows:
+        return _rows(points, outer=True)
 
+    def start(self, rows: _Rows, rngs: list[np.random.Generator], layout: Layout):
+        """Candidate-subspace start labels (``_seed_labels``) for each
+        restart, with their refit model and objective."""
+        labels = _seed_labels(rows, self.k, self.r, rngs, layout)
+        model, obj, _ = self.refit(rows, labels, layout)
+        return labels, model, obj
 
-def _subspace_model_refit(k: int, r: int, rows: _Rows, labels: np.ndarray, layout: Layout):
-    return _subspace_refit(rows, labels, k, r, layout)
+    def cost(self, rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
+        return _subspace_cost(rows, model[0], layout)
 
+    def refit(self, rows: _Rows, labels: np.ndarray, layout: Layout):
+        return _subspace_refit(rows, labels, self.k, self.r, layout)
 
-def _subspace_value(r: int, labels: np.ndarray, rows: np.ndarray) -> float:
-    return q_subspace_value(labels, rows, r)
+    def value(self, labels: np.ndarray, points: np.ndarray) -> float:
+        return q_subspace_value(labels, points, self.r)
 
-
-def _subspace_geometry(model: Model) -> dict:
-    basis, rank = model
-    return {"bases": [basis[j, : rank[j]].T.copy() for j in range(rank.size)]}
-
-
-def minimize_q_subspace_stack(
-    points: np.ndarray, k: int, r: int, n_restarts: int, seeds: Sequence[int]
-) -> list[ClusterSolution | Exception]:
-    """``minimize_q_subspace`` of every (n, d) point set of the stack
-    ``points``, set i restarted from ``seeds[i]``: each set's solution, or
-    the error that stopped it. Sets whose restarts fit in small blocks
-    share descents (``_best_restarts``)."""
-    if r < 1:
-        raise ValueError("rank r must be >= 1")
-    return _best_restarts(points, k, n_restarts, seeds, _Loss(
-        tag="qsub-restart",
-        derive=functools.partial(_rows, outer=True),
-        start=functools.partial(_subspace_start, k, r),
-        cost=_subspace_model_cost,
-        refit=functools.partial(_subspace_model_refit, k, r),
-        value=functools.partial(_subspace_value, r),
-        geometry=_subspace_geometry,
-    ))
+    def geometry(self, model: Model) -> dict:
+        basis, rank = model
+        return {"bases": [basis[j, : rank[j]].T.copy() for j in range(rank.size)]}
 
 
 def minimize_q_subspace(
@@ -740,7 +712,7 @@ def minimize_q_subspace(
     the lowest community index). Every restart starts from random
     assignments seeded by candidate subspaces.
     """
-    return _solved(minimize_q_subspace_stack(rows[None], k, r, n_restarts, [seed]))
+    return _solved(minimize_stack(rows[None], _Subspace(k, r), n_restarts, [seed]))
 
 
 def _require_pabm_embedding(n: int, k: int) -> None:

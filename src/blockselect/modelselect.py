@@ -7,14 +7,19 @@ from the estimated labels, and compare against the statistic recomputed
 on bootstrap graphs drawn from that fit. The p-value is the fraction of
 replicate statistics at least as large as the observed one.
 
+Each model has one loss (``_loss``): the SBM the centroid loss
+``cluster._Centroid``, the DCBM and the PABM the rank-1 and rank-K
+subspace losses ``cluster._Subspace``. It is the statistic of the test
+whose null is that model.
+
 The replicates run in contiguous chunks on the worker pool (``_pool``). A
-chunk draws and embeds its replicates in order and minimizes them in one
-call (``cluster.minimize_q1_stack``, ``cluster.minimize_q_subspace_stack``),
-which packs the restart blocks of many replicates into one descent while
-their per-round arrays fit in ``cluster._BLOCK_BYTES``; a block over half
-that budget, as at n = 600 with K = 3 or larger, descends alone. The
-statistics, failures and errors are those of a serial loop that
-minimizes one replicate at a time, at every worker count.
+chunk draws and embeds its replicates in order and minimizes them under the
+null's loss in one call (``cluster.minimize_stack``), which packs the
+restart blocks of many replicates into one descent while their per-round
+arrays fit in ``cluster._BLOCK_BYTES``; a block over half that budget, as at
+n = 600 with K = 3 or larger, descends alone. The statistics, failures and
+errors are those of a serial loop that minimizes one replicate at a time, at
+every worker count.
 
 The workflow gate: if the centroid-loss test keeps the SBM, stop there;
 otherwise run the rank-1 subspace test; if that keeps the DCBM, stop;
@@ -37,11 +42,12 @@ from ._seeds import derive_seed
 from .blockmodels import FactoredProb, fit_dcbm, fit_sbm, sample_graph
 from .cluster import (
     ClusterSolution,
+    _Centroid,
+    _Subspace,
     _require_pabm_embedding,
     minimize_q1,
-    minimize_q1_stack,
     minimize_q_subspace,
-    minimize_q_subspace_stack,
+    minimize_stack,
 )
 from .errors import DegenerateModelError, NumericalError
 from .netcore import Graph
@@ -80,7 +86,7 @@ def detect(
         rows = _embedding(g, k, model)
         if model is ModelKind.SBM:
             return minimize_q1(rows, k, n_restarts=n_restarts, seed=seed)
-        return minimize_q_subspace(rows, k, r=_rank(model, k), n_restarts=n_restarts, seed=seed)
+        return minimize_q_subspace(rows, k, r=_loss(model, k).r, n_restarts=n_restarts, seed=seed)
 
 
 def _embedding(g: Graph, k: int, model: ModelKind) -> np.ndarray:
@@ -92,9 +98,13 @@ def _embedding(g: Graph, k: int, model: ModelKind) -> np.ndarray:
     return ase(g, k).rows
 
 
-def _rank(model: ModelKind, k: int) -> int:
-    """The subspace rank of the DCBM and PABM losses."""
-    return 1 if model is ModelKind.DCBM else k
+def _loss(model: ModelKind, k: int) -> _Centroid | _Subspace:
+    """The loss of ``model`` with ``k`` communities: the centroid loss of
+    the SBM, the rank-1 subspace loss of the DCBM and the rank-K one of the
+    PABM."""
+    if model is ModelKind.SBM:
+        return _Centroid(k)
+    return _Subspace(k, 1 if model is ModelKind.DCBM else k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,15 +301,11 @@ def _bootstrap_statistics(
     return _Bootstrap(np.concatenate(parts), failures)
 
 
-def _null_minimize(k: int, model: ModelKind, n_restarts: int, points: list[np.ndarray],
+def _null_minimize(loss: _Centroid | _Subspace, n_restarts: int, points: list[np.ndarray],
                    fit_seeds: list[int]) -> list:
-    """Each replicate's minimized loss under the null ``model``, or the
-    error that stopped it, from one stacked minimization."""
-    stack = np.stack(points)
-    if model is ModelKind.SBM:
-        solutions = minimize_q1_stack(stack, k, n_restarts, fit_seeds)
-    else:
-        solutions = minimize_q_subspace_stack(stack, k, _rank(model, k), n_restarts, fit_seeds)
+    """Each replicate's minimized ``loss``, or the error that stopped it,
+    from one stacked minimization."""
+    solutions = minimize_stack(np.stack(points), loss, n_restarts, fit_seeds)
     return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
 
 
@@ -309,7 +315,7 @@ def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statisti
     in which small restart blocks of many replicates share descents."""
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
     return _Statistic(functools.partial(_embedding, k=k, model=model),
-                      functools.partial(_null_minimize, k, model, n_restarts))
+                      functools.partial(_null_minimize, _loss(model, k), n_restarts))
 
 
 def _run_test(

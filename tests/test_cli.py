@@ -126,6 +126,25 @@ def test_cluster_truth_listing_a_node_twice_exits_2(tmp_path, capsys):
     assert "line 7: node '0' listed twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truth_text, message", [
+    ("0 1\n1 1\n2 1\n3 5\n4 5\n5 5\n", "error: true labels must lie in [1, 2]"),
+    (None, "No such file or directory"),
+], ids=["label out of range", "missing file"])
+def test_cluster_refuses_a_bad_truth_file_before_detecting(tmp_path, capsys, truth_text, message):
+    edges = write(tmp_path / "g.edges", TWO_CLIQUES)
+    truth = tmp_path / "truth.labels"
+    if truth_text is not None:
+        write(truth, truth_text)
+    out = tmp_path / "out"
+    code = main(["cluster", str(edges), "--k", "2", "--model", "dcbm",
+                 "--truth", str(truth), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_cluster_k_zero_usage_error(tmp_path):
     edges = write(tmp_path / "g.edges", TWO_CLIQUES)
     code = main(["cluster", str(edges), "--k", "0", "--model", "sbm",

@@ -124,6 +124,17 @@ def test_minimizers_reject_rows_that_are_not_finite(bad):
         minimize_q_subspace(rows, 2, r=1, n_restarts=3)
 
 
+def test_rank_below_one_is_refused():
+    emb = make_emb(np.random.default_rng(5).standard_normal((10, 2)))
+    for refused in (
+        lambda: minimize_q_subspace(emb, 2, r=0, n_restarts=3),
+        lambda: cluster.minimize_stack(emb[None], cluster._Subspace(2, 0), 3, [0]),
+        lambda: q_subspace_value(np.repeat([1, 2], 5), emb, 0),
+    ):
+        with pytest.raises(ValueError, match="^rank r must be >= 1$"):
+            refused()
+
+
 def test_minimize_q1_identical_points_repairs_empty_clusters():
     emb = make_emb(np.ones((6, 2)))
     sol = minimize_q1(emb, 2, n_restarts=2, seed=0)
@@ -685,6 +696,28 @@ def test_each_labeling_is_scored_once_per_process(monkeypatch, set_workers):
 # point sets packed into shared descents
 # ---------------------------------------------------------------------------
 
+def _blocks(sets, size: int, n_restarts: int) -> list[tuple[int, range]]:
+    """Each set's restarts in blocks of ``size``, in order."""
+    return [(i, range(lo, min(lo + size, n_restarts)))
+            for i in sets for lo in range(0, n_restarts, size)]
+
+
+@pytest.mark.parametrize("n_sets, n_restarts, n, k, d, want", [
+    # karate: a descent holds 38 SBM replicates of 10 restarts ...
+    (40, 10, 34, 2, 2, [_blocks(range(38), 10, 10), _blocks(range(38, 40), 10, 10)]),
+    # ... or 19 DCBM replicates of 20
+    (20, 20, 34, 2, 2, [_blocks(range(19), 20, 20), _blocks([19], 20, 20)]),
+    # n = 600, K = 3: a DCBM set takes 2 blocks of 10, each its own descent
+    (2, 20, 600, 3, 3, [[block] for block in _blocks(range(2), 10, 20)]),
+    # n = 6000, K = 3: one restart per block
+    (1, 10, 6000, 3, 3, [[block] for block in _blocks([0], 1, 10)]),
+    # PABM detection at n = 900, K = 3: 15 blocks of at most 7 restarts
+    (1, 100, 900, 3, 9, [[block] for block in _blocks([0], 7, 100)]),
+])
+def test_packs_match_the_documented_figures(n_sets, n_restarts, n, k, d, want):
+    assert cluster._packs(range(n_sets), n_restarts, n, k, d) == want
+
+
 @st.composite
 def _point_sets(draw):
     k = draw(st.sampled_from([2, 3]))
@@ -752,9 +785,9 @@ def test_packed_point_sets_match_each_set_alone(case, n_restarts, data, per_desc
         # the pool's workers fork with this example's patches in place
         _pool.shutdown()
         for stack, alone in (
-            (lambda: cluster.minimize_q1_stack(points, k, n_restarts, seeds),
+            (lambda: cluster.minimize_stack(points, cluster._Centroid(k), n_restarts, seeds),
              lambda i: minimize_q1(points[i], k, n_restarts, seed=seeds[i])),
-            (lambda: cluster.minimize_q_subspace_stack(points, k, r, n_restarts, seeds),
+            (lambda: cluster.minimize_stack(points, cluster._Subspace(k, r), n_restarts, seeds),
              lambda i: minimize_q_subspace(points[i], k, r, n_restarts, seed=seeds[i])),
         ):
             want = [_alone(lambda: alone(i)) for i in range(n_sets)]
@@ -780,9 +813,9 @@ def test_packed_monotone_error_fails_its_set_alone(monkeypatch):
     monkeypatch.setattr(cluster, "_subspace_refit", _negating(cluster._subspace_refit, planted))
     assert len(cluster._packs(range(3), 6, 40, 2, 2)) == 1
     for stack, alone in (
-        (lambda: cluster.minimize_q1_stack(points, 2, 6, seeds),
+        (lambda: cluster.minimize_stack(points, cluster._Centroid(2), 6, seeds),
          lambda i: minimize_q1(points[i], 2, 6, seed=seeds[i])),
-        (lambda: cluster.minimize_q_subspace_stack(points, 2, 1, 6, seeds),
+        (lambda: cluster.minimize_stack(points, cluster._Subspace(2, 1), 6, seeds),
          lambda i: minimize_q_subspace(points[i], 2, 1, 6, seed=seeds[i])),
     ):
         got = [_outcome(sol) for sol in stack()]
@@ -808,9 +841,9 @@ def test_a_packed_descent_keeps_each_restart_on_its_own_set(monkeypatch, set_wor
 
     monkeypatch.setattr(cluster, "_descend", recording)
     for stack, alone in (
-        (lambda: cluster.minimize_q1_stack(points, 2, 5, seeds),
+        (lambda: cluster.minimize_stack(points, cluster._Centroid(2), 5, seeds),
          lambda i: minimize_q1(points[i], 2, 5, seed=seeds[i])),
-        (lambda: cluster.minimize_q_subspace_stack(points, 2, 1, 5, seeds),
+        (lambda: cluster.minimize_stack(points, cluster._Subspace(2, 1), 5, seeds),
          lambda i: minimize_q_subspace(points[i], 2, 1, 5, seed=seeds[i])),
     ):
         runs.clear()
@@ -824,16 +857,16 @@ def test_a_packed_descent_that_fails_only_when_packed_raises(monkeypatch):
     # block succeeds alone, so only the packing can be at fault
     original = cluster._descend
 
-    def fails_packed(loss, rows, rngs, k, layout):
+    def fails_packed(loss, rows, rngs, layout):
         if len(layout) > 1:
             raise RuntimeError("planted packing fault")
-        return original(loss, rows, rngs, k, layout)
+        return original(loss, rows, rngs, layout)
 
     monkeypatch.setattr(cluster, "_descend", fails_packed)
     points = np.random.default_rng(0).standard_normal((3, 34, 2))
     assert len(cluster._packs(range(3), 10, 34, 2, 2)) == 1
-    for stack in (lambda: cluster.minimize_q1_stack(points, 2, 10, [3, 4, 5]),
-                  lambda: cluster.minimize_q_subspace_stack(points, 2, 1, 10, [3, 4, 5])):
+    for stack in (lambda: cluster.minimize_stack(points, cluster._Centroid(2), 10, [3, 4, 5]),
+                  lambda: cluster.minimize_stack(points, cluster._Subspace(2, 1), 10, [3, 4, 5])):
         with pytest.raises(NumericalError, match="^a packed descent failed, but no block "
                                                  "of it fails alone$") as info:
             stack()
@@ -851,7 +884,7 @@ def test_stack_derives_arrays_for_one_descent_at_a_time(set_workers):
         minimize_q_subspace(points[0], 3, r=1, n_restarts=2, seed=0)
         one = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        cluster.minimize_q_subspace_stack(points, 3, 1, 2, list(range(8)))
+        cluster.minimize_stack(points, cluster._Subspace(3, 1), 2, list(range(8)))
         many = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -539,21 +539,20 @@ def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch
 
 
 def _fail_minimizers(monkeypatch, plan):
-    """Make both packed null minimizers give ``plan[fit seed]``, raised
-    and caught here, as that replicate's outcome; fork carries the patch
-    into the worker processes."""
-    for name in ("minimize_q1_stack", "minimize_q_subspace_stack"):
-        def flaky(points, *args, _original=getattr(ms, name)):
-            found = _original(points, *args)
-            for i, seed in enumerate(args[-1]):
-                if seed in plan:
-                    try:
-                        raise plan[seed]
-                    except Exception as exc:
-                        found[i] = exc
-            return found
+    """Make the packed null minimizer give ``plan[fit seed]``, raised and
+    caught here, as that replicate's outcome; fork carries the patch into
+    the worker processes."""
+    def flaky(points, *args, _original=ms.minimize_stack):
+        found = _original(points, *args)
+        for i, seed in enumerate(args[-1]):
+            if seed in plan:
+                try:
+                    raise plan[seed]
+                except Exception as exc:
+                    found[i] = exc
+        return found
 
-        monkeypatch.setattr(ms, name, flaky)
+    monkeypatch.setattr(ms, "minimize_stack", flaky)
 
 
 def _test_fields(t):
