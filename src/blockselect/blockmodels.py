@@ -15,6 +15,9 @@ scaling at theta = 1. A target that would push any probability above 1 is
 an error, except that ``gen_dcbm`` clamps up to 1% of its pair products at
 1, with a warning.
 
+One rule, ``_entries``, checks every parameter array where it enters:
+each entry must be finite and in its array's range. Nothing re-checks it.
+
 Edge probabilities of all three models are held in one factored form,
 ``FactoredProb``: P_ij = min(1, left[i, tau_j] * right[j, tau_i]) with two
 n x K factors, in O(nK). Generators, plug-in fits and the sampler never
@@ -23,6 +26,7 @@ build the n x n matrix; ``prob_matrix`` does, for small n and tests.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,8 +53,8 @@ class Beta:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"Beta needs a, b > 0, got a = {self.a}, b = {self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError(f"Beta needs a, b > 0 and finite, got a = {self.a}, b = {self.b}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.beta(self.a, self.b, size)
@@ -68,9 +72,9 @@ class PowerLaw:
     alpha: float = 5.0
 
     def __post_init__(self):
-        if not (self.xmin > 0 and self.alpha > 1):
+        if not (0 < self.xmin < math.inf and 1 < self.alpha < math.inf):
             raise ValueError(
-                f"PowerLaw needs xmin > 0 and alpha > 1, got xmin = {self.xmin}, "
+                f"PowerLaw needs xmin > 0 and alpha > 1, both finite, got xmin = {self.xmin}, "
                 f"alpha = {self.alpha}"
             )
 
@@ -86,8 +90,8 @@ class Constant:
     value: float = 1.0
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"Constant needs value > 0, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"Constant needs value > 0 and finite, got {self.value}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
@@ -99,6 +103,21 @@ ThetaLaw = Union[Beta, PowerLaw, Constant]
 # ---------------------------------------------------------------------------
 # parameter containers
 # ---------------------------------------------------------------------------
+
+def _entries(values, name: str, limit: float | None = None, low: float = 0.0) -> np.ndarray:
+    """``values`` as float64, refusing an entry that is not finite, below
+    ``low`` (0, or -_EPS where such entries are read as 0) or above
+    ``limit`` + _EPS; no upper bound when ``limit`` is None."""
+    values = np.asarray(values, dtype=np.float64)
+    lo, hi = values.min(initial=0.0), values.max(initial=0.0)  # NaN propagates
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} entries must be finite")
+    if limit is not None and (lo < low or hi > limit + _EPS):
+        raise ValueError(f"{name} entries must lie in [0, {limit:g}]")
+    if lo < low:
+        raise ValueError(f"{name} entries must be nonnegative")
+    return values
+
 
 def _validate_labels(labels: np.ndarray, k: int) -> np.ndarray:
     """The checks of ``_validate_factor_labels``, plus a nonempty vector
@@ -116,22 +135,17 @@ def _validate_labels(labels: np.ndarray, k: int) -> np.ndarray:
 def _validate_omega(
     omega, k: int, limit: float | None = None, name: str = "omega"
 ) -> np.ndarray:
-    """Symmetric K x K block matrix with entries in [0, limit], or
-    nonnegative when ``limit`` is None, each to within _EPS (relative to
-    the largest entry for symmetry); returns the symmetrized matrix clipped
-    to [0, limit]. Under max-theta-1 normalization a DCBM's omega may
-    exceed 1: only the products theta_i omega theta_j are probabilities."""
-    omega = np.asarray(omega, dtype=np.float64)
+    """K x K block matrix of ``_entries`` in [-_EPS, limit + _EPS],
+    symmetric to within _EPS (relative to the largest entry past 1);
+    returns the symmetrized matrix clipped to [0, limit]. Under
+    max-theta-1 normalization a DCBM's omega may exceed 1: only the
+    products theta_i omega theta_j are probabilities."""
+    omega = _entries(omega, name, limit, low=-_EPS)
     if omega.shape != (k, k):
         raise ValueError(f"{name} must be {k}x{k}")
     scale = max(1.0, np.abs(omega).max(initial=0.0))
     if np.max(np.abs(omega - omega.T), initial=0.0) > _EPS * scale:
         raise ValueError(f"{name} must be symmetric")
-    low = omega.min(initial=0.0) < -_EPS
-    if limit is not None and (low or omega.max(initial=0.0) > limit + _EPS):
-        raise ValueError(f"{name} entries must lie in [0, {limit:g}]")
-    if low:
-        raise ValueError(f"{name} entries must be nonnegative")
     return np.clip((omega + omega.T) / 2.0, 0.0, limit)
 
 
@@ -168,11 +182,9 @@ class DcbmParams:
     def __post_init__(self):
         labels = _validate_labels(self.labels, self.k)
         omega = _validate_omega(self.omega, self.k)
-        theta = np.asarray(self.theta, dtype=np.float64)
+        theta = _entries(self.theta, "theta", limit=1.0)
         if theta.shape != labels.shape:
             raise ValueError("theta must have one entry per node")
-        if theta.min() < 0.0 or theta.max() > 1.0 + _EPS:
-            raise ValueError("theta entries must lie in [0, 1]")
         scale = np.ones(self.k)
         for k in range(1, self.k + 1):
             block_max = theta[labels == k].max()
@@ -180,7 +192,8 @@ class DcbmParams:
                 raise ValueError(f"community {k} has all-zero theta")
             scale[k - 1] = block_max
         theta = theta / scale[labels - 1]
-        omega = _validate_omega(omega * np.outer(scale, scale), self.k)
+        # symmetric and nonnegative to the last bit, as omega is
+        omega = omega * np.outer(scale, scale)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "theta", theta)
@@ -198,11 +211,9 @@ class PabmParams:
 
     def __post_init__(self):
         labels = _validate_labels(self.labels, self.k)
-        lam = np.asarray(self.lam, dtype=np.float64)
+        lam = _entries(self.lam, "lambda", limit=1.0)
         if lam.shape != (labels.size, self.k):
             raise ValueError(f"lambda must be n x {self.k}")
-        if lam.min() < 0.0 or lam.max() > 1.0 + _EPS:
-            raise ValueError("lambda entries must lie in [0, 1]")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "lam", np.clip(lam, 0.0, 1.0))
 
@@ -225,16 +236,13 @@ class ProbMatrix:
     p: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
+        p = _entries(self.p, "probability", limit=1.0, low=-_EPS)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("probability matrix must be square")
-        if p.size:
-            if np.max(np.abs(p - p.T)) > _EPS:
-                raise ValueError("probability matrix must be symmetric")
-            if p.min() < -_EPS or p.max() > 1.0 + _EPS:
-                raise ValueError("probabilities must lie in [0, 1]")
-            if np.max(np.abs(np.diag(p))) > 0.0:
-                raise ValueError("diagonal must be zero")
+        if np.max(np.abs(p - p.T), initial=0.0) > _EPS:
+            raise ValueError("probability matrix must be symmetric")
+        if np.max(np.abs(np.diag(p)), initial=0.0) > 0.0:
+            raise ValueError("diagonal must be zero")
         object.__setattr__(self, "p", np.clip(p, 0.0, 1.0))
 
     @property
@@ -295,15 +303,13 @@ class FactoredProb:
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.float64)
-        right = np.asarray(self.right, dtype=np.float64)
+        left = _entries(self.left, "left factor")
+        right = _entries(self.right, "right factor")
         if left.ndim != 2 or right.shape != left.shape:
             raise ValueError("left and right factors must be n x K matrices of one shape")
         labels = _validate_factor_labels(self.labels, left.shape[1])
         if left.shape[0] != labels.size:
             raise ValueError("factors must have one row per node")
-        if left.min(initial=0.0) < 0.0 or right.min(initial=0.0) < 0.0:
-            raise ValueError("factor entries must be nonnegative")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "labels", labels)
@@ -343,17 +349,9 @@ class FactoredProb:
 
 
 def _degree_corrected(theta, block, labels) -> FactoredProb:
-    """The SBM/DCBM factors of ``theta``, a symmetric nonnegative block
-    matrix and labels; ``right`` is a read-only broadcast view of theta."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError("block matrix must be square")
-    if not np.array_equal(block, block.T) or block.min(initial=0.0) < 0.0:
-        raise ValueError("block matrix must be symmetric and nonnegative")
-    labels = _validate_factor_labels(labels, block.shape[0])
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != labels.shape or theta.min(initial=0.0) < 0.0:
-        raise ValueError("theta must be one nonnegative entry per node")
+    """The SBM/DCBM factors of theta, a symmetric nonnegative block matrix
+    and labels, all checked or built so by the caller; ``right`` is a
+    read-only broadcast view of theta."""
     left = theta[:, None] * block[labels - 1]
     return FactoredProb(left, np.broadcast_to(theta[:, None], left.shape), labels)
 
@@ -441,10 +439,12 @@ def sample_graph(p: FactoredProb, seed: int) -> Graph:
 # generators
 # ---------------------------------------------------------------------------
 
-def _block_sizes(n: int, fractions) -> np.ndarray:
-    f = np.asarray(fractions, dtype=np.float64)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("block fractions must be a nonempty vector")
+def _block_sizes(n: int, k: int, fractions) -> np.ndarray:
+    f = _entries(fractions, "block fraction")
+    if f.ndim != 1:
+        raise ValueError("block fractions must be a vector")
+    if f.size != k:
+        raise ValueError("block_fractions length must equal k")
     if abs(f.sum() - 1.0) > 1e-9:
         raise ValueError(f"block fractions must sum to 1, got {f.sum()}")
     bounds = np.rint(np.cumsum(f) * n).astype(np.int64)
@@ -468,9 +468,7 @@ def _planted_setting(n: int, k: int, fractions, base_omega, density, avg_degree)
     count of an SBM or DCBM setting: all that both generators compute
     before their first random draw."""
     _require_k(k)
-    sizes = _block_sizes(n, fractions)
-    if sizes.size != k:
-        raise ValueError("block_fractions length must equal k")
+    sizes = _block_sizes(n, k, fractions)
     base = _validate_omega(base_omega, k, name="base omega")
     if (density is None) == (avg_degree is None):
         raise ValueError("specify exactly one of target_density / target_avg_degree")
@@ -554,8 +552,8 @@ def gen_dcbm(
                                             target_density, target_avg_degree)
     rng = np.random.default_rng(derive_seed(seed, "theta"))
     theta = theta_law.sample(rng, n)
-    if np.any(theta <= 0):
-        raise ValueError("theta draws must be positive")
+    if not np.all((theta > 0) & (theta < np.inf)):
+        raise ValueError("theta draws must be positive and finite")
     for block in range(1, k + 1):
         mask = labels == block
         theta[mask] /= theta[mask].max()
@@ -663,7 +661,7 @@ def fit_sbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     to 0 with a warning. Returned in factored form with theta = 1.
     """
     labels = _integer_labels(labels)
-    k = int(labels.max())
+    k = int(labels.max(initial=0))
     _validate_labels(labels, k)
     sizes = np.bincount(labels, minlength=k + 1)[1:].astype(np.float64)
     counts = _block_edge_counts(g, labels, k)
@@ -690,7 +688,7 @@ def fit_dcbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     Raises ``DegenerateModelError`` when a community has zero total degree.
     """
     labels = _integer_labels(labels)
-    k = int(labels.max())
+    k = int(labels.max(initial=0))
     _validate_labels(labels, k)
     deg = degrees(g).astype(np.float64)
     block_deg = np.array([deg[labels == b].sum() for b in range(1, k + 1)])

@@ -161,6 +161,60 @@ def test_params_validation():
                    labels=np.array([1, 2]))
 
 
+def _with(shape, value, index=0):
+    """An all-0.5 array of ``shape`` with ``value`` at one flat index."""
+    a = np.full(shape, 0.5)
+    a.flat[index] = value
+    return a
+
+
+_LABELS = np.array([1, 1, 2, 2])
+# each parameter array where it enters: (its name in the refusal, a call
+# that puts one given value in it)
+_GUARDED = {
+    "sbm omega": ("omega", lambda v: SbmParams(k=2, omega=_with((2, 2), v), labels=_LABELS)),
+    "dcbm omega": ("omega", lambda v: DcbmParams(
+        k=2, omega=_with((2, 2), v), theta=np.ones(4), labels=_LABELS)),
+    "theta": ("theta", lambda v: DcbmParams(
+        k=2, omega=np.eye(2), theta=_with(4, v, 1), labels=_LABELS)),
+    "lambda": ("lambda", lambda v: PabmParams(k=2, lam=_with((4, 2), v), labels=_LABELS)),
+    "left factor": ("left factor", lambda v: FactoredProb(
+        _with((4, 2), v), np.ones((4, 2)), _LABELS)),
+    "right factor": ("right factor", lambda v: FactoredProb(
+        np.ones((4, 2)), _with((4, 2), v), _LABELS)),
+    "prob matrix": ("probability", lambda v: ProbMatrix(_with((2, 2), v, 1))),
+    "gen_sbm fractions": ("block fraction", lambda v: gen_sbm(
+        40, 2, [v, 0.5], np.eye(2), target_density=0.1, seed=0)),
+    "gen_dcbm fractions": ("block fraction", lambda v: gen_dcbm(
+        40, 2, [0.5, v], np.eye(2), Constant(1.0), target_density=0.1, seed=0)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("array", list(_GUARDED))
+def test_parameter_arrays_refuse_entries_that_are_not_finite(array, value):
+    name, build = _GUARDED[array]
+    with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+        build(value)
+
+
+@pytest.mark.parametrize("array, value, message", [
+    ("theta", -0.5, "theta entries must lie in [0, 1]"),
+    ("theta", 1.5, "theta entries must lie in [0, 1]"),
+    ("lambda", 1.5, "lambda entries must lie in [0, 1]"),
+])
+def test_parameter_arrays_refuse_entries_out_of_range(array, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _GUARDED[array][1](value)
+
+
+def test_fits_refuse_empty_labels():
+    empty = Graph(n=0, edges=np.empty((0, 2), dtype=np.int64))
+    for fit in (fit_sbm, fit_dcbm):
+        with pytest.raises(ValueError, match="^labels must be nonempty$"):
+            fit(empty, np.array([], dtype=int))
+
+
 @pytest.mark.parametrize("labels, message", [
     (np.ones((2, 2), dtype=int), "labels must be a 1-d vector"),
     (np.array([], dtype=int), "labels must be nonempty"),
@@ -413,13 +467,6 @@ def test_sampler_on_tiny_graphs(n):
 
 
 def test_factored_forms_validate():
-    degree_corrected = blockmodels._degree_corrected
-    with pytest.raises(ValueError, match="symmetric"):
-        degree_corrected(np.ones(2), np.array([[0.5, 0.1], [0.2, 0.5]]), np.array([1, 2]))
-    with pytest.raises(ValueError, match="lie in"):
-        degree_corrected(np.ones(2), np.eye(2), np.array([1, 3]))
-    with pytest.raises(ValueError, match="nonnegative entry per node"):
-        degree_corrected(-np.ones(2), np.eye(2), np.array([1, 2]))
     with pytest.raises(ValueError, match="lie in"):
         FactoredProb(np.ones((2, 2)), np.ones((2, 2)), np.array([1, 3]))
     with pytest.raises(ValueError, match="one row per node"):
@@ -498,11 +545,28 @@ def test_gen_dcbm_constant_theta_matches_sbm_probabilities():
     (lambda: PowerLaw(0, 3), "PowerLaw needs xmin > 0 and alpha > 1"),
     (lambda: Constant(0), "Constant needs value > 0"),
     (lambda: Constant(float("nan")), "Constant needs value > 0"),
-], ids=["beta a", "beta b", "powerlaw alpha", "powerlaw xmin", "constant", "constant nan"])
+    (lambda: Beta(np.inf, 1), "Beta needs a, b > 0 and finite"),
+    (lambda: Beta(1, np.inf), "Beta needs a, b > 0 and finite"),
+    (lambda: PowerLaw(np.inf, 3), "PowerLaw needs xmin > 0 and alpha > 1, both finite"),
+    (lambda: PowerLaw(1, np.inf), "PowerLaw needs xmin > 0 and alpha > 1, both finite"),
+    (lambda: Constant(np.inf), "Constant needs value > 0 and finite"),
+], ids=["beta a", "beta b", "powerlaw alpha", "powerlaw xmin", "constant", "constant nan",
+        "beta a inf", "beta b inf", "powerlaw xmin inf", "powerlaw alpha inf", "constant inf"])
 def test_degree_laws_refuse_parameters_no_draw_can_use(law, message):
     # each would load and then fail or draw theta <= 0 in every replicate
     with pytest.raises(ValueError, match=message):
         law()
+
+
+def test_gen_dcbm_refuses_theta_draws_that_are_not_finite():
+    # a valid law can still overflow: PowerLaw(1, 1.0001) draws inf for
+    # most u; divided by the block maximum, theta would turn NaN
+    class Infinite:
+        def sample(self, rng, size):
+            return np.full(size, np.inf)
+
+    with pytest.raises(ValueError, match="^theta draws must be positive and finite$"):
+        gen_dcbm(40, 2, [0.5, 0.5], np.eye(2), Infinite(), target_density=0.1, seed=0)
 
 
 def test_powerlaw_sampler_mean():

@@ -279,6 +279,12 @@ def test_generate_ragged_omega_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("model, flags, message", [
     ("pabm", ["--density", "-0.1"], "density target must be nonnegative"),
     ("sbm", ["--density", "0.1"], "needs omega or beta"),
+    ("sbm", ["--omega", "1,nan;nan,1", "--density", "0.2"], "base omega entries must be finite"),
+    # the length is checked before the sizes: block 3 would get no node
+    ("sbm", ["--beta", "0.2", "--fractions", "0.5,0.5,0", "--density", "0.1"],
+     "block_fractions length must equal k"),
+    ("dcbm", ["--beta", "0.3", "--density", "0.2", "--theta-law", "beta:inf,1"],
+     "theta_law = 'beta:inf,1': Beta needs a, b > 0 and finite, got a = inf, b = 1.0"),
 ])
 def test_generate_setting_rejected_before_drawing_is_usage_error(
     tmp_path, capsys, model, flags, message
@@ -521,6 +527,9 @@ def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid
     ("comm_det_sbm", "beta = 0.3\ndensity = -0.1",
      "grid point 1: density target must be nonnegative"),
     ("comm_det_pabm", "density = -0.1", "grid point 1: density target must be nonnegative"),
+    # an infinite theta would divide to NaN in every replicate
+    ("comm_det_dcbm", "beta = 0.3\ndensity = 0.2\ntheta_law = constant:inf",
+     "grid point 1: theta_law = 'constant:inf': Constant needs value > 0 and finite"),
     # the message names the point once
     ("comm_det_sbm", "density = 0.1", "grid point 1: needs omega or beta"),
     # a test study's table has one header: PABM truth sets a density
