@@ -65,7 +65,8 @@ class PowerLaw:
     """Pareto draws on [xmin, inf) with density proportional to x^-alpha.
 
     Inverse-CDF sampling: x = xmin * u^{-1/(alpha-1)}. Mean is
-    xmin * (alpha-1)/(alpha-2) for alpha > 2.
+    xmin * (alpha-1)/(alpha-2) for alpha > 2. A law whose largest draw,
+    at the smallest u = 2^-53, overflows is refused.
     """
 
     xmin: float = 1.0
@@ -77,10 +78,18 @@ class PowerLaw:
                 f"PowerLaw needs xmin > 0 and alpha > 1, both finite, got xmin = {self.xmin}, "
                 f"alpha = {self.alpha}"
             )
+        with np.errstate(over="ignore"):
+            top = self._draws(np.full(1, 2.0**-53))[0]
+        if not math.isfinite(top):
+            raise ValueError(
+                f"PowerLaw's largest draw overflows: xmin = {self.xmin}, alpha = {self.alpha}"
+            )
+
+    def _draws(self, u: np.ndarray) -> np.ndarray:
+        return self.xmin * u ** (-1.0 / (self.alpha - 1.0))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = 1.0 - rng.random(size)  # in (0, 1]; avoids u = 0
-        return self.xmin * u ** (-1.0 / (self.alpha - 1.0))
+        return self._draws(1.0 - rng.random(size))  # u in (0, 1]; avoids u = 0
 
 
 @dataclass(frozen=True)
@@ -389,26 +398,19 @@ def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
 _CHUNK_PAIRS = 1 << 17
 
 
-def sample_graph(p: FactoredProb, seed: int) -> Graph:
-    """Independent Bernoulli draws on the upper triangle.
-
-    One uniform per pair i < j in row-major order, drawn in chunks of
-    whole rows of about 131k (2^17) pairs; pair (i, j) is an edge when
-    its uniform is below P_ij. A chunk's uniforms and candidate arrays
-    then take a few MiB: on a dense PABM at n = 900 the traced peak is
-    6.8 MiB, where 1M-pair chunks peaked at 18.7 MiB. Only uniforms
-    below row i's bound are candidates, and P_ij is evaluated for the
-    candidates alone, so ``p`` is sampled in O(nK + m) memory plus one
-    chunk, and the graph is the same for every chunk size.
-    """
+def _chunk_hits(p: FactoredProb, rng: np.random.Generator, offsets: np.ndarray):
+    """Yield, for each chunk of whole rows in turn, the flat indices into
+    the row-major triangle (pair (i, j) at offsets[i] + j - i - 1) of the
+    chunk's edges. The uniform buffer and the last chunk's scratch arrays
+    are freed when the generator is done, before the edge array is built."""
     n = p.n
-    rng = np.random.default_rng(seed)
-    if n < 2:
-        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
     bound = p.row_bounds
-    row_pairs = np.arange(n - 1, -1, -1)  # row i holds pairs (i, i+1..n-1)
-    offsets = np.concatenate([[0], np.cumsum(row_pairs)])
-    rows, cols = [], []
+    t, k = p.labels - 1, p.left.shape[1]
+    # flat factors, read with one ``take`` each: P_ij = left[i * k + t_j] *
+    # right[j * k + t_i], the product ``pair_probs`` takes. Its clamp at 1
+    # is left out, because u < 1 makes u < min(x, 1) the same test as u < x.
+    left, right = p.left.ravel(), p.right.ravel()
+    row_pairs = np.diff(offsets)
     buf = np.empty(min(offsets[-1], max(_CHUNK_PAIRS, n - 1)))
     start = 0
     while start < n - 1:
@@ -425,14 +427,52 @@ def sample_graph(p: FactoredProb, seed: int) -> Graph:
             cand = np.flatnonzero(u < top)
         else:
             cand = np.flatnonzero(u < np.repeat(row_bound, pairs))
+        # the candidates' rows i and columns j, worked out in place
         row = np.searchsorted(local[1:], cand, side="right")
-        col = cand - local[row] + row + start + 1
+        col = local.take(row)
+        np.subtract(cand, col, out=col)
+        col += row
+        col += start + 1
         row += start
-        hit = u[cand] < p.pair_probs(row, col)
-        rows.append(row[hit])
-        cols.append(col[hit])
+        at = t.take(col)
+        at += k * row
+        prob = left.take(at)
+        np.multiply(col, k, out=at)
+        at += t.take(row)
+        prob *= right.take(at)
+        cand = cand[u.take(cand) < prob]
+        cand += offsets[start]
+        yield cand
         start = stop
-    return Graph(n=n, edges=np.column_stack([np.concatenate(rows), np.concatenate(cols)]))
+
+
+def sample_graph(p: FactoredProb, seed: int) -> Graph:
+    """Independent Bernoulli draws on the upper triangle.
+
+    One uniform per pair i < j in row-major order, drawn in chunks of
+    whole rows of about 131k (2^17) pairs; pair (i, j) is an edge when
+    its uniform is below P_ij. A chunk's uniforms and candidate arrays
+    then take a few MiB, and each chunk keeps only its edges, as flat
+    pair indices, which become the (m, 2) edge array once at the end: on
+    a dense PABM at n = 900 the traced peak is 5.8 MiB, where 1M-pair
+    chunks peaked at 18.7 MiB. Only uniforms below row i's bound are
+    candidates, and P_ij is evaluated for the candidates alone, so ``p``
+    is sampled in O(nK + m) memory plus one chunk, and the graph is the
+    same for every chunk size.
+    """
+    n = p.n
+    rng = np.random.default_rng(seed)
+    if n < 2:
+        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
+    # row i holds pairs (i, i+1..n-1), from flat index offsets[i] on
+    offsets = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
+    flat = np.concatenate(list(_chunk_hits(p, rng, offsets)))
+    i = np.searchsorted(offsets, flat, side="right")
+    i -= 1
+    edges = np.empty((flat.size, 2), dtype=np.int64)
+    edges[:, 0] = i
+    edges[:, 1] = flat - offsets.take(i) + i + 1
+    return Graph(n=n, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +624,11 @@ def _pabm_labels(n: int, k: int, density_scale: float | None) -> np.ndarray:
     _require_k(k)
     if n % k != 0:
         raise InfeasibleModelError(f"n={n} not divisible by K={k}")
-    if density_scale is not None and not density_scale >= 0.0:
-        raise ValueError("density target must be nonnegative")
+    if density_scale is not None:
+        if not density_scale >= 0.0:
+            raise ValueError("density target must be nonnegative")
+        if density_scale > 1.0:
+            raise InfeasibleModelError("density target exceeds 1")
     return _contiguous_labels(np.full(k, n // k))
 
 
@@ -603,7 +646,8 @@ def gen_pabm(
     Within-community popularity entries come from ``diag_law``, cross ones
     from ``offdiag_law``. When ``density_scale`` is set, lambda is
     multiplied by sqrt(s) with s chosen so the expected density equals the
-    target; an s that would push entries above 1 is an error.
+    target; a target above 1 is an error before any draw, and an s that
+    would push entries above 1 is an error.
     """
     labels = _pabm_labels(n, k, density_scale)
     block = n // k

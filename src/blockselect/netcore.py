@@ -77,17 +77,23 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
-        """CSR adjacency (float64, symmetric) for O(deg) neighbor access."""
+        """CSR adjacency (float64, symmetric) for O(deg) neighbor access.
+
+        The sorted edges are already the upper triangle U in CSR order, so
+        U is built from them with no sort, and the adjacency is U^T + U:
+        the sum of two canonical CSR matrices, which comes out canonical.
+        """
         m = self.edge_count
         if m == 0:
             return sp.csr_matrix((self.n, self.n), dtype=np.float64)
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * m, dtype=np.float64)
-        # lower-triangle entries first: with the edges sorted, each row's
-        # columns then arrive in order, and the CSR build skips its sort
-        rows = np.concatenate([j, i])
-        cols = np.concatenate([i, j])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        # the index dtype scipy picks for the 2m entries of the sum
+        index = np.int32 if 2 * m <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(self.n + 1, dtype=index)
+        np.cumsum(np.bincount(self.edges[:, 0], minlength=self.n), out=indptr[1:])
+        upper = sp.csr_matrix(
+            (np.ones(m), self.edges[:, 1].astype(index), indptr), shape=(self.n, self.n)
+        )
+        return upper.T.tocsr() + upper
 
 
 def load_edge_list(

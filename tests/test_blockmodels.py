@@ -325,6 +325,40 @@ def sample_in_chunks(p, seed: int, chunk_pairs: int) -> Graph:
         return sample_graph(p, seed)
 
 
+def chunked_loop_sample(p: FactoredProb, seed: int, chunk_pairs: int) -> Graph:
+    """Reference sampler: the same uniforms, chunks and bound tests as
+    ``sample_graph``, written as the plain loop that keeps each chunk's hit
+    rows and columns and reads P_ij through ``pair_probs``."""
+    n = p.n
+    rng = np.random.default_rng(seed)
+    if n < 2:
+        return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
+    bound = p.row_bounds
+    row_pairs = np.arange(n - 1, -1, -1)
+    offsets = np.concatenate([[0], np.cumsum(row_pairs)])
+    rows, cols = [], []
+    start = 0
+    while start < n - 1:
+        stop = int(np.searchsorted(offsets, offsets[start] + chunk_pairs, side="right")) - 1
+        stop = min(max(stop, start + 1), n - 1)
+        local = offsets[start:stop + 1] - offsets[start]
+        u = rng.random(local[-1])
+        row_bound, pairs = bound[start:stop], row_pairs[start:stop]
+        top = row_bound.max()
+        if (top * local[-1] - row_bound @ pairs) * 16 < local[-1]:
+            cand = np.flatnonzero(u < top)
+        else:
+            cand = np.flatnonzero(u < np.repeat(row_bound, pairs))
+        row = np.searchsorted(local[1:], cand, side="right")
+        col = cand - local[row] + row + start + 1
+        row += start
+        hit = u[cand] < p.pair_probs(row, col)
+        rows.append(row[hit])
+        cols.append(col[hit])
+        start = stop
+    return Graph(n=n, edges=np.column_stack([np.concatenate(rows), np.concatenate(cols)]))
+
+
 def dense_fit(g: Graph, labels: np.ndarray, degree_corrected: bool) -> np.ndarray:
     """Reference plug-in fits from the dense adjacency. Block sums of A
     count a within-block edge twice: the DCBM's endpoint count, and twice
@@ -446,6 +480,48 @@ def test_fit_samplers_match_dense_oracle(n, k, p, seed, chunk_pairs):
         assert sample_in_chunks(fitted, seed, chunk_pairs) == triu_sample_graph(want, seed)
 
 
+@st.composite
+def _sampler_cases(draw):
+    """A factored form whose pair probabilities are dense (most pairs
+    drawn), sparse (most chunks of a few pairs hold no candidate), zero
+    everywhere, or zero on the first half of the rows; products past 1
+    included."""
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(1, k + 1, n)
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "zero first rows"]))
+    high = {"dense": 1.5, "sparse": 0.05, "zero": 0.0, "zero first rows": 1.0}[kind]
+    left = rng.uniform(0.5, 1.0, (n, k)) * high
+    if kind == "zero first rows":
+        left[:n // 2] = 0.0
+    return FactoredProb(left, rng.uniform(0.5, 1.0, (n, k)), labels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=_sampler_cases(), seed=st.integers(0, 1000), chunk_pairs=_CHUNKS)
+def test_sampler_matches_the_chunked_loop_reference(p, seed, chunk_pairs):
+    got = sample_in_chunks(p, seed, chunk_pairs)
+    want = chunked_loop_sample(p, seed, chunk_pairs)
+    assert got.edges.dtype == np.int64 and got.edges.shape == want.edges.shape
+    assert got == want
+
+
+def test_sampler_without_edges_returns_an_empty_int64_array():
+    # the first rows have no candidate in any chunk; a zero model draws
+    # no edge at all
+    labels = np.ones(30, dtype=np.int64)
+    zero_first = np.ones((30, 1))
+    zero_first[:20] = 0.0
+    for left, chunk_pairs in [(zero_first, 5), (np.zeros((30, 1)), 5),
+                              (np.zeros((30, 1)), blockmodels._CHUNK_PAIRS)]:
+        p = FactoredProb(left, np.ones((30, 1)), labels)
+        g = sample_in_chunks(p, 3, chunk_pairs)
+        assert g == chunked_loop_sample(p, 3, chunk_pairs)
+        assert g.edges.dtype == np.int64
+    assert g.edges.shape == (0, 2)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_sampler_on_tiny_graphs(n):
     labels = np.ones(n, dtype=np.int64)
@@ -550,17 +626,41 @@ def test_gen_dcbm_constant_theta_matches_sbm_probabilities():
     (lambda: PowerLaw(np.inf, 3), "PowerLaw needs xmin > 0 and alpha > 1, both finite"),
     (lambda: PowerLaw(1, np.inf), "PowerLaw needs xmin > 0 and alpha > 1, both finite"),
     (lambda: Constant(np.inf), "Constant needs value > 0 and finite"),
+    (lambda: PowerLaw(1, 1.0001), "PowerLaw's largest draw overflows"),
 ], ids=["beta a", "beta b", "powerlaw alpha", "powerlaw xmin", "constant", "constant nan",
-        "beta a inf", "beta b inf", "powerlaw xmin inf", "powerlaw alpha inf", "constant inf"])
+        "beta a inf", "beta b inf", "powerlaw xmin inf", "powerlaw alpha inf", "constant inf",
+        "powerlaw overflow"])
 def test_degree_laws_refuse_parameters_no_draw_can_use(law, message):
     # each would load and then fail or draw theta <= 0 in every replicate
     with pytest.raises(ValueError, match=message):
         law()
 
 
+@pytest.mark.parametrize("xmin, alpha, finite", [
+    # 2^(53 / 0.0518) = 2^1023.2 is finite, 2^(53 / 0.0517) = 2^1025.1 is not
+    (1.0, 1.0518, True), (1.0, 1.0517, False),
+    # 2^(53 / 0.2) = 2^265 = 5.9e79 overflows only when multiplied by xmin
+    (1e228, 1.2, True), (1e229, 1.2, False),
+])
+def test_powerlaw_refuses_a_law_whose_largest_draw_overflows(xmin, alpha, finite):
+    # the largest draw comes from the smallest u = 1 - rng.random(), 2^-53
+    class LargestDraw:
+        def random(self, size):
+            return np.full(size, 1.0 - 2.0**-53)
+
+    if not finite:
+        with pytest.raises(ValueError, match="^PowerLaw's largest draw overflows: "):
+            PowerLaw(xmin, alpha)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = PowerLaw(xmin, alpha).sample(LargestDraw(), 3)
+    assert np.isfinite(draws).all() and draws.max() > 1e307
+
+
 def test_gen_dcbm_refuses_theta_draws_that_are_not_finite():
-    # a valid law can still overflow: PowerLaw(1, 1.0001) draws inf for
-    # most u; divided by the block maximum, theta would turn NaN
+    # a law that draws inf: divided by the block maximum, theta would turn
+    # NaN
     class Infinite:
         def sample(self, rng, size):
             return np.full(size, np.inf)
@@ -645,6 +745,13 @@ def test_generators_reject_k_below_one(k):
 def test_gen_pabm_infeasible_scale_errors():
     with pytest.raises(InfeasibleModelError):
         gen_pabm(300, 2, density_scale=0.95, seed=0)
+
+
+@pytest.mark.parametrize("density", [1.5, np.inf])
+def test_gen_pabm_density_above_one_is_refused_before_any_draw(density):
+    with mock.patch.object(Beta, "sample", side_effect=AssertionError("drew lambda")):
+        with pytest.raises(InfeasibleModelError, match="^density target exceeds 1$"):
+            gen_pabm(40, 2, density_scale=density, seed=0)
 
 
 def test_unit_lambda_gives_complete_graph():
@@ -808,6 +915,26 @@ def test_sampler_chunk_stays_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_sampler_and_adjacency_build_hold_little_past_their_outputs():
+    # a dense PABM at n = 900 draws about 90k edges, a 1.4 MiB edge array
+    # and a 2.1 MiB CSR matrix; the sampler keeps only each chunk's hits
+    # and the adjacency is built as U^T + U from the sorted edges
+    _, params = gen_pabm(900, 3, seed=0)
+    p = edge_probs(params)
+    tracemalloc.start()
+    try:
+        g = sample_graph(p, seed=0)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        g.adjacency
+        adjacency_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < 6.5 * 2**20, sample_peak
+    assert adjacency_peak < 5 * 2**20, adjacency_peak
 
 
 def test_fit_and_sample_at_n20000():

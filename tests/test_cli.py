@@ -8,10 +8,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import blockselect
+from blockselect.blockmodels import Beta
 from blockselect.cli import build_parser, main
 from blockselect.errors import ConfigError
 from blockselect.simharness import load_experiment_config
@@ -285,6 +287,9 @@ def test_generate_ragged_omega_is_usage_error(tmp_path, capsys):
      "block_fractions length must equal k"),
     ("dcbm", ["--beta", "0.3", "--density", "0.2", "--theta-law", "beta:inf,1"],
      "theta_law = 'beta:inf,1': Beta needs a, b > 0 and finite, got a = inf, b = 1.0"),
+    ("dcbm", ["--beta", "0.3", "--density", "0.2", "--theta-law", "powerlaw:1,1.0001"],
+     "theta_law = 'powerlaw:1,1.0001': PowerLaw's largest draw overflows: "
+     "xmin = 1.0, alpha = 1.0001"),
 ])
 def test_generate_setting_rejected_before_drawing_is_usage_error(
     tmp_path, capsys, model, flags, message
@@ -324,6 +329,17 @@ def test_generate_infeasible_density(tmp_path):
     code = main(["generate", "sbm", "--n", "30", "--k", "2", "--beta", "0.1",
                  "--density", "0.95", "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+@pytest.mark.parametrize("density", ["1.5", "inf"])
+def test_generate_pabm_density_above_one_exit_3_before_drawing(tmp_path, capsys, density):
+    out = tmp_path / "out"
+    with mock.patch.object(Beta, "sample", side_effect=AssertionError("drew lambda")):
+        code = main(["generate", "pabm", "--n", "40", "--k", "2", "--density", density,
+                     "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: density target exceeds 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
@@ -527,6 +543,11 @@ def test_simulate_grid_point_the_generator_rejects_exit_2(tmp_path, capsys, grid
     ("comm_det_sbm", "beta = 0.3\ndensity = -0.1",
      "grid point 1: density target must be nonnegative"),
     ("comm_det_pabm", "density = -0.1", "grid point 1: density target must be nonnegative"),
+    ("comm_det_pabm", "density = 1.5", "grid point 1: density target exceeds 1"),
+    ("comm_det_pabm", "density = inf", "grid point 1: density target exceeds 1"),
+    # PowerLaw(1, 1.0001) would draw inf for most u in every replicate
+    ("comm_det_dcbm", "beta = 0.3\ndensity = 0.2\ntheta_law = powerlaw:1,1.0001",
+     "grid point 1: theta_law = 'powerlaw:1,1.0001': PowerLaw's largest draw overflows"),
     # an infinite theta would divide to NaN in every replicate
     ("comm_det_dcbm", "beta = 0.3\ndensity = 0.2\ntheta_law = constant:inf",
      "grid point 1: theta_law = 'constant:inf': Constant needs value > 0 and finite"),

@@ -324,6 +324,7 @@ def test_config_refuses_beta_beside_omega(study, truth):
     ("beta:-1,2", "Beta needs a, b > 0"),
     ("powerlaw:1,1", "PowerLaw needs xmin > 0 and alpha > 1"),
     ("constant:0", "Constant needs value > 0"),
+    ("powerlaw:1,1.0001", "PowerLaw's largest draw overflows"),
 ])
 def test_config_refuses_a_degree_law_no_draw_can_use(law, message):
     text = GOOD_CONFIG.replace("theta_law = powerlaw:1,5", f"theta_law = {law}")
