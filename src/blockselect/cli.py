@@ -182,7 +182,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    from .cluster import mislabel_rate
+    from .cluster import _require_k, mislabel_rate
     from .modelselect import ModelKind, detect
     from .netcore import load_labels
 
@@ -199,7 +199,9 @@ def cmd_cluster(args) -> int:
     }
     truth = None
     if args.truth is not None:
-        # a truth file that cannot be read or scored fails before detection
+        # a truth file that cannot be read or scored fails before detection,
+        # and its label range is only checked against a valid k
+        _require_k(graph.n, args.k)
         with open(args.truth, "r", encoding="utf-8") as fh:
             truth = load_labels(fh, ids, graph.n)
         if not ((truth >= 1) & (truth <= args.k)).all():

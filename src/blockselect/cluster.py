@@ -34,10 +34,12 @@ sets into one descent: each block keeps its own BLAS products, and the
 rest of a round runs once for the whole descent. A set's solution, or
 its error, is that of the set minimized alone; ``minimize_q1`` and
 ``minimize_q_subspace`` are the one-set case. It owns the restarts'
-generators, each descent's ``Layout`` and ``_Rows``, the exact scoring
-and each set's ``ClusterSolution``. The descents run in parallel on the
-package's worker pool (``_pool``), which pickles each one's ``_Restarts``
-job, loss included, to a worker.
+generators, each descent's ``Layout`` and ``_Rows`` and each set's
+``ClusterSolution``. A restart block keeps its restart of least descent
+objective, and only that restart is scored with the exact loss; a set's
+blocks are merged by that exact loss. The descents run in parallel on the
+package's worker pool (``_pool``), which pickles each one's pack, with
+the points, the restarts' seeds and the loss, to a worker.
 Objectives are checked non-increasing at every iteration of every restart
 (between empty-cluster repairs); a violation raises ``NumericalError``.
 """
@@ -66,9 +68,6 @@ _MONOTONE_RTOL = 1e-10
 # restarts descend together in blocks whose per-round working arrays take
 # about this many bytes, so batching does not raise peak memory
 _BLOCK_BYTES = 1 << 20
-# restarts whose descent objective is within this share of the rows' total
-# energy of the lowest are scored with the exact loss
-_SCORE_MARGIN = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,77 +334,43 @@ def _packs(sets: Sequence[int], n_restarts: int, n: int, k: int, d: int) -> list
     return packs
 
 
-@dataclass(eq=False)
-class _Restarts:
-    """What a process needs to descend any pack of one minimization: the
-    stack of (n, d) ``points``, ``n_restarts``, the PCG64 state words of
-    every (set, restart) and the ``loss``. It pickles, so the pool ships it
-    to the workers with each pack. ``derived`` (one descent's ``_Rows``)
-    and ``scored`` (each set's exact loss by labeling) are caches: the
-    packs run in this process share them, and a pack run in a worker gets
-    its own, empty copy."""
-
-    points: np.ndarray
-    n_restarts: int
-    words: np.ndarray
-    loss: _Centroid | _Subspace
-    derived: dict[tuple[int, int], _Rows] = field(default_factory=dict)
-    scored: dict[int, dict[bytes, float]] = field(default_factory=dict)
-
-    def rows(self, lo: int, hi: int) -> _Rows:
-        """The ``_Rows`` of the sets ``lo .. hi-1``, kept for one range."""
-        if (lo, hi) not in self.derived:
-            self.derived.clear()
-            self.derived[lo, hi] = self.loss.derive(self.points[lo:hi])
-        return self.derived[lo, hi]
-
-    def score(self, i: int, labels: np.ndarray) -> float:
-        """The exact loss of set ``i`` at ``labels``, each labeling once."""
-        known = self.scored.setdefault(i, {})
-        key = labels.tobytes()
-        if key not in known:
-            known[key] = self.loss.value(labels, self.points[i])
-        return known[key]
-
-
-def _descent_bests(job: _Restarts, pack: Pack) -> list[ClusterSolution]:
-    """Each block's best restart, from one descent of the pack."""
+def _descent_bests(points: np.ndarray, words: np.ndarray, loss: _Centroid | _Subspace,
+                   pack: Pack) -> list[ClusterSolution]:
+    """Each block's restart of least descent objective, the first of equal
+    ones, from one descent of the pack over its sets' ``loss.derive``;
+    only that restart is scored with the exact loss."""
     lo = pack[0][0]
     layout = _layout((i - lo, len(restarts)) for i, restarts in pack)
-    rows = job.rows(lo, pack[-1][0] + 1)
-    rngs = [np.random.Generator(np.random.PCG64(_Words(job.words[i, restart])))
+    rngs = [np.random.Generator(np.random.PCG64(_Words(words[i, restart])))
             for i, restarts in pack for restart in restarts]
-    run = _descend(job.loss, rows, rngs, layout)
+    run = _descend(loss, loss.derive(points[lo : pack[-1][0] + 1]), rngs, layout)
     bests = []
-    for (i, restarts), (_, block) in zip(pack, layout):
-        obj = run.objective[block]
-        margin = _SCORE_MARGIN * float((job.points[i] ** 2).sum())
-        near = block.start + np.flatnonzero(obj <= obj.min() + margin)
-        j = min(near, key=lambda j: job.score(i, run.labels[j]))
+    for (i, _), (_, block) in zip(pack, layout):
+        j = block.start + int(np.argmin(run.objective[block]))
         bests.append(ClusterSolution(
             labels=run.labels[j].copy(),
-            objective=job.score(i, run.labels[j]),
+            objective=loss.value(run.labels[j], points[i]),
             n_iters=int(run.rounds[j]),
-            n_restarts_used=job.n_restarts,
+            n_restarts_used=words.shape[1],
             degenerate=bool(run.degenerate[j]),
-            **job.loss.geometry(tuple(a[j] for a in run.model)),
+            **loss.geometry(tuple(a[j] for a in run.model)),
         ))
-        if restarts.stop == job.n_restarts:
-            job.scored.pop(i, None)
     return bests
 
 
-def _pack_bests(job: _Restarts, pack: Pack) -> list:
+def _pack_bests(points: np.ndarray, words: np.ndarray, loss: _Centroid | _Subspace,
+                pack: Pack) -> list:
     """Each block's best restart, or the error that stopped it: the pool
-    unit of ``minimize_stack``. A pack that fails descends each block again
-    alone, so that an error stops only its own set; if none fails alone,
-    the packing is at fault."""
+    unit of ``minimize_stack``, over the stack of (n, d) ``points``, the
+    PCG64 state words of every (set, restart) and the ``loss``. A pack that
+    fails descends each block again alone, so that an error stops only its
+    own set; if none fails alone, the packing is at fault."""
     try:
-        return _descent_bests(job, pack)
+        return _descent_bests(points, words, loss, pack)
     except Exception as exc:
         if len(pack) == 1:
             return [_pool.returned(exc)]
-        bests = [best for block in pack for best in _pack_bests(job, [block])]
+        bests = [best for block in pack for best in _pack_bests(points, words, loss, [block])]
         if not any(isinstance(best, Exception) for best in bests):
             raise NumericalError(
                 "a packed descent failed, but no block of it fails alone") from exc
@@ -418,9 +383,10 @@ def minimize_stack(
     """Minimize ``loss`` on every (n, d) point set of the stack ``points``,
     set i restarted from ``seeds[i]``: check the loss's ``k`` and rank and
     ``n_restarts``, descend the restarts of every set whose rows are
-    finite, and keep each set's restart of lowest exact loss
-    ``loss.value``. Returns each set's solution, or the error that stopped
-    it; ``minimize_q1`` and ``minimize_q_subspace`` are the one-set case.
+    finite, and keep in each restart block the restart of least descent
+    objective, scored with the exact loss ``loss.value``. Returns each
+    set's solution, or the error that stopped it; ``minimize_q1`` and
+    ``minimize_q_subspace`` are the one-set case.
 
     Everything but the loss's arithmetic (``_Centroid``, ``_Subspace``) is
     done here and in ``_pack_bests``. Each restart draws from its own
@@ -429,30 +395,28 @@ def minimize_stack(
     per call (``pcg64_words``), and each descent builds its restarts'
     generators from their rows, so a block descended again alone draws the
     same streams. A block reads its results through its slice of the
-    descent's ``Layout``. A descent's ``_Rows`` (``loss.derive``) are kept
-    while the next descents cover the same sets, so they are held for one
-    descent's sets at a time. The descent objective is accurate to about
-    1e-14 of the rows' total energy, so only restarts within
-    ``_SCORE_MARGIN`` of that energy of a block's lowest can hold the
-    lowest exact loss; only those are scored, each distinct labeling of a
-    set once per copy of the minimization's ``_Restarts`` job, and a set's
-    scores are dropped after its last block. A solution's geometry is
+    descent's ``Layout``. Each descent derives the ``_Rows`` of its own
+    sets (``loss.derive``), so they exist for one descent's sets at a time.
+    The descent objective is accurate to about 1e-14 of the rows' total
+    energy: within a block the restart of least descent objective wins,
+    and only it is scored exactly. A solution's geometry is
     ``loss.geometry`` of its restart's model.
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
     (``_packs``) run on the worker pool (``_pool``), a block's error
-    returned through ``_pool.returned``. Both the pick within a block and
-    the merge of a set's blocks, in block order, are ``min``, which keeps
-    the first of equal losses: ties go to the lowest restart index, and
-    each set's solution, or the error of its lowest block that fails, is
-    that of a serial run of the set alone at every worker count.
+    returned through ``_pool.returned``. The pick within a block compares
+    descent objectives, the merge of a set's blocks, in block order, exact
+    losses; each keeps the first of equal values, so ties go to the lowest
+    restart index. Within a block, two restarts whose exact losses tie
+    within rounding are ordered by their descent objectives. Each set's
+    solution, or the error of its lowest block that fails, is that of a
+    serial run of the set alone at every worker count.
     """
     n_sets, n, d = points.shape
     if isinstance(loss, _Subspace) and loss.r < 1:
         raise ValueError("rank r must be >= 1")
-    if not 1 <= loss.k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {loss.k}")
+    _require_k(n, loss.k)
     if n_restarts < 1:
         raise ValueError("need at least one restart")
     outcomes: list = [None if np.isfinite(rows).all() else ValueError("rows must be finite")
@@ -461,9 +425,9 @@ def minimize_stack(
     words = pcg64_words(np.array(
         [[derive_seed(seed, loss.tag, restart) for restart in range(n_restarts)]
          for seed in seeds], dtype=np.uint64).reshape(n_sets, n_restarts))
-    job = _Restarts(points, n_restarts, words, loss)
     packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, loss.k, d)
-    with _pool.ordered_results(functools.partial(_pack_bests, job), packs) as results:
+    with _pool.ordered_results(functools.partial(_pack_bests, points, words, loss),
+                               packs) as results:
         for (i, _), best in zip(itertools.chain(*packs), itertools.chain.from_iterable(results)):
             kept = outcomes[i]
             if kept is None or (
@@ -713,6 +677,12 @@ def minimize_q_subspace(
     assignments seeded by candidate subspaces.
     """
     return _solved(minimize_stack(rows[None], _Subspace(k, r), n_restarts, [seed]))
+
+
+def _require_k(n: int, k: int) -> None:
+    """``k`` communities of ``n`` points need 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
 
 
 def _require_pabm_embedding(n: int, k: int) -> None:

@@ -44,6 +44,7 @@ from .cluster import (
     ClusterSolution,
     _Centroid,
     _Subspace,
+    _require_k,
     _require_pabm_embedding,
     minimize_q1,
     minimize_q_subspace,
@@ -77,10 +78,12 @@ def detect(
 
     SBM: centroid loss on the scaled K-dimensional embedding. DCBM: rank-1
     subspace loss on the same embedding. PABM: rank-K subspace loss on the
-    unscaled K^2-dimensional embedding, which needs K^2 <= n. ``restarts``
-    defaults to ``DEFAULT_RESTARTS[model]``. The restart blocks run on the
-    worker pool (``_pool``), and BLAS runs on one thread throughout.
+    unscaled K^2-dimensional embedding, which needs K^2 <= n; every model
+    needs 1 <= K <= n, checked before embedding. ``restarts`` defaults to
+    ``DEFAULT_RESTARTS[model]``. The restart blocks run on the worker pool
+    (``_pool``), and BLAS runs on one thread throughout.
     """
+    _require_k(g.n, k)
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
     with _pool.one_blas_thread():
         rows = _embedding(g, k, model)
@@ -425,9 +428,10 @@ def run_workflow(
 
     ``restarts`` defaults to ``DEFAULT_RESTARTS`` of the model each
     minimization is under; passing an integer uses it for every
-    minimization. Requires K^2 <= n so the final embedding is well-defined;
-    this is checked before the tests run.
+    minimization. Requires 1 <= K <= n, and K^2 <= n so the final embedding
+    is well-defined; both are checked before the tests run.
     """
+    _require_k(g.n, k)
     _require_pabm_embedding(g.n, k)
     timing: dict[str, float] = {}
     test2: TestResult | None = None

@@ -189,7 +189,9 @@ def load_labels(stream: IO[str], ids: dict[str, int], n: int) -> np.ndarray:
         line_of[idx] = lineno
     if not line_of.all():
         missing = int(np.flatnonzero(line_of == 0)[0])
-        raise EdgeListParseError(f"no label for node index {missing}")
+        # name the node as the user wrote it; its index is first-seen order
+        name = {idx: node for node, idx in ids.items()}.get(missing, missing)
+        raise EdgeListParseError(f"no label for node {name!r}")
     return labels
 
 

@@ -147,6 +147,31 @@ def test_cluster_refuses_a_bad_truth_file_before_detecting(tmp_path, capsys, tru
     assert not out.exists()
 
 
+def test_cluster_truth_missing_a_node_names_its_id(tmp_path, capsys):
+    # ids are numbered in first-seen order, so the error names the id the
+    # user wrote, not its index
+    edges = write(tmp_path / "g.edges", "a b\nb c\nc d\n")
+    truth = write(tmp_path / "truth.labels", "a 1\nb 1\nd 2\n")
+    out = tmp_path / "out"
+    code = main(["cluster", str(edges), "--k", "2", "--model", "sbm",
+                 "--truth", str(truth), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no label for node 'c'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "7"])
+def test_cluster_k_outside_one_to_n_is_refused_before_the_truth_file(tmp_path, capsys, k):
+    edges = write(tmp_path / "g.edges", TWO_CLIQUES)
+    truth = write(tmp_path / "truth.labels", "0 1\n1 1\n2 1\n3 2\n4 2\n5 2\n")
+    out = tmp_path / "out"
+    code = main(["cluster", str(edges), "--k", k, "--model", "sbm",
+                 "--truth", str(truth), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: k must be in [1, 6], got {k}\n"
+    assert not out.exists()
+
+
 def test_cluster_k_zero_usage_error(tmp_path):
     edges = write(tmp_path / "g.edges", TWO_CLIQUES)
     code = main(["cluster", str(edges), "--k", "0", "--model", "sbm",
@@ -185,6 +210,21 @@ def test_zero_restarts_is_usage_error(tmp_path, capsys, karate_path, command):
                  *command[1:], "--out", str(out)])
     assert code == 2
     assert "need at least one restart" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "35"])
+@pytest.mark.parametrize("command", [
+    ["select", "--boot", "5"], ["cluster", "--model", "sbm"], ["cluster", "--model", "dcbm"],
+    ["cluster", "--model", "pabm"],
+])
+def test_k_outside_one_to_n_is_usage_error(tmp_path, capsys, karate_path, command, k):
+    # karate has 34 nodes; the error names k, not an embedding dimension,
+    # and comes before the K^2 <= n check
+    out = tmp_path / "out"
+    code = main([command[0], str(karate_path), "--k", k, *command[1:], "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: k must be in [1, 34], got {k}\n"
     assert not out.exists()
 
 
