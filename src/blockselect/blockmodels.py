@@ -697,6 +697,17 @@ def _block_edge_counts(g: Graph, labels: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
+def _fit_labels(g: Graph, labels) -> tuple[np.ndarray, int]:
+    """The checked ``labels`` of a fit, one per node of ``g``, and their
+    number of communities."""
+    labels = _integer_labels(labels)
+    k = int(labels.max(initial=0))
+    _validate_labels(labels, k)
+    if labels.size != g.n:
+        raise ValueError(f"got {labels.size} labels for a graph of {g.n} nodes")
+    return labels, k
+
+
 def fit_sbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     """Plug-in SBM fit: block-wise edge frequencies.
 
@@ -704,9 +715,7 @@ def fit_sbm(g: Graph, labels: np.ndarray) -> FactoredProb:
     A singleton community has no within pairs; its diagonal entry is set
     to 0 with a warning. Returned in factored form with theta = 1.
     """
-    labels = _integer_labels(labels)
-    k = int(labels.max(initial=0))
-    _validate_labels(labels, k)
+    labels, k = _fit_labels(g, labels)
     sizes = np.bincount(labels, minlength=k + 1)[1:].astype(np.float64)
     counts = _block_edge_counts(g, labels, k)
     pairs = np.outer(sizes, sizes)
@@ -731,9 +740,7 @@ def fit_dcbm(g: Graph, labels: np.ndarray) -> FactoredProb:
 
     Raises ``DegenerateModelError`` when a community has zero total degree.
     """
-    labels = _integer_labels(labels)
-    k = int(labels.max(initial=0))
-    _validate_labels(labels, k)
+    labels, k = _fit_labels(g, labels)
     deg = degrees(g).astype(np.float64)
     block_deg = np.array([deg[labels == b].sum() for b in range(1, k + 1)])
     if np.any(block_deg == 0):

@@ -26,8 +26,10 @@ rank, d) x (d, n) product per block; costs are laid out (restart,
 community, node), so the assignment compares contiguous rows.
 Each loss is a small object of its arithmetic: ``_Centroid(k)`` and
 ``_Subspace(k, r)`` give a descent's derived rows, its restarts' starts,
-every point's cost in every community, the refit, the exact value and a
-solution's geometry. One minimizer, ``minimize_stack(points, loss,
+every point's cost in every community, the refit and the exact value. A
+solution is its labels and exact loss, with the descent's round count and
+flags; the centroids and bases a descent refits are its working state, and
+no solution keeps them. One minimizer, ``minimize_stack(points, loss,
 n_restarts, seeds)``, takes a stack of point sets of one shape, such as
 the replicates of a bootstrap chunk, and packs the small blocks of many
 sets into one descent: each block keeps its own BLAS products, and the
@@ -72,18 +74,15 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class ClusterSolution:
-    """Labels plus per-cluster geometry for one minimized objective.
+    """The labels of one minimized loss and its exact ``objective``.
 
-    ``centroids`` is set for the centroid loss; ``bases`` (one orthonormal
-    d x r_k matrix per cluster, possibly rank-truncated) for the subspace
-    losses. ``degenerate`` flags iteration-cap hits and clusters smaller
-    than the requested rank.
+    ``n_iters`` counts the rounds of the restart kept; ``n_restarts_used``
+    the restarts made; ``degenerate`` flags iteration-cap hits and clusters
+    smaller than the requested rank.
     """
 
     labels: np.ndarray = field(repr=False)
     objective: float
-    centroids: np.ndarray | None = field(default=None, repr=False)
-    bases: list[np.ndarray] | None = field(default=None, repr=False)
     n_iters: int = 0
     n_restarts_used: int = 1
     degenerate: bool = False
@@ -243,11 +242,11 @@ def _assign(cost: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Descent(NamedTuple):
-    """Final state of the restarts of one descent, one row per restart;
-    ``degenerate`` flags a truncated refit or an iteration-cap exit."""
+    """Final labels, objective and round count of the restarts of one
+    descent, one row per restart; ``degenerate`` flags a truncated refit or
+    an iteration-cap exit."""
 
     labels: np.ndarray
-    model: Model
     objective: np.ndarray
     rounds: np.ndarray
     degenerate: np.ndarray
@@ -266,10 +265,8 @@ def _descend(
     """
     labels, model, prev_obj = loss.start(rows, rngs, layout)
     m = labels.shape[0]
-    out = _Descent(
-        labels.copy(), tuple(a.copy() for a in model), np.empty(m),
-        np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool),
-    )
+    out = _Descent(np.empty_like(labels), np.empty(m), np.zeros(m, dtype=np.int64),
+                   np.zeros(m, dtype=bool))
     # every restart still running has done the same number of rounds
     active = np.arange(m)
     rounds = 0
@@ -292,8 +289,6 @@ def _descend(
             continue
         finished = active[done]
         out.labels[finished] = new_labels[done]
-        for kept, a in zip(out.model, model):
-            kept[finished] = a[done]
         out.objective[finished] = obj[done]
         out.rounds[finished] = rounds
         out.degenerate[finished] = truncated[done] | ~same[done]
@@ -338,12 +333,12 @@ def _descent_bests(points: np.ndarray, words: np.ndarray, loss: _Centroid | _Sub
                    pack: Pack) -> list[ClusterSolution]:
     """Each block's restart of least descent objective, the first of equal
     ones, from one descent of the pack over its sets' ``loss.derive``;
-    only that restart is scored with the exact loss."""
-    lo = pack[0][0]
-    layout = _layout((i - lo, len(restarts)) for i, restarts in pack)
+    only that restart is scored with the exact loss. A pack holds each set
+    at most once, and the layout numbers the sets by their place in it."""
+    layout = _layout((place, len(restarts)) for place, (_, restarts) in enumerate(pack))
     rngs = [np.random.Generator(np.random.PCG64(_Words(words[i, restart])))
             for i, restarts in pack for restart in restarts]
-    run = _descend(loss, loss.derive(points[lo : pack[-1][0] + 1]), rngs, layout)
+    run = _descend(loss, loss.derive(points[[i for i, _ in pack]]), rngs, layout)
     bests = []
     for (i, _), (_, block) in zip(pack, layout):
         j = block.start + int(np.argmin(run.objective[block]))
@@ -353,7 +348,6 @@ def _descent_bests(points: np.ndarray, words: np.ndarray, loss: _Centroid | _Sub
             n_iters=int(run.rounds[j]),
             n_restarts_used=words.shape[1],
             degenerate=bool(run.degenerate[j]),
-            **loss.geometry(tuple(a[j] for a in run.model)),
         ))
     return bests
 
@@ -399,8 +393,8 @@ def minimize_stack(
     sets (``loss.derive``), so they exist for one descent's sets at a time.
     The descent objective is accurate to about 1e-14 of the rows' total
     energy: within a block the restart of least descent objective wins,
-    and only it is scored exactly. A solution's geometry is
-    ``loss.geometry`` of its restart's model.
+    and only it is scored exactly. A solution keeps that restart's labels,
+    rounds and flags, not the centroids or bases the descent refit.
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
@@ -523,8 +517,7 @@ class _Centroid(NamedTuple):
     generator; ``cost`` the (m, n, k) cost of every point in every
     community; ``refit`` the model, objective and truncation flag of each
     restart, ``layout`` saying where the restarts lie; ``value`` the exact
-    loss of one set's (n, d) points; ``geometry`` the ``ClusterSolution``
-    fields of one restart's model; and ``tag`` seeds the generators. The
+    loss of one set's (n, d) points; and ``tag`` seeds the generators. The
     methods look the kernels up by module name when they run, and the loss
     pickles by value."""
 
@@ -549,9 +542,6 @@ class _Centroid(NamedTuple):
 
     def value(self, labels: np.ndarray, points: np.ndarray) -> float:
         return q1_value(labels, points)
-
-    def geometry(self, model: Model) -> dict:
-        return {"centroids": model[0].copy()}
 
 
 def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
@@ -584,8 +574,8 @@ def _subspace_refit(rows: _Rows, labels: np.ndarray, k: int, r: int, layout: Lay
     scatter matrices from each point set's (n, d, d) outer products, and one
     batched ``eigh`` their eigenpairs. Returns the model (the (m, k,
     min(r, d), d) eigenvectors as rows, largest first and zero past the
-    community's rank, and the ranks), the trailing-eigenvalue objective and
-    the truncation flag."""
+    community's rank), the trailing-eigenvalue objective and the truncation
+    flag."""
     m, n = labels.shape
     d = rows.outer.shape[-1]
     full_rank = min(r, d)
@@ -599,12 +589,11 @@ def _subspace_refit(rows: _Rows, labels: np.ndarray, k: int, r: int, layout: Lay
     if counts.min() >= full_rank:
         # no community below full rank: nothing to mask
         evals[..., d - full_rank :] = 0.0
-        rank = np.full((m, k), full_rank, dtype=np.int64)
-        return (top, rank), evals.sum(axis=(1, 2)), np.zeros(m, dtype=bool)
+        return (top,), evals.sum(axis=(1, 2)), np.zeros(m, dtype=bool)
     rank = np.minimum(counts, full_rank).astype(np.int64)
     basis = top * (np.arange(full_rank) < rank[:, :, None])[..., None]
     obj = np.where(np.arange(d) >= d - rank[:, :, None], 0.0, evals).sum(axis=(1, 2))
-    return (basis, rank), obj, (counts < full_rank).any(axis=1)
+    return (basis,), obj, (counts < full_rank).any(axis=1)
 
 
 def _seed_labels(
@@ -656,10 +645,6 @@ class _Subspace(NamedTuple):
 
     def value(self, labels: np.ndarray, points: np.ndarray) -> float:
         return q_subspace_value(labels, points, self.r)
-
-    def geometry(self, model: Model) -> dict:
-        basis, rank = model
-        return {"bases": [basis[j, : rank[j]].T.copy() for j in range(rank.size)]}
 
 
 def minimize_q_subspace(
@@ -752,6 +737,8 @@ def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> fl
     true = _integer_labels(true_labels, "true labels")
     if est.shape != true.shape:
         raise ValueError("label vectors must have equal length")
+    if est.size == 0:
+        raise ValueError("label vectors are empty")
     for name, vec in (("est", est), ("true", true)):
         if vec.min() < 1 or vec.max() > k:
             raise ValueError(f"{name} labels must lie in [1, {k}]")

@@ -215,6 +215,15 @@ def test_fits_refuse_empty_labels():
             fit(empty, np.array([], dtype=int))
 
 
+@pytest.mark.parametrize("fit", [fit_sbm, fit_dcbm])
+@pytest.mark.parametrize("labels", [[1, 2, 1, 2], [1, 2]])
+def test_fits_refuse_labels_of_another_length(fit, labels):
+    g = Graph(n=3, edges=np.array([[0, 1], [1, 2]]))
+    message = f"got {len(labels)} labels for a graph of 3 nodes"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit(g, np.array(labels))
+
+
 @pytest.mark.parametrize("labels, message", [
     (np.ones((2, 2), dtype=int), "labels must be a 1-d vector"),
     (np.array([], dtype=int), "labels must be nonempty"),
