@@ -21,7 +21,10 @@ each entry must be finite and in its array's range. Nothing re-checks it.
 Edge probabilities of all three models are held in one factored form,
 ``FactoredProb``: P_ij = min(1, left[i, tau_j] * right[j, tau_i]) with two
 n x K factors, in O(nK). Generators, plug-in fits and the sampler never
-build the n x n matrix; ``prob_matrix`` does, for small n and tests.
+build the n x n matrix; ``prob_matrix`` does, for small n and tests. On
+graphs of at most 512 nodes the sampler draws against the triangle of pair
+products instead, cached on the factored form (``FactoredProb.triangle``,
+at most 1 MiB), so many draws from one fit pay for it once.
 """
 
 from __future__ import annotations
@@ -304,7 +307,9 @@ class FactoredProb:
     probabilities, and the exact P_ij of given pairs. The bound takes the
     same floating-point product as P_ij with the right factor raised to its
     block maximum; rounding is monotone, so bound_i >= P_ij holds exactly,
-    not just up to rounding.
+    not just up to rounding. On graphs whose whole triangle fits one
+    sampler chunk (n <= 512), it reads ``triangle`` instead: every pair's
+    product, cached on first use, at most 130,816 floats (1 MiB).
     """
 
     left: np.ndarray = field(repr=False)
@@ -339,6 +344,13 @@ class FactoredProb:
         top = np.zeros((k, k))
         np.maximum.at(top, t, self.right)
         return (self.left * top[:, t].T).max(axis=1, initial=0.0)
+
+    @cached_property
+    def triangle(self) -> np.ndarray:
+        """The unclamped product of every pair i < j, in row-major order:
+        n(n-1)/2 floats, for small n. Building it holds the pair indices, 16
+        bytes a pair, until it returns."""
+        return self._raw(*np.triu_indices(self.n, 1))
 
     def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.minimum(self._raw(i, j), 1.0)
@@ -394,7 +406,8 @@ def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
 # pairs per chunk of whole rows in ``sample_graph``: small enough that one
 # chunk's uniforms and candidates stay cache-sized, large enough that the
 # per-chunk calls cost little at n = 6000 (2^16 drew about 15% slower
-# there, on one core of a 2-vCPU VM)
+# there, on one core of a 2-vCPU VM). A triangle of at most this many
+# pairs (n <= 512) is drawn whole against ``FactoredProb.triangle``.
 _CHUNK_PAIRS = 1 << 17
 
 
@@ -459,6 +472,12 @@ def sample_graph(p: FactoredProb, seed: int) -> Graph:
     candidates, and P_ij is evaluated for the candidates alone, so ``p``
     is sampled in O(nK + m) memory plus one chunk, and the graph is the
     same for every chunk size.
+
+    A triangle that fits one chunk (n <= 512) is drawn whole: the same
+    uniforms against ``p.triangle``, every pair's product cached on the
+    first draw, so a bootstrap's draws from one fit skip the candidate
+    step and give the same graphs. That costs 1 MiB per ``FactoredProb``
+    at n = 512, kept as long as it lives.
     """
     n = p.n
     rng = np.random.default_rng(seed)
@@ -466,7 +485,11 @@ def sample_graph(p: FactoredProb, seed: int) -> Graph:
         return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
     # row i holds pairs (i, i+1..n-1), from flat index offsets[i] on
     offsets = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
-    flat = np.concatenate(list(_chunk_hits(p, rng, offsets)))
+    if offsets[-1] <= _CHUNK_PAIRS:
+        # u < min(x, 1) is u < x for u < 1, as in the candidate step
+        flat = np.flatnonzero(rng.random(offsets[-1]) < p.triangle)
+    else:
+        flat = np.concatenate(list(_chunk_hits(p, rng, offsets)))
     i = np.searchsorted(offsets, flat, side="right")
     i -= 1
     edges = np.empty((flat.size, 2), dtype=np.int64)

@@ -13,13 +13,21 @@ subspace losses ``cluster._Subspace``. It is the statistic of the test
 whose null is that model.
 
 The replicates run in contiguous chunks on the worker pool (``_pool``). A
-chunk draws and embeds its replicates in order and minimizes them under the
-null's loss in one call (``cluster.minimize_stack``), which packs the
-restart blocks of many replicates into one descent while their per-round
-arrays fit in ``cluster._BLOCK_BYTES``; a block over half that budget, as at
-n = 600 with K = 3 or larger, descends alone. The statistics, failures and
-errors are those of a serial loop that minimizes one replicate at a time, at
-every worker count.
+chunk draws and embeds its replicates in order, in groups whose dense
+adjacency matrices and eigenvectors fit in ``cluster._BLOCK_BYTES`` (1 MiB,
+16 n^2 bytes a graph: 56 graphs at karate's 34 nodes, one from 182 nodes
+on). A group of two or more graphs is embedded with one stacked eigensolve
+(``spectral.stacked_ase``), and a graph of at most 512 nodes is drawn
+against its fit's cached triangle of pair probabilities
+(``FactoredProb.triangle``, at most 1 MiB per fit). The chunk then
+minimizes all its replicates under the null's loss in one call
+(``cluster.minimize_stack``), which packs the restart blocks of many
+replicates into one descent while their per-round arrays fit in
+``cluster._BLOCK_BYTES``; a block over half that budget, as at n = 600 with
+K = 3 or larger, descends alone. Each fast path gives the bits of the path
+it bypasses, so the statistics, failures and errors are those of a serial
+loop that draws, embeds and minimizes one replicate at a time, at every
+worker count.
 
 The workflow gate: if the centroid-loss test keeps the SBM, stop there;
 otherwise run the rank-1 subspace test; if that keeps the DCBM, stop;
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -41,6 +50,7 @@ from . import _pool
 from ._seeds import derive_seed
 from .blockmodels import FactoredProb, fit_dcbm, fit_sbm, sample_graph
 from .cluster import (
+    _BLOCK_BYTES,
     ClusterSolution,
     _Centroid,
     _Subspace,
@@ -52,7 +62,7 @@ from .cluster import (
 )
 from .errors import DegenerateModelError, NumericalError
 from .netcore import Graph
-from .spectral import ase
+from .spectral import ase, stacked_ase
 
 
 class ModelKind(enum.Enum):
@@ -92,13 +102,44 @@ def detect(
         return minimize_q_subspace(rows, k, r=_loss(model, k).r, n_restarts=n_restarts, seed=seed)
 
 
+def _ase_args(k: int, model: ModelKind) -> tuple[int, bool]:
+    """The dimension and the scaling of the embedding ``model``'s loss is
+    minimized over: the scaled K-dimensional one, or for the PABM the
+    unscaled K^2-dimensional one, since rank-K subspace structure lives in
+    the orthonormal eigenvector rows."""
+    if model is ModelKind.PABM:
+        return k * k, False
+    return k, True
+
+
 def _embedding(g: Graph, k: int, model: ModelKind) -> np.ndarray:
     """The points ``detect`` minimizes ``model``'s loss over."""
     if model is ModelKind.PABM:
         _require_pabm_embedding(g.n, k)
-        # rank-K subspace structure lives in the orthonormal eigenvector rows
-        return ase(g, k * k, scaled=False).rows
-    return ase(g, k).rows
+    return ase(g, *_ase_args(k, model)).rows
+
+
+def _embeddings(graphs: list[Graph], k: int, model: ModelKind) -> list:
+    """Each graph's ``_embedding``, or the error that stopped it.
+
+    Two or more graphs, all of one size (below 182 nodes in a replicate
+    group), share one stacked eigensolve, which gives each graph's rows bit
+    for bit. If the stack raises, a ``LinAlgError`` from one matrix or a
+    dimension past n, every graph is embedded alone, so each keeps its own
+    outcome.
+    """
+    if len(graphs) > 1:
+        try:
+            return list(stacked_ase(graphs, *_ase_args(k, model)))
+        except (np.linalg.LinAlgError, ValueError):
+            pass
+    found: list = []
+    for g in graphs:
+        try:
+            found.append(_embedding(g, k, model))
+        except Exception as exc:
+            found.append(exc)
+    return found
 
 
 def _loss(model: ModelKind, k: int) -> _Centroid | _Subspace:
@@ -163,12 +204,28 @@ def make_test_result(
     seed: int,
     failures: Sequence[tuple[int, str]] = (),
 ) -> TestResult:
-    """The ``TestResult`` of ``statistic`` and at least one replicate."""
+    """The ``TestResult`` of a finite ``statistic``, at least one
+    replicate, all finite, and an ``alpha`` in (0, 1): a NaN statistic or
+    replicate would read as p = 0, and an alpha outside (0, 1) would fix
+    the decision whatever the data."""
     boot = np.asarray(boot_stats, dtype=np.float64)
     if boot.size == 0:
         raise ValueError("need at least one bootstrap replicate")
-    return TestResult(float(statistic), boot, float(alpha), null_model, alt_model, seed,
-                      tuple(failures))
+    if not math.isfinite(statistic):
+        raise ValueError(f"the observed statistic must be finite, got {statistic}")
+    bad = np.flatnonzero(~np.isfinite(boot))
+    if bad.size:
+        raise ValueError(f"bootstrap statistics must be finite, got {boot[bad[0]]} "
+                         f"at replicate {bad[0]} ({bad.size} of {boot.size} not finite)")
+    return TestResult(float(statistic), boot, _require_alpha(alpha), null_model, alt_model,
+                      seed, tuple(failures))
+
+
+def _require_alpha(alpha: float) -> float:
+    """``alpha`` as a float, if it lies in (0, 1); NaN does not."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
 
 
 _REPLICATE_ERRORS = (NumericalError, DegenerateModelError, np.linalg.LinAlgError)
@@ -190,13 +247,14 @@ class _Chunk(NamedTuple):
 
 
 class _Statistic(NamedTuple):
-    """A replicate statistic in two steps: ``embed(g)`` turns each replicate
-    graph into points as it is drawn, and ``minimize(points, fit_seeds)``
-    takes the points of many replicates at once and gives each one's
-    statistic, or the error that stopped it. Both pickle: the pool ships
-    the statistic to a worker with each chunk."""
+    """A replicate statistic in two steps: ``embed(graphs)`` turns a group
+    of replicate graphs into each one's points, or the error that stopped
+    it, and ``minimize(points, fit_seeds)`` takes the points of many
+    replicates at once and gives each one's statistic, or the error that
+    stopped it. Both pickle: the pool ships the statistic to a worker with
+    each chunk."""
 
-    embed: Callable[[Graph], object]
+    embed: Callable[[list[Graph]], list]
     minimize: Callable[[list, list[int]], list]
 
 
@@ -207,10 +265,10 @@ def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _St
     next derived seed.
 
     The first attempts of all the chunk's replicates are drawn and embedded
-    in order and minimized in one call; their outcomes are then read as the
-    serial loop meets them, and each retry is drawn and minimized alone. So
-    the statistics, failures, attempts and error are the serial loop's,
-    which stops at the first error that is not retried, and before an
+    in order, in groups, and minimized in one call; their outcomes are then
+    read as the serial loop meets them, and each retry is drawn, embedded
+    and minimized alone. So the statistics, failures, attempts and error
+    are the serial loop's, which stops at the first error that is not retried, and before an
     attempt that would exceed the 3 * R budget even if every replicate
     before ``lo`` took one attempt: the serial order could not have made it
     either, so the run is certain to be exhausted.
@@ -219,19 +277,26 @@ def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _St
 
     def outcomes(attempts: list[tuple[int, int]]) -> list:
         """The statistic of each (replicate, attempt), or its error."""
-        found: list = [None] * len(attempts)
-        points, fit_seeds, drawn = [], [], []
-        for i, (r, attempt) in enumerate(attempts):
-            rep_seed = derive_seed(seed, "boot", r, attempt)
-            try:
-                points.append(statistic.embed(sample_graph(p_hat, derive_seed(rep_seed, "graph"))))
-            except Exception as exc:
-                found[i] = exc
-                continue
-            fit_seeds.append(derive_seed(rep_seed, "fit"))
-            drawn.append(i)
-        if points:
-            for i, out in zip(drawn, statistic.minimize(points, fit_seeds)):
+        rep_seeds = [derive_seed(seed, "boot", r, attempt) for r, attempt in attempts]
+        found: list = [None] * len(attempts)  # points, then statistics
+        # a group's dense adjacency matrices and eigenvectors, 16 n^2 bytes
+        # a graph, fit in the descents' byte budget
+        size = max(1, _BLOCK_BYTES // (16 * max(p_hat.n ** 2, 1)))
+        for start in range(0, len(attempts), size):
+            graphs = {}
+            for i in range(start, min(start + size, len(attempts))):
+                try:
+                    graphs[i] = sample_graph(p_hat, derive_seed(rep_seeds[i], "graph"))
+                except Exception as exc:
+                    found[i] = exc
+            if graphs:
+                for i, out in zip(graphs, statistic.embed(list(graphs.values()))):
+                    found[i] = out
+        embedded = [i for i, out in enumerate(found) if not isinstance(out, Exception)]
+        if embedded:
+            fit_seeds = [derive_seed(rep_seeds[i], "fit") for i in embedded]
+            for i, out in zip(embedded, statistic.minimize([found[i] for i in embedded],
+                                                           fit_seeds)):
                 found[i] = out
         return found
 
@@ -317,7 +382,7 @@ def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statisti
     ``detect`` gives it. The replicates' points are minimized as one stack,
     in which small restart blocks of many replicates share descents."""
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
-    return _Statistic(functools.partial(_embedding, k=k, model=model),
+    return _Statistic(functools.partial(_embeddings, k=k, model=model),
                       functools.partial(_null_minimize, _loss(model, k), n_restarts))
 
 
@@ -337,8 +402,7 @@ def _run_test(
     ``fit(g, labels)`` at the observed labels."""
     if n_boot < 1:
         raise ValueError("need at least one bootstrap replicate")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _require_alpha(alpha)
     sol = detect(g, k, null, restarts, seed=derive_seed(seed, "observed"))
     p_hat = fit(g, sol.labels)
     boot, failures = _bootstrap_statistics(p_hat, n_boot, seed, _null_statistic(k, null, restarts))

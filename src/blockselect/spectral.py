@@ -12,11 +12,16 @@ rows. The clustering losses read only the rows.
 Small or dense problems use a full dense symmetric eigendecomposition;
 large sparse ones go through ARPACK's implicitly restarted Lanczos with a
 fixed starting vector, so identical inputs always produce bit-identical
-embeddings.
+embeddings. ``stacked_ase`` embeds many graphs of at most 512 nodes
+(``_DENSE_CUTOFF``, where ``ase`` is always dense) with one stacked
+``eigh``, and gives each graph's ``ase`` rows bit for bit; its stack holds
+the graphs' dense adjacency matrices and their eigenvectors, 16 n^2 bytes
+per graph.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,19 +56,20 @@ class Embedding:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the largest-|entry| coordinate of each
-    column is nonnegative (first occurrence wins on ties)."""
-    v = vectors.copy()
-    for col in range(v.shape[1]):
-        pivot = int(np.argmax(np.abs(v[:, col])))
-        if v[pivot, col] < 0:
-            v[:, col] = -v[:, col]
-    return v
+    column is nonnegative (first occurrence wins on ties); ``vectors`` may
+    be a stack of matrices."""
+    pivot = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    flip = np.take_along_axis(vectors, pivot, axis=-2) < 0
+    return np.negative(vectors, out=vectors.copy(), where=flip)
 
 
 def _order_by_magnitude(values: np.ndarray, vectors: np.ndarray, d: int):
+    """The d eigenpairs of largest |eigenvalue|, of one decomposition or of
+    a stack of them."""
     # stable sort keeps the solver's original order among magnitude ties
-    order = np.argsort(-np.abs(values), kind="stable")[:d]
-    return values[order], vectors[:, order]
+    order = np.argsort(-np.abs(values), axis=-1, kind="stable")[..., :d]
+    return (np.take_along_axis(values, order, axis=-1),
+            np.take_along_axis(vectors, order[..., None, :], axis=-1))
 
 
 def top_eigenpairs(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,8 +78,8 @@ def top_eigenpairs(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted by
     decreasing magnitude and sign-fixed eigenvectors as columns.
 
-    Raises ``ValueError`` if d > n or the matrix is not symmetric within
-    1e-10 (relative to its largest entry).
+    Raises ``ValueError`` if d > n, an entry is not finite, or the matrix
+    is not symmetric within 1e-10 (relative to its largest entry).
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -81,6 +87,13 @@ def top_eigenpairs(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     n = m.shape[0]
     if not 1 <= d <= n:
         raise ValueError(f"d must be in [1, {n}], got {d}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        # named before any arithmetic: NaN passes the symmetry test below
+        bad = np.argwhere(~finite)
+        named = ", ".join(f"({i}, {j}) = {m[i, j]}" for i, j in bad[:4])
+        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+        raise ValueError(f"matrix entries must be finite: {named}{more}")
     scale = max(1.0, float(np.max(np.abs(m)))) if n else 1.0
     if np.max(np.abs(m - m.T), initial=0.0) > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance 1e-10")
@@ -151,16 +164,51 @@ def ase(g: Graph, d: int, scaled: bool = True) -> Embedding:
     if _lanczos_ok(g.n, d, 2 * g.edge_count):
         values, vectors = _top_eigenpairs_sparse(g.adjacency, d)
     else:
-        # the dense 0/1 matrix straight from the edges: the same matrix as
-        # the CSR adjacency's toarray(), without building the CSR
-        dense = np.zeros((g.n, g.n))
-        i, j = g.edges[:, 0], g.edges[:, 1]
-        dense[i, j] = 1.0
-        dense[j, i] = 1.0
-        values, vectors = top_eigenpairs(dense, d)
+        values, vectors = top_eigenpairs(_dense_adjacencies([g])[0], d)
     if scaled:
-        vectors = vectors * np.sqrt(np.abs(values))[None, :]
+        vectors = _scale(values, vectors)
     return Embedding(rows=vectors, eigenvalues=values)
+
+
+def _dense_adjacencies(graphs: Sequence[Graph]) -> np.ndarray:
+    """The dense 0/1 adjacency matrices of one or more graphs of one size,
+    as one stack, straight from the edges: each the same matrix as its CSR
+    adjacency's toarray(), without building the CSR."""
+    n = graphs[0].n
+    dense = np.zeros((len(graphs), n, n))
+    which = np.repeat(np.arange(len(graphs)), [g.edge_count for g in graphs])
+    edges = np.concatenate([g.edges for g in graphs])
+    i, j = edges[:, 0], edges[:, 1]
+    dense[which, i, j] = 1.0
+    dense[which, j, i] = 1.0
+    return dense
+
+
+def _scale(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Eigenvector columns times sqrt(|eigenvalue|), of one decomposition
+    or of a stack."""
+    return vectors * np.sqrt(np.abs(values))[..., None, :]
+
+
+def stacked_ase(graphs: Sequence[Graph], d: int, scaled: bool = True) -> np.ndarray:
+    """The ``ase(g, d, scaled).rows`` of every graph, bit for bit, as one
+    (len(graphs), n, d) array from one stacked ``eigh``.
+
+    The graphs share one n <= 512 (``_DENSE_CUTOFF``), where ``ase`` takes
+    the dense path. The eigenpairs are ordered, sign-fixed and scaled as
+    there. The stack holds the dense matrices and their eigenvectors, 16 n^2
+    bytes per graph, so callers keep a group small. An error, say a
+    ``LinAlgError`` from one matrix, stops the whole stack.
+    """
+    n = graphs[0].n if graphs else 0
+    if any(g.n != n for g in graphs) or n > _DENSE_CUTOFF:
+        raise ValueError(f"graphs must share one size of at most {_DENSE_CUTOFF} nodes")
+    if not 1 <= d <= n:
+        raise ValueError(f"embedding dimension d must be in [1, {n}], got {d}")
+    values, vectors = np.linalg.eigh(_dense_adjacencies(graphs))
+    values, vectors = _order_by_magnitude(values, vectors, d)
+    vectors = _fix_signs(vectors)
+    return _scale(values, vectors) if scaled else vectors
 
 
 def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -529,6 +530,62 @@ def test_sampler_without_edges_returns_an_empty_int64_array():
         assert g == chunked_loop_sample(p, 3, chunk_pairs)
         assert g.edges.dtype == np.int64
     assert g.edges.shape == (0, 2)
+
+
+def _triangle_cases(n: int, seed: int) -> list[FactoredProb]:
+    """A sparse and a dense form on n nodes, products past 1 included."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, 4, n)
+    return [FactoredProb(rng.uniform(0.5, 1.0, (n, 3)) * high, rng.uniform(0.5, 1.0, (n, 3)),
+                         labels) for high in (0.02, 1.5)]
+
+
+@pytest.mark.parametrize("n", [511, 512, 513])
+def test_triangle_path_matches_the_chunked_path_around_the_cutoff(n):
+    for p in _triangle_cases(n, n):
+        for seed in (0, 1):
+            got = sample_graph(p, seed)
+            # 2^12-pair chunks: the chunked path, in chunks of whole rows
+            assert got == sample_in_chunks(p, seed, 1 << 12)
+            assert got == chunked_loop_sample(p, seed, blockmodels._CHUNK_PAIRS)
+        # 512 nodes have 130,816 pairs; 513 have 131,328, past one chunk
+        assert ("triangle" in p.__dict__) == (n <= 512)
+        if n <= 512:
+            assert p.triangle.size == n * (n - 1) // 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=_sampler_cases(), seed=st.integers(0, 1000))
+def test_triangle_path_matches_the_chunked_path(p, seed):
+    got = sample_graph(p, seed)
+    assert got == sample_in_chunks(p, seed, 1)
+    assert got == chunked_loop_sample(p, seed, blockmodels._CHUNK_PAIRS)
+
+
+def test_triangle_is_built_once_and_draws_what_a_fresh_form_draws():
+    _, params = gen_pabm(60, 3, seed=0)
+    p = edge_probs(params)
+    many = [sample_graph(p, seed) for seed in range(30)]
+    triangle = p.triangle
+    assert [sample_graph(edge_probs(params), seed) for seed in range(30)] == many
+    assert sample_graph(p, 30) == sample_graph(edge_probs(params), 30)
+    assert p.triangle is triangle
+
+
+def test_form_pickled_after_a_draw_round_trips():
+    p = _triangle_cases(40, 7)[1]
+    first = sample_graph(p, 0)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy.triangle.tobytes() == p.triangle.tobytes()
+    assert sample_graph(copy, 0) == first
+    assert [sample_graph(copy, s) for s in range(1, 6)] == [sample_graph(p, s) for s in range(1, 6)]
+
+
+def test_no_triangle_is_cached_above_512_nodes():
+    p = constant_prob(513, 0.05)
+    for seed in range(3):
+        sample_graph(p, seed)
+    assert "triangle" not in p.__dict__
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import blockselect
 import blockselect.modelselect as ms
-from blockselect import _pool, cluster
+from blockselect import _pool, cluster, spectral
 from blockselect._seeds import derive_seed
 from blockselect.blockmodels import (
     Beta,
@@ -239,6 +239,24 @@ def test_alpha_outside_unit_interval_rejected(run, alpha):
         run_workflow(g, 2, alpha=alpha, n_boot=1, restarts=1)
 
 
+@pytest.mark.parametrize("statistic, boot, alpha, message", [
+    (np.nan, [1.0, 2.0], 0.05, "observed statistic must be finite, got nan"),
+    (np.inf, [1.0, 2.0], 0.05, "observed statistic must be finite, got inf"),
+    (1.0, [np.nan, np.nan], 0.05, r"got nan at replicate 0 \(2 of 2 not finite\)"),
+    (1.0, [1.0, -np.inf, 3.0], 0.05, r"got -inf at replicate 1 \(1 of 3 not finite\)"),
+    (1.0, [1.0, 2.0], 1.5, r"alpha must lie in \(0, 1\), got 1.5"),
+    (1.0, [1.0, 2.0], np.nan, r"alpha must lie in \(0, 1\), got nan"),
+    (1.0, [1.0, 2.0], 0.0, "alpha must lie in"),
+    (1.0, [1.0, 2.0], 1.0, "alpha must lie in"),
+    (1.0, [], 0.05, "at least one bootstrap replicate"),
+])
+def test_result_refuses_what_no_decision_can_be_read_from(statistic, boot, alpha, message):
+    # a NaN statistic or NaN replicates read as p = 0 and rejected; alpha =
+    # 1.5 rejected at p = 0.5, and a NaN alpha never rejected
+    with pytest.raises(ValueError, match=message):
+        make_test_result(statistic, boot, alpha, ModelKind.SBM, ModelKind.DCBM, 0)
+
+
 def test_result_formula_exactness_fuzz():
     rng = np.random.default_rng(0)
     for trial in range(200):
@@ -340,8 +358,8 @@ def test_bootstrap_exhaustion_raises():
 # bootstrap replicates in worker processes
 # ---------------------------------------------------------------------------
 
-def _same_graph(g_rep):
-    return g_rep
+def _same_graphs(graphs):
+    return list(graphs)
 
 
 def _each_replicate(stat_fn, graphs, fit_seeds):
@@ -359,7 +377,7 @@ def per_replicate(stat_fn) -> ms._Statistic:
     replicate at a time, each error kept as that replicate's outcome. The
     pool pickles the statistic, so on more than one worker ``stat_fn`` is a
     module-level function or a partial of one."""
-    return ms._Statistic(_same_graph, functools.partial(_each_replicate, stat_fn))
+    return ms._Statistic(_same_graphs, functools.partial(_each_replicate, stat_fn))
 
 
 def serial_bootstrap_statistics(p_hat, n_boot, seed, stat_fn):
@@ -495,6 +513,49 @@ def test_packed_chunks_match_serial_reference(monkeypatch, set_workers, scenario
         got = _outcome(lambda: ms._bootstrap_statistics(
             _KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None)))
         assert got == _serial_null_outcome(scenario, model)
+
+
+def _fail_eigh(monkeypatch, planted: set[bytes], n: int) -> list[int]:
+    """Make ``eigh`` raise ``LinAlgError`` on any input that holds one of
+    the ``planted`` n x n matrices, alone or in a stack; fork carries the
+    patch into the worker processes. Returns the list of the dimensions of
+    the n x n inputs it sees in this process."""
+    seen = []
+
+    def eigh(a, *args, _original=np.linalg.eigh, **kwargs):
+        a = np.asarray(a)
+        if a.shape[-1] == n:
+            seen.append(a.ndim)
+        if any(m.tobytes() in planted for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("planted")
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_linalg_error_in_a_stack_is_charged_to_its_replicate(monkeypatch, set_workers, workers):
+    # the graphs of replicate 3's first two attempts and replicate 12's first
+    planted = [sample_graph(_KARATE_SIZE_NULL, derive_seed(derive_seed(5, "boot", r, a), "graph"))
+               for r, a in [(3, 0), (3, 1), (12, 0)]]
+    seen = _fail_eigh(monkeypatch, {spectral._dense_adjacencies([g]).tobytes() for g in planted},
+                      _KARATE_SIZE_NULL.n)
+    set_workers(workers)
+    for model in (ModelKind.SBM, ModelKind.DCBM):
+        want = _outcome(lambda: serial_bootstrap_statistics(
+            _KARATE_SIZE_NULL, _B, 5, lambda g, fit_seed: detect(g, 2, model, seed=fit_seed).objective))
+        assert want[1] == [(3, "LinAlgError"), (3, "LinAlgError"), (12, "LinAlgError")]
+        seen.clear()
+        got = _outcome(lambda: ms._bootstrap_statistics(
+            _KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None)))
+        assert got == want
+        if workers == 1:
+            # four chunks of five replicates, each drawn in one group; the
+            # stacks of replicates 3 and 12 fail and embed their five graphs
+            # one at a time, and the retries, two of replicate 3 and one of
+            # replicate 12, embed alone
+            assert seen == [3, *[2] * 5, 2, 2, 3, 3, *[2] * 5, 2, 3]
 
 
 # the barrier ``_paired_pid`` waits at; the workers inherit it through fork

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackError, eigsh
 
 from blockselect import spectral
 from blockselect.netcore import Graph
-from blockselect.spectral import ase, laplacian_embedding, top_eigenpairs
+from blockselect.spectral import ase, laplacian_embedding, stacked_ase, top_eigenpairs
 
 from conftest import graph_from_text, random_graph
 
@@ -59,6 +59,56 @@ def test_rejects_d_out_of_range_and_asymmetry():
         top_eigenpairs(bad, 1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [[(0, 1), (1, 0)], [(2, 2)], [(0, 3)]])
+def test_rejects_entries_that_are_not_finite(value, where):
+    # a NaN pair passed the symmetry test and gave eigenvalues [1, 1]; an
+    # infinite one gave NaN eigenvalues, or numpy's "invalid value" warning
+    m = np.eye(4)
+    for i, j in where:
+        m[i, j] = value
+    named = ", ".join(f"\\({i}, {j}\\) = {value}" for i, j in where)
+    with pytest.raises(ValueError, match=f"^matrix entries must be finite: {named}$"):
+        top_eigenpairs(m, 2)
+
+
+def test_rejection_names_four_entries_and_counts_the_rest():
+    with pytest.raises(ValueError, match=r"\(0, 3\) = nan and 12 more$"):
+        top_eigenpairs(np.full((4, 4), np.nan), 1)
+
+
+def _fix_signs_by_column(vectors):
+    """The sign convention one column at a time: the first entry of
+    largest |value| made nonnegative."""
+    v = vectors.copy()
+    for col in range(v.shape[1]):
+        pivot = int(np.argmax(np.abs(v[:, col])))
+        if v[pivot, col] < 0:
+            v[:, col] = -v[:, col]
+    return v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), d=st.integers(1, 12), seed=st.integers(0, 2**16),
+       ties=st.booleans())
+def test_sign_fix_and_order_match_the_column_loop(n, d, seed, ties):
+    rng = np.random.default_rng(seed)
+    # ties: entries from a few values, so several entries share the largest
+    # magnitude and several eigenvalues share one
+    draw = (lambda shape: rng.integers(-2, 3, shape) / 2.0) if ties else rng.standard_normal
+    vectors, values = draw((n, n)), draw(n)
+    d = min(d, n)
+    got_values, got_vectors = spectral._order_by_magnitude(values, vectors, d)
+    order = np.argsort(-np.abs(values), kind="stable")[:d]
+    assert got_values.tobytes() == values[order].tobytes()
+    assert got_vectors.tobytes() == vectors[:, order].tobytes()
+    assert spectral._fix_signs(vectors).tobytes() == _fix_signs_by_column(vectors).tobytes()
+    stack = np.stack([vectors, -vectors, draw((n, n))])
+    fixed = spectral._fix_signs(stack)
+    for got, one in zip(fixed, stack):
+        assert got.tobytes() == _fix_signs_by_column(one).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # adjacency embedding
 # ---------------------------------------------------------------------------
@@ -103,6 +153,50 @@ def test_d_out_of_range():
     g = k3()
     with pytest.raises(ValueError):
         ase(g, 4)
+
+
+def _stack_cases(n: int, seed: int) -> list[Graph]:
+    """Graphs of n nodes: none with no edges, one with isolated nodes, and
+    random graphs sparse and dense."""
+    isolated = random_graph(n, 0.3, seed)
+    isolated = Graph(n=n, edges=isolated.edges[isolated.edges[:, 1] < n - n // 3])
+    return [Graph(n=n, edges=np.empty((0, 2), dtype=np.int64)), isolated,
+            random_graph(n, 0.05, seed + 1), random_graph(n, 0.5, seed + 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 34, 181, 512])
+def test_stacked_ase_matches_ase_bit_for_bit(n):
+    graphs = _stack_cases(n, n)
+    if n == 512:
+        graphs = graphs[1:3]  # one stacked eigh of 512 x 512 matrices costs 40 ms each
+    for d in range(1, min(4, n) + 1):
+        for scaled in (True, False):
+            rows = stacked_ase(graphs, d, scaled)
+            assert rows.shape == (len(graphs), n, d)
+            for g, got in zip(graphs, rows):
+                assert got.tobytes() == ase(g, d, scaled).rows.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), d=st.integers(1, 4), size=st.integers(1, 5),
+       p=st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]), seed=st.integers(0, 2**16),
+       scaled=st.booleans())
+def test_stacked_ase_matches_ase_on_drawn_stacks(n, d, size, p, seed, scaled):
+    graphs = [random_graph(n, p, seed + i) for i in range(size)]
+    d = min(d, n)
+    for g, got in zip(graphs, stacked_ase(graphs, d, scaled)):
+        assert got.tobytes() == ase(g, d, scaled).rows.tobytes()
+
+
+def test_stacked_ase_refuses_what_ase_would_not_embed_densely():
+    with pytest.raises(ValueError, match="one size of at most 512 nodes"):
+        stacked_ase([random_graph(5, 0.5, 0), random_graph(6, 0.5, 0)], 2)
+    with pytest.raises(ValueError, match="one size of at most 512 nodes"):
+        stacked_ase([random_graph(513, 0.01, 0)], 2)
+    with pytest.raises(ValueError, match="d must be in"):
+        stacked_ase([k3()], 4)
+    with pytest.raises(ValueError, match="d must be in"):
+        stacked_ase([], 1)
 
 
 # ---------------------------------------------------------------------------
