@@ -22,9 +22,10 @@ Edge probabilities of all three models are held in one factored form,
 ``FactoredProb``: P_ij = min(1, left[i, tau_j] * right[j, tau_i]) with two
 n x K factors, in O(nK). Generators, plug-in fits and the sampler never
 build the n x n matrix; ``prob_matrix`` does, for small n and tests. On
-graphs of at most 512 nodes the sampler draws against the triangle of pair
-products instead, cached on the factored form (``FactoredProb.triangle``,
-at most 1 MiB), so many draws from one fit pay for it once.
+graphs of at most 512 nodes, a caller that draws many graphs from one form,
+as a bootstrap does from its fit, can ask the sampler to draw against the
+triangle of pair products instead, cached on the factored form
+(``FactoredProb.triangle``, at most 1 MiB), so the draws pay for it once.
 """
 
 from __future__ import annotations
@@ -308,8 +309,9 @@ class FactoredProb:
     same floating-point product as P_ij with the right factor raised to its
     block maximum; rounding is monotone, so bound_i >= P_ij holds exactly,
     not just up to rounding. On graphs whose whole triangle fits one
-    sampler chunk (n <= 512), it reads ``triangle`` instead: every pair's
-    product, cached on first use, at most 130,816 floats (1 MiB).
+    sampler chunk (n <= 512), a sampler asked to cache reads ``triangle``
+    instead: every pair's product, cached on first use, at most 130,816
+    floats (1 MiB).
     """
 
     left: np.ndarray = field(repr=False)
@@ -406,8 +408,8 @@ def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
 # pairs per chunk of whole rows in ``sample_graph``: small enough that one
 # chunk's uniforms and candidates stay cache-sized, large enough that the
 # per-chunk calls cost little at n = 6000 (2^16 drew about 15% slower
-# there, on one core of a 2-vCPU VM). A triangle of at most this many
-# pairs (n <= 512) is drawn whole against ``FactoredProb.triangle``.
+# there, on one core of a 2-vCPU VM). With ``cache``, a triangle of at most
+# this many pairs (n <= 512) is drawn whole against ``FactoredProb.triangle``.
 _CHUNK_PAIRS = 1 << 17
 
 
@@ -459,7 +461,7 @@ def _chunk_hits(p: FactoredProb, rng: np.random.Generator, offsets: np.ndarray):
         start = stop
 
 
-def sample_graph(p: FactoredProb, seed: int) -> Graph:
+def sample_graph(p: FactoredProb, seed: int, *, cache: bool = False) -> Graph:
     """Independent Bernoulli draws on the upper triangle.
 
     One uniform per pair i < j in row-major order, drawn in chunks of
@@ -473,11 +475,13 @@ def sample_graph(p: FactoredProb, seed: int) -> Graph:
     is sampled in O(nK + m) memory plus one chunk, and the graph is the
     same for every chunk size.
 
-    A triangle that fits one chunk (n <= 512) is drawn whole: the same
-    uniforms against ``p.triangle``, every pair's product cached on the
-    first draw, so a bootstrap's draws from one fit skip the candidate
-    step and give the same graphs. That costs 1 MiB per ``FactoredProb``
-    at n = 512, kept as long as it lives.
+    With ``cache``, for callers that draw many graphs from one ``p``, a
+    triangle that fits one chunk (n <= 512) is drawn whole: the same
+    uniforms against ``p.triangle``, every pair's product, built on the
+    first such draw and kept on ``p``, so later draws skip the candidate
+    step and give the same graphs. That costs up to 1 MiB per
+    ``FactoredProb`` at n = 512, kept as long as it lives. Building it
+    evaluates every pair, so a single draw is cheaper without ``cache``.
     """
     n = p.n
     rng = np.random.default_rng(seed)
@@ -485,7 +489,7 @@ def sample_graph(p: FactoredProb, seed: int) -> Graph:
         return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
     # row i holds pairs (i, i+1..n-1), from flat index offsets[i] on
     offsets = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
-    if offsets[-1] <= _CHUNK_PAIRS:
+    if cache and offsets[-1] <= _CHUNK_PAIRS:
         # u < min(x, 1) is u < x for u < 1, as in the candidate step
         flat = np.flatnonzero(rng.random(offsets[-1]) < p.triangle)
     else:

@@ -17,9 +17,10 @@ chunk draws and embeds its replicates in order, in groups whose dense
 adjacency matrices and eigenvectors fit in ``cluster._BLOCK_BYTES`` (1 MiB,
 16 n^2 bytes a graph: 56 graphs at karate's 34 nodes, one from 182 nodes
 on). A group of two or more graphs is embedded with one stacked eigensolve
-(``spectral.stacked_ase``), and a graph of at most 512 nodes is drawn
-against its fit's cached triangle of pair probabilities
-(``FactoredProb.triangle``, at most 1 MiB per fit). The chunk then
+(``spectral.stacked_ase``), and the graphs are drawn with
+``sample_graph(..., cache=True)``: at most 512 nodes, against the fit's
+cached triangle of pair probabilities (``FactoredProb.triangle``, at most
+1 MiB per fit), built by the first draw. The chunk then
 minimizes all its replicates under the null's loss in one call
 (``cluster.minimize_stack``), which packs the restart blocks of many
 replicates into one descent while their per-round arrays fit in
@@ -124,14 +125,13 @@ def _embeddings(graphs: list[Graph], k: int, model: ModelKind) -> list:
 
     Two or more graphs, all of one size (below 182 nodes in a replicate
     group), share one stacked eigensolve, which gives each graph's rows bit
-    for bit. If the stack raises, a ``LinAlgError`` from one matrix or a
-    dimension past n, every graph is embedded alone, so each keeps its own
-    outcome.
+    for bit. If the stack raises a ``LinAlgError`` from one matrix, every
+    graph is embedded alone, so each keeps its own outcome.
     """
     if len(graphs) > 1:
         try:
             return list(stacked_ase(graphs, *_ase_args(k, model)))
-        except (np.linalg.LinAlgError, ValueError):
+        except np.linalg.LinAlgError:
             pass
     found: list = []
     for g in graphs:
@@ -286,7 +286,8 @@ def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _St
             graphs = {}
             for i in range(start, min(start + size, len(attempts))):
                 try:
-                    graphs[i] = sample_graph(p_hat, derive_seed(rep_seeds[i], "graph"))
+                    graphs[i] = sample_graph(p_hat, derive_seed(rep_seeds[i], "graph"),
+                                             cache=True)
                 except Exception as exc:
                     found[i] = exc
             if graphs:

@@ -97,7 +97,13 @@ def top_eigenpairs(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.max(np.abs(m)))) if n else 1.0
     if np.max(np.abs(m - m.T), initial=0.0) > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance 1e-10")
-    values, vectors = np.linalg.eigh(m)
+    return _dense_eigenpairs(m, d)
+
+
+def _dense_eigenpairs(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``top_eigenpairs`` of a checked matrix, or of a stack of them, from
+    one ``eigh``: each matrix of a stack gets its own result bit for bit."""
+    values, vectors = np.linalg.eigh(matrix)
     values, vectors = _order_by_magnitude(values, vectors, d)
     return values, _fix_signs(vectors)
 
@@ -195,9 +201,10 @@ def stacked_ase(graphs: Sequence[Graph], d: int, scaled: bool = True) -> np.ndar
     (len(graphs), n, d) array from one stacked ``eigh``.
 
     The graphs share one n <= 512 (``_DENSE_CUTOFF``), where ``ase`` takes
-    the dense path. The eigenpairs are ordered, sign-fixed and scaled as
-    there. The stack holds the dense matrices and their eigenvectors, 16 n^2
-    bytes per graph, so callers keep a group small. An error, say a
+    the dense path, and the stack goes through the same eigensolve,
+    ordering, sign fix and scaling as there. The stack holds the dense
+    matrices and their eigenvectors, 16 n^2 bytes per graph, so callers
+    keep a group small. An error, say a
     ``LinAlgError`` from one matrix, stops the whole stack.
     """
     n = graphs[0].n if graphs else 0
@@ -205,9 +212,7 @@ def stacked_ase(graphs: Sequence[Graph], d: int, scaled: bool = True) -> np.ndar
         raise ValueError(f"graphs must share one size of at most {_DENSE_CUTOFF} nodes")
     if not 1 <= d <= n:
         raise ValueError(f"embedding dimension d must be in [1, {n}], got {d}")
-    values, vectors = np.linalg.eigh(_dense_adjacencies(graphs))
-    values, vectors = _order_by_magnitude(values, vectors, d)
-    vectors = _fix_signs(vectors)
+    values, vectors = _dense_eigenpairs(_dense_adjacencies(graphs), d)
     return _scale(values, vectors) if scaled else vectors
 
 

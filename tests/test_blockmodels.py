@@ -544,7 +544,8 @@ def _triangle_cases(n: int, seed: int) -> list[FactoredProb]:
 def test_triangle_path_matches_the_chunked_path_around_the_cutoff(n):
     for p in _triangle_cases(n, n):
         for seed in (0, 1):
-            got = sample_graph(p, seed)
+            got = sample_graph(p, seed, cache=True)
+            assert got == sample_graph(p, seed)
             # 2^12-pair chunks: the chunked path, in chunks of whole rows
             assert got == sample_in_chunks(p, seed, 1 << 12)
             assert got == chunked_loop_sample(p, seed, blockmodels._CHUNK_PAIRS)
@@ -557,7 +558,7 @@ def test_triangle_path_matches_the_chunked_path_around_the_cutoff(n):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(p=_sampler_cases(), seed=st.integers(0, 1000))
 def test_triangle_path_matches_the_chunked_path(p, seed):
-    got = sample_graph(p, seed)
+    got = sample_graph(p, seed, cache=True)
     assert got == sample_in_chunks(p, seed, 1)
     assert got == chunked_loop_sample(p, seed, blockmodels._CHUNK_PAIRS)
 
@@ -565,24 +566,36 @@ def test_triangle_path_matches_the_chunked_path(p, seed):
 def test_triangle_is_built_once_and_draws_what_a_fresh_form_draws():
     _, params = gen_pabm(60, 3, seed=0)
     p = edge_probs(params)
-    many = [sample_graph(p, seed) for seed in range(30)]
+    many = [sample_graph(p, seed, cache=True) for seed in range(30)]
     triangle = p.triangle
+    assert [sample_graph(edge_probs(params), seed, cache=True) for seed in range(30)] == many
     assert [sample_graph(edge_probs(params), seed) for seed in range(30)] == many
-    assert sample_graph(p, 30) == sample_graph(edge_probs(params), 30)
+    assert sample_graph(p, 30, cache=True) == sample_graph(edge_probs(params), 30)
     assert p.triangle is triangle
 
 
 def test_form_pickled_after_a_draw_round_trips():
     p = _triangle_cases(40, 7)[1]
-    first = sample_graph(p, 0)
+    first = sample_graph(p, 0, cache=True)
     copy = pickle.loads(pickle.dumps(p))
+    assert "triangle" in copy.__dict__
     assert copy.triangle.tobytes() == p.triangle.tobytes()
-    assert sample_graph(copy, 0) == first
-    assert [sample_graph(copy, s) for s in range(1, 6)] == [sample_graph(p, s) for s in range(1, 6)]
+    assert sample_graph(copy, 0, cache=True) == first
+    assert ([sample_graph(copy, s, cache=True) for s in range(1, 6)]
+            == [sample_graph(p, s, cache=True) for s in range(1, 6)])
 
 
 def test_no_triangle_is_cached_above_512_nodes():
     p = constant_prob(513, 0.05)
+    for seed in range(3):
+        sample_graph(p, seed, cache=True)
+    assert "triangle" not in p.__dict__
+
+
+def test_a_draw_without_cache_builds_no_triangle():
+    # a single draw evaluates only its candidates; the triangle is for
+    # callers that draw many graphs from one form
+    p = _triangle_cases(100, 3)[0]
     for seed in range(3):
         sample_graph(p, seed)
     assert "triangle" not in p.__dict__
