@@ -128,9 +128,6 @@ def q_subspace_value(labels: np.ndarray, rows: np.ndarray, r: int) -> float:
 # batched greedy descent shared by all minimizers
 # ---------------------------------------------------------------------------
 
-# per-restart state is a tuple of arrays whose leading axis is the restart
-Model = tuple[np.ndarray, ...]
-
 # the (point set, restarts) blocks of one descent, in row order
 Pack = list[tuple[int, range]]
 
@@ -300,7 +297,7 @@ def _descend(
         left = np.add.reduceat(running, [b.start for _, b in layout], dtype=np.intp)
         layout = _layout(zip([s for s, _ in layout], left.tolist()))
         labels, prev_obj = new_labels[running], obj[running]
-        model = tuple(a[running] for a in model)
+        model = model[running]
 
 
 def _packs(sets: Sequence[int], n_restarts: int, n: int, k: int, d: int) -> list[Pack]:
@@ -485,10 +482,9 @@ def _kmeanspp_init(
     return centroids
 
 
-def _centroid_cost(rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
-    """(m, n, k) squared distances of every point to every centroid, laid
-    out (m, k, n) in memory."""
-    (centroids,) = model
+def _centroid_cost(rows: _Rows, centroids: np.ndarray, layout: Layout) -> np.ndarray:
+    """(m, n, k) squared distances of every point to every one of the
+    (m, k, d) centroids, laid out (m, k, n) in memory."""
     m, k, d = centroids.shape
     # one (m*k, d) x (d, n) product per block
     cross = _blockwise(lambda s, b: centroids[b].reshape(-1, d) @ rows.transposed[s], layout)
@@ -506,14 +502,15 @@ def _centroid_refit(rows: _Rows, labels: np.ndarray, k: int, layout: Layout):
     sums = _blockwise(lambda s, b: onehot[b] @ rows.points[s], layout)
     centroids = sums / onehot.sum(axis=2)[:, :, None]
     resid = _per_restart(rows.points, layout) - centroids[np.arange(m)[:, None], labels - 1]
-    return (centroids,), (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
+    return centroids, (resid**2).sum(axis=(1, 2)), np.zeros(m, dtype=bool)
 
 
 class _Centroid(NamedTuple):
     """The centroid loss with ``k`` communities: k-means++ starts, Lloyd
     rounds and ``q1_value``. A loss is the arithmetic ``minimize_stack``
     drives: ``derive`` gives the ``_Rows`` of a descent's point sets;
-    ``start`` the start labels, model and objective of one restart per
+    ``start`` the start labels, model (one array whose leading axis is the
+    restart: centroids or subspace bases) and objective of one restart per
     generator; ``cost`` the (m, n, k) cost of every point in every
     community; ``refit`` the model, objective and truncation flag of each
     restart, ``layout`` saying where the restarts lie; ``value`` the exact
@@ -532,9 +529,9 @@ class _Centroid(NamedTuple):
         objective for each restart."""
         m, n = len(rngs), rows.points.shape[1]
         centroids = _kmeanspp_init(rows, self.k, rngs, layout)
-        return np.zeros((m, n), dtype=np.int64), (centroids,), np.full(m, np.inf)
+        return np.zeros((m, n), dtype=np.int64), centroids, np.full(m, np.inf)
 
-    def cost(self, rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
+    def cost(self, rows: _Rows, model: np.ndarray, layout: Layout) -> np.ndarray:
         return _centroid_cost(rows, model, layout)
 
     def refit(self, rows: _Rows, labels: np.ndarray, layout: Layout):
@@ -589,11 +586,11 @@ def _subspace_refit(rows: _Rows, labels: np.ndarray, k: int, r: int, layout: Lay
     if counts.min() >= full_rank:
         # no community below full rank: nothing to mask
         evals[..., d - full_rank :] = 0.0
-        return (top,), evals.sum(axis=(1, 2)), np.zeros(m, dtype=bool)
+        return top, evals.sum(axis=(1, 2)), np.zeros(m, dtype=bool)
     rank = np.minimum(counts, full_rank).astype(np.int64)
     basis = top * (np.arange(full_rank) < rank[:, :, None])[..., None]
     obj = np.where(np.arange(d) >= d - rank[:, :, None], 0.0, evals).sum(axis=(1, 2))
-    return (basis,), obj, (counts < full_rank).any(axis=1)
+    return basis, obj, (counts < full_rank).any(axis=1)
 
 
 def _seed_labels(
@@ -637,8 +634,8 @@ class _Subspace(NamedTuple):
         model, obj, _ = self.refit(rows, labels, layout)
         return labels, model, obj
 
-    def cost(self, rows: _Rows, model: Model, layout: Layout) -> np.ndarray:
-        return _subspace_cost(rows, model[0], layout)
+    def cost(self, rows: _Rows, model: np.ndarray, layout: Layout) -> np.ndarray:
+        return _subspace_cost(rows, model, layout)
 
     def refit(self, rows: _Rows, labels: np.ndarray, layout: Layout):
         return _subspace_refit(rows, labels, self.k, self.r, layout)

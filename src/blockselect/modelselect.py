@@ -13,14 +13,13 @@ subspace losses ``cluster._Subspace``. It is the statistic of the test
 whose null is that model.
 
 The replicates run in contiguous chunks on the worker pool (``_pool``). A
-chunk draws and embeds its replicates in order, in groups whose dense
-adjacency matrices and eigenvectors fit in ``cluster._BLOCK_BYTES`` (1 MiB,
-16 n^2 bytes a graph: 56 graphs at karate's 34 nodes, one from 182 nodes
-on). A group of two or more graphs is embedded with one stacked eigensolve
-(``spectral.stacked_ase``), and the graphs are drawn with
-``sample_graph(..., cache=True)``: at most 512 nodes, against the fit's
-cached triangle of pair probabilities (``FactoredProb.triangle``, at most
-1 MiB per fit), built by the first draw. The chunk then
+chunk draws its replicates in order, with ``sample_graph(..., cache=True)``
+against the fit's cached triangle of pair probabilities, in groups whose
+dense adjacency matrices and eigenvectors, 16 n^2 bytes a graph, fit in
+``cluster._BLOCK_BYTES``. It embeds each group with one
+``spectral.stacked_ase`` call, into the scaled K-dimensional embedding of
+the SBM and DCBM nulls, and if that call raises, embeds the group's graphs
+one at a time, so each replicate keeps its own error. The chunk then
 minimizes all its replicates under the null's loss in one call
 (``cluster.minimize_stack``), which packs the restart blocks of many
 replicates into one descent while their per-round arrays fit in
@@ -103,40 +102,33 @@ def detect(
         return minimize_q_subspace(rows, k, r=_loss(model, k).r, n_restarts=n_restarts, seed=seed)
 
 
-def _ase_args(k: int, model: ModelKind) -> tuple[int, bool]:
-    """The dimension and the scaling of the embedding ``model``'s loss is
-    minimized over: the scaled K-dimensional one, or for the PABM the
-    unscaled K^2-dimensional one, since rank-K subspace structure lives in
-    the orthonormal eigenvector rows."""
-    if model is ModelKind.PABM:
-        return k * k, False
-    return k, True
-
-
 def _embedding(g: Graph, k: int, model: ModelKind) -> np.ndarray:
-    """The points ``detect`` minimizes ``model``'s loss over."""
+    """The points ``detect`` minimizes ``model``'s loss over: the scaled
+    K-dimensional embedding, or for the PABM the unscaled K^2-dimensional
+    one, since rank-K subspace structure lives in the orthonormal
+    eigenvector rows."""
     if model is ModelKind.PABM:
         _require_pabm_embedding(g.n, k)
-    return ase(g, *_ase_args(k, model)).rows
+        return ase(g, k * k, scaled=False).rows
+    return ase(g, k).rows
 
 
-def _embeddings(graphs: list[Graph], k: int, model: ModelKind) -> list:
-    """Each graph's ``_embedding``, or the error that stopped it.
+def _embeddings(graphs: list[Graph], k: int) -> list:
+    """Each replicate graph's points under an SBM or DCBM null, its scaled
+    K-dimensional embedding, or the error that stopped it.
 
-    Two or more graphs, all of one size (below 182 nodes in a replicate
-    group), share one stacked eigensolve, which gives each graph's rows bit
-    for bit. If the stack raises a ``LinAlgError`` from one matrix, every
-    graph is embedded alone, so each keeps its own outcome.
+    The group is embedded by one ``stacked_ase`` call, which gives each
+    graph's ``ase`` rows bit for bit. If that call raises, every graph is
+    embedded alone, so each keeps its own outcome.
     """
-    if len(graphs) > 1:
-        try:
-            return list(stacked_ase(graphs, *_ase_args(k, model)))
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        return list(stacked_ase(graphs, k))
+    except Exception:
+        pass
     found: list = []
     for g in graphs:
         try:
-            found.append(_embedding(g, k, model))
+            found.append(ase(g, k).rows)
         except Exception as exc:
             found.append(exc)
     return found
@@ -379,11 +371,12 @@ def _null_minimize(loss: _Centroid | _Subspace, n_restarts: int, points: list[np
 
 
 def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statistic:
-    """The test statistic under the null ``model``: its minimized loss, as
-    ``detect`` gives it. The replicates' points are minimized as one stack,
-    in which small restart blocks of many replicates share descents."""
+    """The test statistic under the null ``model``, an SBM or a DCBM: its
+    minimized loss, as ``detect`` gives it. The replicates' points are
+    minimized as one stack, in which small restart blocks of many
+    replicates share descents."""
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
-    return _Statistic(functools.partial(_embeddings, k=k, model=model),
+    return _Statistic(functools.partial(_embeddings, k=k),
                       functools.partial(_null_minimize, _loss(model, k), n_restarts))
 
 

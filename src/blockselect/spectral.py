@@ -12,11 +12,12 @@ rows. The clustering losses read only the rows.
 Small or dense problems use a full dense symmetric eigendecomposition;
 large sparse ones go through ARPACK's implicitly restarted Lanczos with a
 fixed starting vector, so identical inputs always produce bit-identical
-embeddings. ``stacked_ase`` embeds many graphs of at most 512 nodes
-(``_DENSE_CUTOFF``, where ``ase`` is always dense) with one stacked
-``eigh``, and gives each graph's ``ase`` rows bit for bit; its stack holds
-the graphs' dense adjacency matrices and their eigenvectors, 16 n^2 bytes
-per graph.
+embeddings.
+
+``stacked_ase`` embeds a group of graphs of one size, such as the
+replicates of a bootstrap, with each graph's ``ase`` rows bit for bit: one
+stacked ``eigh`` up to 512 nodes (``_DENSE_CUTOFF``, where ``ase`` is
+always dense), ``ase`` graph by graph above.
 """
 
 from __future__ import annotations
@@ -196,24 +197,25 @@ def _scale(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return vectors * np.sqrt(np.abs(values))[..., None, :]
 
 
-def stacked_ase(graphs: Sequence[Graph], d: int, scaled: bool = True) -> np.ndarray:
-    """The ``ase(g, d, scaled).rows`` of every graph, bit for bit, as one
-    (len(graphs), n, d) array from one stacked ``eigh``.
+def stacked_ase(graphs: Sequence[Graph], d: int) -> np.ndarray:
+    """The ``ase(g, d).rows`` of every graph, bit for bit, as one
+    (len(graphs), n, d) array.
 
-    The graphs share one n <= 512 (``_DENSE_CUTOFF``), where ``ase`` takes
-    the dense path, and the stack goes through the same eigensolve,
-    ordering, sign fix and scaling as there. The stack holds the dense
-    matrices and their eigenvectors, 16 n^2 bytes per graph, so callers
-    keep a group small. An error, say a
-    ``LinAlgError`` from one matrix, stops the whole stack.
+    The graphs share one size n. Up to 512 nodes (``_DENSE_CUTOFF``) one
+    stacked ``eigh`` embeds them all, through the same ordering, sign fix
+    and scaling as ``ase``; its stack takes 16 n^2 bytes per graph, so
+    callers keep a group small. Larger graphs are embedded by ``ase``, one
+    at a time. An error, say a ``LinAlgError`` from one matrix, stops the
+    whole call.
     """
     n = graphs[0].n if graphs else 0
-    if any(g.n != n for g in graphs) or n > _DENSE_CUTOFF:
-        raise ValueError(f"graphs must share one size of at most {_DENSE_CUTOFF} nodes")
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs must share one size")
     if not 1 <= d <= n:
         raise ValueError(f"embedding dimension d must be in [1, {n}], got {d}")
-    values, vectors = _dense_eigenpairs(_dense_adjacencies(graphs), d)
-    return _scale(values, vectors) if scaled else vectors
+    if n > _DENSE_CUTOFF:
+        return np.stack([ase(g, d).rows for g in graphs])
+    return _scale(*_dense_eigenpairs(_dense_adjacencies(graphs), d))
 
 
 def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding:

@@ -557,7 +557,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
     labels = rng.integers(1, k + 1, (m, n))
     # refit bases (zero rows past each community's rank) and the seeding's
     # QR factors of random point subsets
-    (basis,), _, _ = cluster._subspace_refit(derived, labels, k, r, one_block(m))
+    basis, _, _ = cluster._subspace_refit(derived, labels, k, r, one_block(m))
     counts = (labels[:, None, :] == np.arange(1, k + 1)[:, None]).sum(axis=2)
     rank = np.minimum(counts, min(r, d))
     assert basis.shape == (m, k, min(r, d), d)
@@ -580,7 +580,7 @@ def test_subspace_and_centroid_costs_match_reference(case, m, seed, zero_row):
         plain = ~got_repaired & ~want_repaired
         assert np.array_equal(got_labels[plain][clear[plain]], want_labels[plain][clear[plain]])
     centroids = rows[rng.integers(0, n, (m, k))]
-    got = cluster._centroid_cost(derived, (centroids,), one_block(m))
+    got = cluster._centroid_cost(derived, centroids, one_block(m))
     want = np.stack([_serial_sq_dists(rows, c) for c in centroids])
     scale = row_sq[None, :, None] + (centroids**2).sum(axis=2)[:, None, :]
     assert np.all(np.abs(got - want) <= _COST_RTOL * scale)
@@ -988,7 +988,7 @@ def _first_round_labels(rows: np.ndarray, k: int, r: int, seed: int, restart: in
     rng = np.random.default_rng(derive_seed(seed, "qsub-restart", restart))
     start = cluster._seed_labels(derived, k, r, [rng], one_block(1))
     model, obj, _ = cluster._subspace_refit(derived, start, k, r, one_block(1))
-    first, _ = cluster._assign(cluster._subspace_cost(derived, model[0], one_block(1)), k)
+    first, _ = cluster._assign(cluster._subspace_cost(derived, model, one_block(1)), k)
     return start[0], float(obj[0]), first[0]
 
 

@@ -553,9 +553,55 @@ def test_linalg_error_in_a_stack_is_charged_to_its_replicate(monkeypatch, set_wo
         if workers == 1:
             # four chunks of five replicates, each drawn in one group; the
             # stacks of replicates 3 and 12 fail and embed their five graphs
-            # one at a time, and the retries, two of replicate 3 and one of
-            # replicate 12, embed alone
-            assert seen == [3, *[2] * 5, 2, 2, 3, 3, *[2] * 5, 2, 3]
+            # one at a time, and each retry, two of replicate 3 and one of
+            # replicate 12, is a stack of one, embedded alone again if it fails
+            assert seen == [3, *[2] * 5, 3, 2, 3, 3, 3, *[2] * 5, 3, 3]
+
+
+# a two-block null of 200 nodes, where a replicate group holds one graph
+_ONE_GRAPH_GROUPS_NULL = edge_probs(SbmParams(
+    k=2, omega=np.array([[0.1, 0.02], [0.02, 0.1]]), labels=np.repeat([1, 2], 100)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_linalg_error_in_a_group_of_one_is_charged_to_its_replicate(
+    monkeypatch, set_workers, workers,
+):
+    null, n_boot = _ONE_GRAPH_GROUPS_NULL, 6
+    assert cluster._BLOCK_BYTES // (16 * null.n**2) == 1
+    planted = [sample_graph(null, derive_seed(derive_seed(5, "boot", r, a), "graph"))
+               for r, a in [(1, 0), (1, 1), (4, 0)]]
+    _fail_eigh(monkeypatch, {spectral._dense_adjacencies([g]).tobytes() for g in planted},
+               null.n)
+    set_workers(workers)
+    want = _outcome(lambda: serial_bootstrap_statistics(
+        null, n_boot, 5, lambda g, fit_seed: detect(g, 2, ModelKind.SBM, seed=fit_seed).objective))
+    assert want[1] == [(1, "LinAlgError"), (1, "LinAlgError"), (4, "LinAlgError")]
+    got = _outcome(lambda: ms._bootstrap_statistics(
+        null, n_boot, 5, ms._null_statistic(2, ModelKind.SBM, None)))
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [182, 300, 512])
+def test_a_replicate_group_of_one_graph_is_one_stacked_ase_call(monkeypatch, n):
+    g = random_graph(n, 0.05, n)
+    want = ase(g, 3).rows
+    stacks, bypassed = [], []
+
+    def counted(graphs, d, _original=spectral.stacked_ase):
+        stacks.append(len(graphs))
+        return _original(graphs, d)
+
+    def bypass(*args, **kwargs):
+        bypassed.append(args)
+        raise AssertionError("embedded outside the stack")
+
+    monkeypatch.setattr(ms, "stacked_ase", counted)
+    for module, name in [(ms, "ase"), (spectral, "ase"), (spectral, "top_eigenpairs")]:
+        monkeypatch.setattr(module, name, bypass)
+    (got,) = ms._embeddings([g], 3)
+    assert stacks == [1] and bypassed == []
+    assert got.tobytes() == want.tobytes()
 
 
 # the barrier ``_paired_pid`` waits at; the workers inherit it through fork
