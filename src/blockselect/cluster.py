@@ -33,13 +33,14 @@ no solution keeps them. One minimizer, ``minimize_stack(points, loss,
 n_restarts, seeds)``, takes a stack of point sets of one shape, such as
 the replicates of a bootstrap chunk, and packs the small blocks of many
 sets into one descent: each block keeps its own BLAS products, and the
-rest of a round runs once for the whole descent. A set's solution, or
-its error, is that of the set minimized alone; ``minimize_q1`` and
-``minimize_q_subspace`` are the one-set case. It owns the restarts'
-generators, each descent's ``Layout`` and ``_Rows`` and each set's
-``ClusterSolution``. A restart block keeps its restart of least descent
-objective, and only that restart is scored with the exact loss; a set's
-blocks are merged by that exact loss. The descents run in parallel on the
+rest of a round runs once for the whole descent. A set's solution is
+that of the set minimized alone; an error stops the whole call, and a
+caller that needs each set's own error minimizes the sets alone.
+``minimize_q1`` and ``minimize_q_subspace`` are the one-set case. It
+owns the restarts' generators, each descent's ``Layout`` and ``_Rows``
+and each set's ``ClusterSolution``. A restart block keeps its restart of
+least descent objective, and only that restart is scored with the exact
+loss; a set's blocks are merged by that exact loss. The descents run in parallel on the
 package's worker pool (``_pool``), which pickles each one's pack, with
 the points, the restarts' seeds and the loss, to a worker.
 Objectives are checked non-increasing at every iteration of every restart
@@ -49,7 +50,6 @@ Objectives are checked non-increasing at every iteration of every restart
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -350,42 +350,35 @@ def _descent_bests(points: np.ndarray, words: np.ndarray, loss: _Centroid | _Sub
 
 
 def _pack_bests(points: np.ndarray, words: np.ndarray, loss: _Centroid | _Subspace,
-                pack: Pack) -> list:
-    """Each block's best restart, or the error that stopped it: the pool
-    unit of ``minimize_stack``, over the stack of (n, d) ``points``, the
-    PCG64 state words of every (set, restart) and the ``loss``. A pack that
-    fails descends each block again alone, so that an error stops only its
-    own set; if none fails alone, the packing is at fault."""
+                pack: Pack) -> list[ClusterSolution] | Exception:
+    """Each block's best restart, or the error that stopped the descent:
+    the pool unit of ``minimize_stack``, over the stack of (n, d)
+    ``points``, the PCG64 state words of every (set, restart) and the
+    ``loss``. The error is returned through ``_pool.returned``."""
     try:
         return _descent_bests(points, words, loss, pack)
     except Exception as exc:
-        if len(pack) == 1:
-            return [_pool.returned(exc)]
-        bests = [best for block in pack for best in _pack_bests(points, words, loss, [block])]
-        if not any(isinstance(best, Exception) for best in bests):
-            raise NumericalError(
-                "a packed descent failed, but no block of it fails alone") from exc
-        return bests
+        return _pool.returned(exc)
 
 
 def minimize_stack(
     points: np.ndarray, loss: _Centroid | _Subspace, n_restarts: int, seeds: Sequence[int]
-) -> list[ClusterSolution | Exception]:
+) -> list[ClusterSolution]:
     """Minimize ``loss`` on every (n, d) point set of the stack ``points``,
-    set i restarted from ``seeds[i]``: check the loss's ``k`` and rank and
-    ``n_restarts``, descend the restarts of every set whose rows are
-    finite, and keep in each restart block the restart of least descent
+    set i restarted from ``seeds[i]``: check the loss's ``k`` and rank,
+    ``n_restarts`` and that every row is finite, descend the restarts of
+    every set, and keep in each restart block the restart of least descent
     objective, scored with the exact loss ``loss.value``. Returns each
-    set's solution, or the error that stopped it; ``minimize_q1`` and
-    ``minimize_q_subspace`` are the one-set case.
+    set's solution; ``minimize_q1`` and ``minimize_q_subspace`` are the
+    one-set case.
 
     Everything but the loss's arithmetic (``_Centroid``, ``_Subspace``) is
     done here and in ``_pack_bests``. Each restart draws from its own
     generator, seeded by its set's seed, ``loss.tag`` and its restart
     index: the PCG64 state words of every (set, restart) are hashed once
     per call (``pcg64_words``), and each descent builds its restarts'
-    generators from their rows, so a block descended again alone draws the
-    same streams. A block reads its results through its slice of the
+    generators from their rows, so a block draws the same streams whichever
+    descent holds it. A block reads its results through its slice of the
     descent's ``Layout``. Each descent derives the ``_Rows`` of its own
     sets (``loss.derive``), so they exist for one descent's sets at a time.
     The descent objective is accurate to about 1e-14 of the rows' total
@@ -395,14 +388,17 @@ def minimize_stack(
 
     A block depends only on its set and its restarts' seeds, and gets the
     same bits whichever blocks share its descent, so the descents
-    (``_packs``) run on the worker pool (``_pool``), a block's error
-    returned through ``_pool.returned``. The pick within a block compares
-    descent objectives, the merge of a set's blocks, in block order, exact
-    losses; each keeps the first of equal values, so ties go to the lowest
-    restart index. Within a block, two restarts whose exact losses tie
-    within rounding are ordered by their descent objectives. Each set's
-    solution, or the error of its lowest block that fails, is that of a
-    serial run of the set alone at every worker count.
+    (``_packs``) run on the worker pool (``_pool``). The pick within a
+    block compares descent objectives, the merge of a set's blocks, in
+    block order, exact losses; each keeps the first of equal values, so
+    ties go to the lowest restart index. Within a block, two restarts whose
+    exact losses tie within rounding are ordered by their descent
+    objectives. Each set's solution is that of a serial run of the set
+    alone at every worker count. A descent that fails stops the call: the
+    error of the first, in descent order, is raised, from the worker's
+    traceback text (``_pool.raise_returned``). A caller that needs each
+    set's own error minimizes the sets alone, as a bootstrap chunk does
+    after a failure (``modelselect._replicate_chunk``).
     """
     n_sets, n, d = points.shape
     if isinstance(loss, _Subspace) and loss.r < 1:
@@ -410,31 +406,23 @@ def minimize_stack(
     _require_k(n, loss.k)
     if n_restarts < 1:
         raise ValueError("need at least one restart")
-    outcomes: list = [None if np.isfinite(rows).all() else ValueError("rows must be finite")
-                      for rows in points]
+    if not np.isfinite(points).all():
+        raise ValueError("rows must be finite")
     # every restart's PCG64 state, hashed in one pass: (set, restart, 4 words)
     words = pcg64_words(np.array(
         [[derive_seed(seed, loss.tag, restart) for restart in range(n_restarts)]
          for seed in seeds], dtype=np.uint64).reshape(n_sets, n_restarts))
-    packs = _packs([i for i in range(n_sets) if outcomes[i] is None], n_restarts, n, loss.k, d)
+    packs = _packs(range(n_sets), n_restarts, n, loss.k, d)
+    solutions: list = [None] * n_sets
     with _pool.ordered_results(functools.partial(_pack_bests, points, words, loss),
                                packs) as results:
-        for (i, _), best in zip(itertools.chain(*packs), itertools.chain.from_iterable(results)):
-            kept = outcomes[i]
-            if kept is None or (
-                not isinstance(kept, Exception)
-                and (isinstance(best, Exception) or best.objective < kept.objective)
-            ):
-                outcomes[i] = best
-    return outcomes
-
-
-def _solved(outcomes: list):
-    """The solution of a one-set minimization, or its error raised."""
-    (solution,) = outcomes
-    if isinstance(solution, Exception):
-        _pool.raise_returned(solution)
-    return solution
+        for pack, bests in zip(packs, results):
+            if isinstance(bests, Exception):
+                _pool.raise_returned(bests)
+            for (i, _), best in zip(pack, bests):
+                if solutions[i] is None or best.objective < solutions[i].objective:
+                    solutions[i] = best
+    return solutions
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +532,7 @@ class _Centroid(NamedTuple):
 def minimize_q1(rows: np.ndarray, k: int, n_restarts: int, seed: int = 0) -> ClusterSolution:
     """Minimize the centroid loss of the (n, d) ``rows`` with Lloyd's
     algorithm, k-means++ seeding, and ``n_restarts`` independent starts."""
-    return _solved(minimize_stack(rows[None], _Centroid(k), n_restarts, [seed]))
+    return minimize_stack(rows[None], _Centroid(k), n_restarts, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +646,7 @@ def minimize_q_subspace(
     the lowest community index). Every restart starts from random
     assignments seeded by candidate subspaces.
     """
-    return _solved(minimize_stack(rows[None], _Subspace(k, r), n_restarts, [seed]))
+    return minimize_stack(rows[None], _Subspace(k, r), n_restarts, [seed])[0]
 
 
 def _require_k(n: int, k: int) -> None:

@@ -18,16 +18,16 @@ against the fit's cached triangle of pair probabilities, in groups whose
 dense adjacency matrices and eigenvectors, 16 n^2 bytes a graph, fit in
 ``cluster._BLOCK_BYTES``. It embeds each group with one
 ``spectral.stacked_ase`` call, into the scaled K-dimensional embedding of
-the SBM and DCBM nulls, and if that call raises, embeds the group's graphs
-one at a time, so each replicate keeps its own error. The chunk then
-minimizes all its replicates under the null's loss in one call
-(``cluster.minimize_stack``), which packs the restart blocks of many
-replicates into one descent while their per-round arrays fit in
-``cluster._BLOCK_BYTES``; a block over half that budget, as at n = 600 with
-K = 3 or larger, descends alone. Each fast path gives the bits of the path
-it bypasses, so the statistics, failures and errors are those of a serial
-loop that draws, embeds and minimizes one replicate at a time, at every
-worker count.
+the SBM and DCBM nulls. The chunk then minimizes all its replicates under
+the null's loss in one call (``cluster.minimize_stack``), which packs the
+restart blocks of many replicates into one descent while their per-round
+arrays fit in ``cluster._BLOCK_BYTES``; a block over half that budget, as
+at n = 600 with K = 3 or larger, descends alone. Each fast path gives the
+bits of the path it bypasses. A failure anywhere in that batch stops it,
+and the chunk computes each of its replicates alone; that is the one place
+a failure is charged to its own replicate. So the statistics, failures and
+errors are those of a serial loop that draws, embeds and minimizes one
+replicate at a time, at every worker count.
 
 The workflow gate: if the centroid-loss test keeps the SBM, stop there;
 otherwise run the rank-1 subspace test; if that keeps the DCBM, stop;
@@ -111,27 +111,6 @@ def _embedding(g: Graph, k: int, model: ModelKind) -> np.ndarray:
         _require_pabm_embedding(g.n, k)
         return ase(g, k * k, scaled=False).rows
     return ase(g, k).rows
-
-
-def _embeddings(graphs: list[Graph], k: int) -> list:
-    """Each replicate graph's points under an SBM or DCBM null, its scaled
-    K-dimensional embedding, or the error that stopped it.
-
-    The group is embedded by one ``stacked_ase`` call, which gives each
-    graph's ``ase`` rows bit for bit. If that call raises, every graph is
-    embedded alone, so each keeps its own outcome.
-    """
-    try:
-        return list(stacked_ase(graphs, k))
-    except Exception:
-        pass
-    found: list = []
-    for g in graphs:
-        try:
-            found.append(ase(g, k).rows)
-        except Exception as exc:
-            found.append(exc)
-    return found
 
 
 def _loss(model: ModelKind, k: int) -> _Centroid | _Subspace:
@@ -240,14 +219,14 @@ class _Chunk(NamedTuple):
 
 class _Statistic(NamedTuple):
     """A replicate statistic in two steps: ``embed(graphs)`` turns a group
-    of replicate graphs into each one's points, or the error that stopped
-    it, and ``minimize(points, fit_seeds)`` takes the points of many
-    replicates at once and gives each one's statistic, or the error that
-    stopped it. Both pickle: the pool ships the statistic to a worker with
-    each chunk."""
+    of replicate graphs into each one's points, and ``minimize(points,
+    fit_seeds)`` takes the points of many replicates at once and gives each
+    one's statistic. Either step raises if any replicate in it fails; the
+    chunk then computes each replicate alone (``_replicate_chunk``). Both
+    pickle: the pool ships the statistic to a worker with each chunk."""
 
-    embed: Callable[[list[Graph]], list]
-    minimize: Callable[[list, list[int]], list]
+    embed: Callable[[list[Graph]], Sequence]
+    minimize: Callable[[list, list[int]], list[float]]
 
 
 def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _Statistic,
@@ -259,39 +238,48 @@ def _replicate_chunk(p_hat: FactoredProb, n_boot: int, seed: int, statistic: _St
     The first attempts of all the chunk's replicates are drawn and embedded
     in order, in groups, and minimized in one call; their outcomes are then
     read as the serial loop meets them, and each retry is drawn, embedded
-    and minimized alone. So the statistics, failures, attempts and error
-    are the serial loop's, which stops at the first error that is not retried, and before an
-    attempt that would exceed the 3 * R budget even if every replicate
-    before ``lo`` took one attempt: the serial order could not have made it
-    either, so the run is certain to be exhausted.
+    and minimized alone. This is the one place a failure is isolated: if a
+    batch of attempts raises anywhere, each of its attempts is computed
+    alone through the same steps, which is the serial loop's step, so each
+    attempt keeps its own statistic or error. If every one then succeeds,
+    the batching is at fault, and ``NumericalError`` is raised from the
+    batch's error. So the statistics, failures, attempts and error are the
+    serial loop's, which stops at the first error that is not retried, and
+    before an attempt that would exceed the 3 * R budget even if every
+    replicate before ``lo`` took one attempt: the serial order could not
+    have made it either, so the run is certain to be exhausted.
     """
     lo, hi = bounds
+    # a group's dense adjacency matrices and eigenvectors, 16 n^2 bytes a
+    # graph, fit in the descents' byte budget
+    size = max(1, _BLOCK_BYTES // (16 * max(p_hat.n ** 2, 1)))
+
+    def batch(attempts: list[tuple[int, int]]) -> list[float]:
+        """The statistic of each (replicate, attempt), drawn and embedded
+        in groups and minimized in one call."""
+        rep_seeds = [derive_seed(seed, "boot", r, attempt) for r, attempt in attempts]
+        points: list = []
+        for start in range(0, len(rep_seeds), size):
+            points.extend(statistic.embed([
+                sample_graph(p_hat, derive_seed(rep_seed, "graph"), cache=True)
+                for rep_seed in rep_seeds[start:start + size]]))
+        fit_seeds = [derive_seed(rep_seed, "fit") for rep_seed in rep_seeds]
+        return statistic.minimize(points, fit_seeds)
 
     def outcomes(attempts: list[tuple[int, int]]) -> list:
-        """The statistic of each (replicate, attempt), or its error."""
-        rep_seeds = [derive_seed(seed, "boot", r, attempt) for r, attempt in attempts]
-        found: list = [None] * len(attempts)  # points, then statistics
-        # a group's dense adjacency matrices and eigenvectors, 16 n^2 bytes
-        # a graph, fit in the descents' byte budget
-        size = max(1, _BLOCK_BYTES // (16 * max(p_hat.n ** 2, 1)))
-        for start in range(0, len(attempts), size):
-            graphs = {}
-            for i in range(start, min(start + size, len(attempts))):
-                try:
-                    graphs[i] = sample_graph(p_hat, derive_seed(rep_seeds[i], "graph"),
-                                             cache=True)
-                except Exception as exc:
-                    found[i] = exc
-            if graphs:
-                for i, out in zip(graphs, statistic.embed(list(graphs.values()))):
-                    found[i] = out
-        embedded = [i for i, out in enumerate(found) if not isinstance(out, Exception)]
-        if embedded:
-            fit_seeds = [derive_seed(rep_seeds[i], "fit") for i in embedded]
-            for i, out in zip(embedded, statistic.minimize([found[i] for i in embedded],
-                                                           fit_seeds)):
-                found[i] = out
-        return found
+        """The statistic of each (replicate, attempt), or its error: if the
+        batch raises, each attempt is computed alone."""
+        try:
+            return batch(attempts)
+        except Exception as exc:
+            if len(attempts) == 1:
+                return [exc]
+            failed = exc
+        alone = [outcomes([attempt])[0] for attempt in attempts]
+        if not any(isinstance(out, Exception) for out in alone):
+            raise NumericalError(
+                "a batch of replicates failed, but no replicate fails alone") from failed
+        return alone
 
     first = outcomes([(r, 0) for r in range(lo, hi)])
     stats = np.empty(hi - lo)
@@ -363,11 +351,9 @@ def _bootstrap_statistics(
 
 
 def _null_minimize(loss: _Centroid | _Subspace, n_restarts: int, points: list[np.ndarray],
-                   fit_seeds: list[int]) -> list:
-    """Each replicate's minimized ``loss``, or the error that stopped it,
-    from one stacked minimization."""
-    solutions = minimize_stack(np.stack(points), loss, n_restarts, fit_seeds)
-    return [sol if isinstance(sol, Exception) else sol.objective for sol in solutions]
+                   fit_seeds: list[int]) -> list[float]:
+    """Each replicate's minimized ``loss``, from one stacked minimization."""
+    return [sol.objective for sol in minimize_stack(np.stack(points), loss, n_restarts, fit_seeds)]
 
 
 def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statistic:
@@ -376,7 +362,7 @@ def _null_statistic(k: int, model: ModelKind, restarts: int | None) -> _Statisti
     minimized as one stack, in which small restart blocks of many
     replicates share descents."""
     n_restarts = DEFAULT_RESTARTS[model] if restarts is None else restarts
-    return _Statistic(functools.partial(_embeddings, k=k),
+    return _Statistic(functools.partial(stacked_ase, d=k),
                       functools.partial(_null_minimize, _loss(model, k), n_restarts))
 
 

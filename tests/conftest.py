@@ -87,6 +87,23 @@ def solution_bytes(sol) -> tuple:
             sol.n_iters, sol.n_restarts_used, sol.degenerate)
 
 
+def plant_monotone_failure(monkeypatch, planted: list[np.ndarray]) -> None:
+    """Negate, in both refits of ``cluster``, the objective of each restart
+    on a point set equal to one of ``planted``: it then rises as the
+    descent lowers the loss, and the monotone check fails that restart.
+    Fork carries the patch into the pool's worker processes."""
+    def negating(refit):
+        def negated(rows, labels, *args):
+            model, obj, truncated = refit(rows, labels, *args)
+            hit = np.array([any(np.array_equal(points, p) for p in planted)
+                            for points in rows.points])
+            return model, np.where(hit[cluster._owner(args[-1])], -obj, obj), truncated
+        return negated
+
+    for name in ("_centroid_refit", "_subspace_refit"):
+        monkeypatch.setattr(cluster, name, negating(getattr(cluster, name)))
+
+
 @pytest.fixture(scope="session")
 def karate_path() -> Path:
     return DATA_DIR / "karate.edges"

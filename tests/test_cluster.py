@@ -33,7 +33,7 @@ from blockselect.blockmodels import Beta, beta_ratio_omega, gen_dcbm, gen_pabm, 
 from blockselect.errors import NumericalError
 from blockselect.spectral import ase
 
-from conftest import random_graph, solution_bytes
+from conftest import plant_monotone_failure, random_graph, solution_bytes
 
 
 def make_emb(rows) -> np.ndarray:
@@ -813,17 +813,6 @@ def _point_sets(draw):
     return points, k, r
 
 
-def _negating(refit, planted: np.ndarray):
-    """``refit`` with the objective of each restart on the point set
-    ``planted`` negated: it then rises as the descent lowers the loss, and
-    the monotone check fails that restart."""
-    def negated(rows, labels, *args):
-        model, obj, truncated = refit(rows, labels, *args)
-        hit = np.array([np.array_equal(points, planted) for points in rows.points])
-        return model, np.where(hit[cluster._owner(args[-1])], -obj, obj), truncated
-    return negated
-
-
 def _outcome(solution) -> tuple:
     if isinstance(solution, Exception):
         return type(solution), str(solution)
@@ -868,9 +857,7 @@ def test_packed_point_sets_match_each_set_alone(case, n_restarts, seeds, victim,
         want_packs = {0: n_sets * n_restarts, 1: n_sets, 2: -(-n_sets // 2), None: 1}
         assert len(cluster._packs(range(n_sets), n_restarts, n, k, d)) == want_packs[per_descent]
         if fault == "monotone":
-            planted = points[victim]
-            mp.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
-            mp.setattr(cluster, "_subspace_refit", _negating(cluster._subspace_refit, planted))
+            plant_monotone_failure(mp, [points[victim]])
         # the pool's workers fork with this example's patches in place
         _pool.shutdown()
         for stack, alone in (
@@ -880,8 +867,13 @@ def test_packed_point_sets_match_each_set_alone(case, n_restarts, seeds, victim,
              lambda i: minimize_q_subspace(points[i], k, r, n_restarts, seed=seeds[i])),
         ):
             want = [_alone(lambda: alone(i)) for i in range(n_sets)]
-            assert [_outcome(sol) for sol in stack()] == want
             failed = [i for i, outcome in enumerate(want) if isinstance(outcome[0], type)]
+            try:
+                got = [_outcome(sol) for sol in stack()]
+            except (NumericalError, ValueError) as exc:
+                got = _outcome(exc)
+            # a failed set stops the stack with the error it gives alone
+            assert got == (want[failed[0]] if failed else want)
             if fault in ("not finite", "inf beside 0"):
                 assert failed == [victim] and want[victim][1] == "rows must be finite"
             else:
@@ -891,33 +883,27 @@ def test_packed_point_sets_match_each_set_alone(case, n_restarts, seeds, victim,
                 assert all(want[i][0] is NumericalError for i in failed)
 
 
-def test_packed_monotone_error_fails_its_set_alone(monkeypatch):
-    # three noise sets of one block each share one descent; the middle
-    # one's objective is negated, so its first decrease is an increase
-    rng = np.random.default_rng(31)
-    points = rng.standard_normal((3, 40, 2))
-    seeds = [5, 6, 7]
-    planted = points[1]
-    monkeypatch.setattr(cluster, "_centroid_refit", _negating(cluster._centroid_refit, planted))
-    monkeypatch.setattr(cluster, "_subspace_refit", _negating(cluster._subspace_refit, planted))
-    assert len(cluster._packs(range(3), 6, 40, 2, 2)) == 1
-    for stack, alone in (
-        (lambda: cluster.minimize_stack(points, cluster._Centroid(2), 6, seeds),
-         lambda i: minimize_q1(points[i], 2, 6, seed=seeds[i])),
-        (lambda: cluster.minimize_stack(points, cluster._Subspace(2, 1), 6, seeds),
-         lambda i: minimize_q_subspace(points[i], 2, 1, 6, seed=seeds[i])),
-    ):
-        got = [_outcome(sol) for sol in stack()]
-        assert got == [_alone(lambda: alone(i)) for i in range(3)]
-        assert [type(outcome[0]) for outcome in got] == [tuple, type, tuple]
-        assert got[1][0] is NumericalError
-        assert got[1][1].startswith("objective increased within an iteration: ")
+def test_a_stack_with_a_set_that_is_not_finite_is_refused_before_any_descent(
+    monkeypatch, set_workers,
+):
+    # inf * 0 would warn where an outer product of that row is taken
+    set_workers(1)
+    points = np.random.default_rng(0).standard_normal((3, 40, 2))
+    points[1, 0, :2] = [np.inf, 0.0]
+    descents = []
+    monkeypatch.setattr(cluster, "_descend", lambda *args: descents.append(args))
+    for loss in (cluster._Centroid(2), cluster._Subspace(2, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^rows must be finite$"):
+                cluster.minimize_stack(points, loss, 3, [1, 2, 3])
+    assert descents == []
 
 
 def test_a_packed_descent_keeps_each_restart_on_its_own_set(monkeypatch, set_workers):
     # the restarts of three sets share one descent and stop at different
     # rounds; as the layout shrinks each must keep reading its own set's
-    # rows, or the descent fails and every block is descended again alone
+    # rows
     set_workers(1)
     points = np.random.default_rng(0).standard_normal((3, 34, 2))
     seeds = [3, 4, 5]
@@ -939,27 +925,6 @@ def test_a_packed_descent_keeps_each_restart_on_its_own_set(monkeypatch, set_wor
         got = [solution_bytes(sol) for sol in stack()]
         assert len(runs) == 1 and len(set(runs[0].rounds.tolist())) > 1
         assert got == [solution_bytes(alone(i)) for i in range(3)]
-
-
-def test_a_packed_descent_that_fails_only_when_packed_raises(monkeypatch):
-    # a descent that fails whenever it holds more than one block: every
-    # block succeeds alone, so only the packing can be at fault
-    original = cluster._descend
-
-    def fails_packed(loss, rows, rngs, layout):
-        if len(layout) > 1:
-            raise RuntimeError("planted packing fault")
-        return original(loss, rows, rngs, layout)
-
-    monkeypatch.setattr(cluster, "_descend", fails_packed)
-    points = np.random.default_rng(0).standard_normal((3, 34, 2))
-    assert len(cluster._packs(range(3), 10, 34, 2, 2)) == 1
-    for stack in (lambda: cluster.minimize_stack(points, cluster._Centroid(2), 10, [3, 4, 5]),
-                  lambda: cluster.minimize_stack(points, cluster._Subspace(2, 1), 10, [3, 4, 5])):
-        with pytest.raises(NumericalError, match="^a packed descent failed, but no block "
-                                                 "of it fails alone$") as info:
-            stack()
-        assert str(info.value.__cause__) == "planted packing fault"
 
 
 def test_stack_derives_arrays_for_one_descent_at_a_time(set_workers):

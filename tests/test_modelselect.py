@@ -50,7 +50,7 @@ from blockselect.modelselect import test_sbm_vs_dcbm as run_test_sbm_vs_dcbm
 from blockselect.netcore import Graph, degrees
 from blockselect.spectral import ase
 
-from conftest import constant_prob, random_graph, solution_bytes
+from conftest import constant_prob, plant_monotone_failure, random_graph, solution_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,9 @@ def test_bootstrap_resamples_failed_replicates(one_worker):
 
     stats, failures = ms._bootstrap_statistics(_tiny_phat(), 5, 0, per_replicate(flaky))
     assert stats.shape == (5,)
-    assert len(calls) == 10  # every replicate needed exactly one retry
+    # every replicate needed exactly one retry; a failed batch is computed
+    # again one replicate at a time, so a seed may be called twice
+    assert len(set(calls)) == 10
     assert failures == [(r, "NumericalError") for r in range(5)]
 
 
@@ -363,20 +365,14 @@ def _same_graphs(graphs):
 
 
 def _each_replicate(stat_fn, graphs, fit_seeds):
-    found = []
-    for g_rep, fit_seed in zip(graphs, fit_seeds):
-        try:
-            found.append(stat_fn(g_rep, fit_seed))
-        except Exception as exc:
-            found.append(exc)
-    return found
+    return [stat_fn(g_rep, fit_seed) for g_rep, fit_seed in zip(graphs, fit_seeds)]
 
 
 def per_replicate(stat_fn) -> ms._Statistic:
     """A bootstrap statistic that ``stat_fn(g_rep, fit_seed)`` computes one
-    replicate at a time, each error kept as that replicate's outcome. The
-    pool pickles the statistic, so on more than one worker ``stat_fn`` is a
-    module-level function or a partial of one."""
+    replicate at a time; an error stops the batch, as in the real
+    statistic. The pool pickles the statistic, so on more than one worker
+    ``stat_fn`` is a module-level function or a partial of one."""
     return ms._Statistic(_same_graphs, functools.partial(_each_replicate, stat_fn))
 
 
@@ -552,10 +548,67 @@ def test_linalg_error_in_a_stack_is_charged_to_its_replicate(monkeypatch, set_wo
         assert got == want
         if workers == 1:
             # four chunks of five replicates, each drawn in one group; the
-            # stacks of replicates 3 and 12 fail and embed their five graphs
-            # one at a time, and each retry, two of replicate 3 and one of
-            # replicate 12, is a stack of one, embedded alone again if it fails
-            assert seen == [3, *[2] * 5, 3, 2, 3, 3, 3, *[2] * 5, 3, 3]
+            # stacks of replicates 3 and 12 fail, so their chunks compute
+            # each of their five replicates alone, a stack of one, and each
+            # retry, two of replicate 3 and one of replicate 12, is a stack
+            # of one too
+            assert seen == [3] * 17
+
+
+def _first_attempt_rows(r: int) -> np.ndarray:
+    """The ``ase`` rows of replicate r's first attempt on the karate-size
+    null at bootstrap seed 5."""
+    seed = derive_seed(derive_seed(5, "boot", r, 0), "graph")
+    return ase(sample_graph(_KARATE_SIZE_NULL, seed), 2).rows
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_monotone_failure_in_a_packed_descent_is_charged_to_its_replicate(
+    monkeypatch, set_workers, workers,
+):
+    # the first attempt of one replicate in each chunk fails the monotone
+    # check inside the descent that its chunk's replicates share
+    planted = [1, 6, 11, 16]
+    plant_monotone_failure(monkeypatch, [_first_attempt_rows(r) for r in planted])
+    set_workers(workers)
+    for model in (ModelKind.SBM, ModelKind.DCBM):
+        want = _outcome(lambda: serial_bootstrap_statistics(
+            _KARATE_SIZE_NULL, _B, 5, lambda g, fit_seed: detect(g, 2, model, seed=fit_seed).objective))
+        assert want[1] == [(r, "NumericalError") for r in planted]
+        got = _outcome(lambda: ms._bootstrap_statistics(
+            _KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None)))
+        assert got == want
+
+
+def _stacked_ase_alone_only(graphs, d):
+    """``stacked_ase``, failing on a stack of two or more graphs."""
+    if len(graphs) > 1:
+        raise RuntimeError("planted batching fault")
+    return spectral.stacked_ase(graphs, d)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fault", ["packed_descent", "stacked_embedding"])
+def test_a_batch_that_fails_only_when_batched_raises(monkeypatch, set_workers, fault, workers):
+    # every replicate succeeds alone, so only the batching can be at fault
+    if fault == "packed_descent":
+        original = cluster._descend
+
+        def fails_packed(loss, rows, rngs, layout):
+            if len(layout) > 1:
+                raise RuntimeError("planted batching fault")
+            return original(loss, rows, rngs, layout)
+
+        monkeypatch.setattr(cluster, "_descend", fails_packed)
+    else:
+        monkeypatch.setattr(ms, "stacked_ase", _stacked_ase_alone_only)
+    set_workers(workers)
+    for model in (ModelKind.SBM, ModelKind.DCBM):
+        with pytest.raises(NumericalError, match="^a batch of replicates failed, but no "
+                                                 "replicate fails alone$") as info:
+            ms._bootstrap_statistics(_KARATE_SIZE_NULL, _B, 5, ms._null_statistic(2, model, None))
+        if workers == 1:
+            assert str(info.value.__cause__) == "planted batching fault"
 
 
 # a two-block null of 200 nodes, where a replicate group holds one graph
@@ -599,7 +652,7 @@ def test_a_replicate_group_of_one_graph_is_one_stacked_ase_call(monkeypatch, n):
     monkeypatch.setattr(ms, "stacked_ase", counted)
     for module, name in [(ms, "ase"), (spectral, "ase"), (spectral, "top_eigenpairs")]:
         monkeypatch.setattr(module, name, bypass)
-    (got,) = ms._embeddings([g], 3)
+    (got,) = ms._null_statistic(3, ModelKind.SBM, None).embed([g])
     assert stacks == [1] and bypassed == []
     assert got.tobytes() == want.tobytes()
 
@@ -646,18 +699,14 @@ def test_bootstrap_workers_are_forked_processes_with_one_blas_thread(monkeypatch
 
 
 def _fail_minimizers(monkeypatch, plan):
-    """Make the packed null minimizer give ``plan[fit seed]``, raised and
-    caught here, as that replicate's outcome; fork carries the patch into
-    the worker processes."""
+    """Make the packed null minimizer raise ``plan[fit seed]`` of the first
+    planned replicate it is given; fork carries the patch into the worker
+    processes."""
     def flaky(points, *args, _original=ms.minimize_stack):
-        found = _original(points, *args)
-        for i, seed in enumerate(args[-1]):
+        for seed in args[-1]:
             if seed in plan:
-                try:
-                    raise plan[seed]
-                except Exception as exc:
-                    found[i] = exc
-        return found
+                raise plan[seed]
+        return _original(points, *args)
 
     monkeypatch.setattr(ms, "minimize_stack", flaky)
 
