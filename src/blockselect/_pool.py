@@ -55,11 +55,11 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
-def _openblas_thread_counts() -> tuple[tuple[Callable, Callable], ...]:
-    """The ``openblas_get_num_threads`` and ``openblas_set_num_threads`` of
-    every OpenBLAS library loaded in this process (the numpy and scipy
-    wheels each bundle one, under a ``scipy_`` prefix and a ``64_`` suffix
-    or not). Finds none where /proc/self/maps does not exist.
+def openblas_symbols(*fns: str) -> tuple[tuple[Callable, ...], ...]:
+    """The ``openblas_<fn>`` of each of ``fns``, for every OpenBLAS library
+    loaded in this process that has them all (the numpy and scipy wheels
+    each bundle one, under a ``scipy_`` prefix and a ``64_`` suffix or
+    not). Finds none where /proc/self/maps does not exist.
 
     Reading the maps and resolving the symbols take about 2 ms, so it is
     done once: the modules that use this pool import numpy and
@@ -83,10 +83,13 @@ def _openblas_thread_counts() -> tuple[tuple[Callable, Callable], ...]:
             names = (f"{pre}openblas_{fn}{post}" for pre in ("", "scipy_") for post in ("", "64_"))
             return next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
 
-        get, set_ = symbol("get_num_threads"), symbol("set_num_threads")
-        if get is not None and set_ is not None:
-            found.append((get, set_))
+        functions = tuple(symbol(fn) for fn in fns)
+        if None not in functions:
+            found.append(functions)
     return tuple(found)
+
+
+_openblas_thread_counts = functools.partial(openblas_symbols, "get_num_threads", "set_num_threads")
 
 
 @contextlib.contextmanager

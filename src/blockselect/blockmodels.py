@@ -7,7 +7,8 @@ Three nested models over labels tau in [1..K]:
 * DCBM: P_ij = theta_i * omega[tau_i, tau_j] * theta_j, block-wise
   max theta = 1 for identifiability
 * PABM: P_ij = lam[i, tau_j] * lam[j, tau_i] with an n x K popularity
-  matrix lam
+  matrix lam; the DCBM is the PABM with lam[i, b] = theta_i *
+  sqrt(omega[tau_i, b]), and the SBM is the DCBM at theta = 1
 
 Generators target an expected density (or average degree) by solving for a
 single multiplicative scalar on omega; the SBM generator is the DCBM
@@ -18,14 +19,14 @@ an error, except that ``gen_dcbm`` clamps up to 1% of its pair products at
 One rule, ``_entries``, checks every parameter array where it enters:
 each entry must be finite and in its array's range. Nothing re-checks it.
 
-Edge probabilities of all three models are held in one factored form,
-``FactoredProb``: P_ij = min(1, left[i, tau_j] * right[j, tau_i]) with two
-n x K factors, in O(nK). Generators, plug-in fits and the sampler never
+Edge probabilities of all three models are held in that PABM form,
+``FactoredProb``: P_ij = min(1, lam[i, tau_j] * lam[j, tau_i]) with one
+n x K factor, in O(nK). Generators, plug-in fits and the sampler never
 build the n x n matrix; ``prob_matrix`` does, for small n and tests. On
-graphs of at most 512 nodes, a caller that draws many graphs from one form,
+graphs of at most 724 nodes, a caller that draws many graphs from one form,
 as a bootstrap does from its fit, can ask the sampler to draw against the
 triangle of pair products instead, cached on the factored form
-(``FactoredProb.triangle``, at most 1 MiB), so the draws pay for it once.
+(``FactoredProb.triangle``, at most 2 MiB), so the draws pay for it once.
 """
 
 from __future__ import annotations
@@ -289,45 +290,36 @@ def _validate_factor_labels(labels, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FactoredProb:
-    """P_ij = min(1, left[i, tau_j] * right[j, tau_i]) for i < j, in O(nK).
+    """P_ij = min(1, lam[i, tau_j] * lam[j, tau_i]) for i < j, in O(nK).
 
-    One form holds all three models. The PABM is left = right = lambda.
-    The SBM and DCBM are left[i, b] = theta_i * block[tau_i, b] and
-    right[j, :] = theta_j, with theta = 1 for the SBM, so P_ij is the
-    product (theta_i * block[tau_i, tau_j]) * theta_j. ``block`` may exceed
+    One form holds all three models, as the PABM holds the other two: the
+    PABM passes its lambda, the SBM and DCBM lam[i, b] = theta_i *
+    sqrt(block[tau_i, b]), with theta = 1 for the SBM. ``block`` may exceed
     1 (plug-in endpoint counts, or omega under max-theta-1 normalization);
-    products past 1 are clamped.
-
-    Two factors keep every product in the order each model has always
-    taken, so the probabilities, and the graphs sampled from them, are the
-    same to the last bit. A single factor W[i, b] = theta_i *
-    sqrt(block[tau_i, b]) would hold the DCBM too, but sqrt(w)^2 rounds
-    differently from w, and every sampled graph would change.
+    products past 1 are clamped. Rounding puts P_ij within 7 ulp of
+    theta_i * block[tau_i, tau_j] * theta_j (1-2 ulp is typical), so a
+    product of exactly 1 may read 1 plus an ulp, and then counts as clamped.
 
     The sampler asks two questions: an upper bound on each row's
     probabilities, and the exact P_ij of given pairs. The bound takes the
-    same floating-point product as P_ij with the right factor raised to its
-    block maximum; rounding is monotone, so bound_i >= P_ij holds exactly,
-    not just up to rounding. On graphs whose whole triangle fits one
-    sampler chunk (n <= 512), a sampler asked to cache reads ``triangle``
-    instead: every pair's product, cached on first use, at most 130,816
-    floats (1 MiB).
+    same floating-point product as P_ij with the factor lam[j, tau_i]
+    raised to its block maximum; rounding is monotone, so bound_i >= P_ij
+    holds exactly, not just up to rounding. At n <= 724, a sampler asked to
+    cache reads ``triangle`` instead: every pair's product, cached on first
+    use, at most 261,726 floats (2 MiB).
     """
 
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        left = _entries(self.left, "left factor")
-        right = _entries(self.right, "right factor")
-        if left.ndim != 2 or right.shape != left.shape:
-            raise ValueError("left and right factors must be n x K matrices of one shape")
-        labels = _validate_factor_labels(self.labels, left.shape[1])
-        if left.shape[0] != labels.size:
-            raise ValueError("factors must have one row per node")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        lam = _entries(self.lam, "factor")
+        if lam.ndim != 2:
+            raise ValueError("the factor must be an n x K matrix")
+        labels = _validate_factor_labels(self.labels, lam.shape[1])
+        if lam.shape[0] != labels.size:
+            raise ValueError("the factor must have one row per node")
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -336,23 +328,28 @@ class FactoredProb:
 
     def _raw(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         t = self.labels - 1
-        return self.left[i, t[j]] * self.right[j, t[i]]
+        return self.lam[i, t[j]] * self.lam[j, t[i]]
 
     @cached_property
     def row_bounds(self) -> np.ndarray:
         t = self.labels - 1
-        # top[b, a] = max of right[j, a] over the nodes j of community b
-        k = self.left.shape[1]
+        # top[b, a] = max of lam[j, a] over the nodes j of community b
+        k = self.lam.shape[1]
         top = np.zeros((k, k))
-        np.maximum.at(top, t, self.right)
-        return (self.left * top[:, t].T).max(axis=1, initial=0.0)
+        np.maximum.at(top, t, self.lam)
+        return (self.lam * top[:, t].T).max(axis=1, initial=0.0)
 
     @cached_property
     def triangle(self) -> np.ndarray:
-        """The unclamped product of every pair i < j, in row-major order:
-        n(n-1)/2 floats, for small n. Building it holds the pair indices, 16
-        bytes a pair, until it returns."""
-        return self._raw(*np.triu_indices(self.n, 1))
+        """The unclamped product of every pair i < j, in row-major order, for
+        small n; built in chunks of whole rows, so no pair index is held."""
+        t, nodes = self.labels - 1, np.arange(self.n)
+        step = max(1, _CHUNK_PAIRS // max(self.n, 1))
+        parts = [np.empty(0)]
+        for rows in (nodes[start:start + step] for start in range(0, self.n, step)):
+            block = self.lam[rows][:, t] * self.lam[:, t[rows]].T  # [r, j]: the pair (rows[r], j)
+            parts.append(block[rows[:, None] < nodes])
+        return np.concatenate(parts)
 
     def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.minimum(self._raw(i, j), 1.0)
@@ -366,17 +363,15 @@ class FactoredProb:
         return count
 
     def dense(self) -> np.ndarray:
-        t = self.labels - 1
-        p = self.left[:, t] * self.right[:, t].T  # [i, j] = left[i, tau_j] * right[j, tau_i]
+        toward = self.lam[:, self.labels - 1]  # [i, j] = lam[i, tau_j]
+        p = toward * toward.T
         return np.minimum(p, 1.0, out=p)
 
 
 def _degree_corrected(theta, block, labels) -> FactoredProb:
-    """The SBM/DCBM factors of theta, a symmetric nonnegative block matrix
-    and labels, all checked or built so by the caller; ``right`` is a
-    read-only broadcast view of theta."""
-    left = theta[:, None] * block[labels - 1]
-    return FactoredProb(left, np.broadcast_to(theta[:, None], left.shape), labels)
+    """The SBM/DCBM as a PABM, lam[i, b] = theta_i sqrt(block[tau_i, b]), of
+    theta, a symmetric nonnegative block matrix and labels, checked by the caller."""
+    return FactoredProb(theta[:, None] * np.sqrt(block[labels - 1]), labels)
 
 
 def edge_probs(params: ModelParams) -> FactoredProb:
@@ -387,7 +382,7 @@ def edge_probs(params: ModelParams) -> FactoredProb:
     if isinstance(params, DcbmParams):
         return _degree_corrected(params.theta, params.omega, params.labels)
     if isinstance(params, PabmParams):
-        return FactoredProb(params.lam, params.lam, params.labels)
+        return FactoredProb(params.lam, params.labels)
     raise TypeError(f"unsupported params type {type(params).__name__}")
 
 
@@ -408,9 +403,10 @@ def prob_matrix(params: ModelParams | FactoredProb) -> ProbMatrix:
 # pairs per chunk of whole rows in ``sample_graph``: small enough that one
 # chunk's uniforms and candidates stay cache-sized, large enough that the
 # per-chunk calls cost little at n = 6000 (2^16 drew about 15% slower
-# there, on one core of a 2-vCPU VM). With ``cache``, a triangle of at most
-# this many pairs (n <= 512) is drawn whole against ``FactoredProb.triangle``.
+# there, on one core of a 2-vCPU VM)
 _CHUNK_PAIRS = 1 << 17
+# with ``cache``, a triangle of at most 2^18 pairs (n <= 724) is drawn whole
+_TRIANGLE_PAIRS = 1 << 18
 
 
 def _chunk_hits(p: FactoredProb, rng: np.random.Generator, offsets: np.ndarray):
@@ -420,11 +416,11 @@ def _chunk_hits(p: FactoredProb, rng: np.random.Generator, offsets: np.ndarray):
     are freed when the generator is done, before the edge array is built."""
     n = p.n
     bound = p.row_bounds
-    t, k = p.labels - 1, p.left.shape[1]
-    # flat factors, read with one ``take`` each: P_ij = left[i * k + t_j] *
-    # right[j * k + t_i], the product ``pair_probs`` takes. Its clamp at 1
-    # is left out, because u < 1 makes u < min(x, 1) the same test as u < x.
-    left, right = p.left.ravel(), p.right.ravel()
+    t, k = p.labels - 1, p.lam.shape[1]
+    # the flat factor, read with two ``take``s: P_ij = lam[i * k + t_j] *
+    # lam[j * k + t_i], the product ``pair_probs`` takes. Its clamp at 1
+    # is dropped, because u < 1 makes u < min(x, 1) the same test as u < x.
+    lam = p.lam.ravel()
     row_pairs = np.diff(offsets)
     buf = np.empty(min(offsets[-1], max(_CHUNK_PAIRS, n - 1)))
     start = 0
@@ -451,10 +447,10 @@ def _chunk_hits(p: FactoredProb, rng: np.random.Generator, offsets: np.ndarray):
         row += start
         at = t.take(col)
         at += k * row
-        prob = left.take(at)
+        prob = lam.take(at)
         np.multiply(col, k, out=at)
         at += t.take(row)
-        prob *= right.take(at)
+        prob *= lam.take(at)
         cand = cand[u.take(cand) < prob]
         cand += offsets[start]
         yield cand
@@ -476,11 +472,11 @@ def sample_graph(p: FactoredProb, seed: int, *, cache: bool = False) -> Graph:
     same for every chunk size.
 
     With ``cache``, for callers that draw many graphs from one ``p``, a
-    triangle that fits one chunk (n <= 512) is drawn whole: the same
+    triangle of at most 2^18 pairs (n <= 724) is drawn whole: the same
     uniforms against ``p.triangle``, every pair's product, built on the
     first such draw and kept on ``p``, so later draws skip the candidate
-    step and give the same graphs. That costs up to 1 MiB per
-    ``FactoredProb`` at n = 512, kept as long as it lives. Building it
+    step and give the same graphs. That costs up to 2 MiB per
+    ``FactoredProb`` at n = 724, kept as long as it lives. Building it
     evaluates every pair, so a single draw is cheaper without ``cache``.
     """
     n = p.n
@@ -489,7 +485,7 @@ def sample_graph(p: FactoredProb, seed: int, *, cache: bool = False) -> Graph:
         return Graph(n=n, edges=np.empty((0, 2), dtype=np.int64))
     # row i holds pairs (i, i+1..n-1), from flat index offsets[i] on
     offsets = np.concatenate([[0], np.cumsum(np.arange(n - 1, -1, -1))])
-    if cache and offsets[-1] <= _CHUNK_PAIRS:
+    if cache and offsets[-1] <= _TRIANGLE_PAIRS:
         # u < min(x, 1) is u < x for u < 1, as in the candidate step
         flat = np.flatnonzero(rng.random(offsets[-1]) < p.triangle)
     else:

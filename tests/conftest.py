@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import importlib
 import importlib.util
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import blockselect
 from blockselect import _pool, cluster
@@ -78,6 +80,24 @@ def block_pids(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cluster, "_descend", recording)
     return lambda: [int(v) for v in path.read_text().split()] if path.exists() else []
+
+
+# the environment the suite's digests were recorded under: another BLAS
+# kernel or library version sums in another order and can move their bits
+RECORDED_UNDER = "SkylakeX, numpy 2.4.6, scipy 1.17.1"
+
+
+def digest_environment() -> str:
+    """The message of a digest assert: ``RECORDED_UNDER``, and the OpenBLAS
+    kernel of the loaded libraries (``openblas_get_corename``) and the numpy
+    and scipy versions this run has."""
+    cores = set()
+    for (corename,) in _pool.openblas_symbols("get_corename"):
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        cores.add(corename().decode())
+    kernel = "/".join(sorted(cores)) or "no OpenBLAS found"
+    running = f"{kernel}, numpy {np.__version__}, scipy {scipy.__version__}"
+    return f"recorded under {RECORDED_UNDER}; running under {running}"
 
 
 def solution_bytes(sol) -> tuple:

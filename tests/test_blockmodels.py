@@ -93,7 +93,26 @@ def test_dcbm_products_clamp_at_one():
     omega = np.array([[3.0, 0.5], [0.5, 3.0]])
     params = DcbmParams(k=2, omega=omega, theta=np.ones(4), labels=labels)
     p = prob_matrix(params).p
-    assert p[0, 1] == 1.0 and p[0, 2] == 0.5
+    # the one-factor products sqrt(3)^2 = 3 - 4e-16 and sqrt(0.5)^2
+    assert p[0, 1] == 1.0 and p[0, 2] == np.sqrt(0.5) * np.sqrt(0.5)
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_a_pair_whose_product_rounds_past_one_is_clamped_and_always_drawn(cache):
+    # theta_i * omega * theta_j = (1 * 2) * 0.5 is exactly 1, but the one
+    # factor's (1 * sqrt 2) * (0.5 * sqrt 2) rounds to 1 + 2^-52
+    params = DcbmParams(k=1, omega=np.array([[2.0]]), theta=np.array([1.0, 0.5]),
+                        labels=np.array([1, 1]))
+    p = edge_probs(params)
+    assert two_factor_oracle(params.theta, params.omega, params.labels)[0, 1] == 1.0
+    assert p.pair_probs(np.array([0]), np.array([1])).tolist() == [1.0]
+    assert p.clamped_pairs() == 1
+    assert prob_matrix(params).p[0, 1] == 1.0
+    for seed in range(50):
+        assert sample_graph(p, seed, cache=cache).edges.tolist() == [[0, 1]]
+    assert ("triangle" in p.__dict__) == cache
+    if cache:
+        assert p.triangle.tolist() == [1.0 + 2.0**-52]
 
 
 def test_prob_matrix_validation():
@@ -179,10 +198,7 @@ _GUARDED = {
     "theta": ("theta", lambda v: DcbmParams(
         k=2, omega=np.eye(2), theta=_with(4, v, 1), labels=_LABELS)),
     "lambda": ("lambda", lambda v: PabmParams(k=2, lam=_with((4, 2), v), labels=_LABELS)),
-    "left factor": ("left factor", lambda v: FactoredProb(
-        _with((4, 2), v), np.ones((4, 2)), _LABELS)),
-    "right factor": ("right factor", lambda v: FactoredProb(
-        np.ones((4, 2)), _with((4, 2), v), _LABELS)),
+    "factor": ("factor", lambda v: FactoredProb(_with((4, 2), v), _LABELS)),
     "prob matrix": ("probability", lambda v: ProbMatrix(_with((2, 2), v, 1))),
     "gen_sbm fractions": ("block fraction", lambda v: gen_sbm(
         40, 2, [v, 0.5], np.eye(2), target_density=0.1, seed=0)),
@@ -296,19 +312,26 @@ def test_expected_edge_count_matches_empirical_mean():
 # the factored sampler against the dense triu_indices sampler it replaced
 # ---------------------------------------------------------------------------
 
-def dcbm_oracle(theta: np.ndarray, block: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Reference dense P of the degree-corrected form: theta_i omega theta_j
-    clamped at 1, with a zero diagonal."""
-    t = labels - 1
-    p = np.minimum(theta[:, None] * block[np.ix_(t, t)] * theta[None, :], 1.0)
-    np.fill_diagonal(p, 0.0)
-    return p
-
-
 def pabm_oracle(lam: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Reference dense P of the PABM: lam[i, tau_j] * lam[j, tau_i]."""
     toward = lam[:, labels - 1]  # [i, j] = lam[i, tau_j]
     p = toward * toward.T
+    np.fill_diagonal(p, 0.0)
+    return p
+
+
+def dcbm_oracle(theta: np.ndarray, block: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Reference dense P of the degree-corrected form: the PABM of lam[i, b]
+    = theta_i sqrt(block[tau_i, b]), clamped at 1, with a zero diagonal."""
+    lam = theta[:, None] * np.sqrt(block[labels - 1])
+    return np.minimum(pabm_oracle(lam, labels), 1.0)
+
+
+def two_factor_oracle(theta: np.ndarray, block: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The degree-corrected P as the product (theta_i omega) theta_j,
+    clamped at 1, with a zero diagonal."""
+    t = labels - 1
+    p = np.minimum(theta[:, None] * block[np.ix_(t, t)] * theta[None, :], 1.0)
     np.fill_diagonal(p, 0.0)
     return p
 
@@ -379,18 +402,12 @@ def dense_fit(g: Graph, labels: np.ndarray, degree_corrected: bool) -> np.ndarra
     a += a.T
     onehot = (labels[:, None] == np.arange(1, k + 1)).astype(np.float64)
     sums = onehot.T @ a @ onehot
-    t = labels - 1
     if degree_corrected:
-        theta = a.sum(axis=1) / sums.sum(axis=1)[t]
-        p = theta[:, None] * sums[np.ix_(t, t)] * theta[None, :]
-    else:
-        sizes = onehot.sum(axis=0)
-        pairs = np.outer(sizes, sizes) - np.diag(sizes)
-        omega = np.divide(sums, pairs, out=np.zeros_like(sums), where=pairs > 0)
-        p = omega[np.ix_(t, t)]
-    p = np.minimum(p, 1.0)
-    np.fill_diagonal(p, 0.0)
-    return p
+        return dcbm_oracle(a.sum(axis=1) / sums.sum(axis=1)[labels - 1], sums, labels)
+    sizes = onehot.sum(axis=0)
+    pairs = np.outer(sizes, sizes) - np.diag(sizes)
+    omega = np.divide(sums, pairs, out=np.zeros_like(sums), where=pairs > 0)
+    return dcbm_oracle(np.ones(g.n), omega, labels)
 
 
 def _random_labels(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -455,6 +472,17 @@ def test_factored_sampler_matches_dense_oracle(params, seed, chunk_pairs):
     assert sample_in_chunks(edge_probs(params), seed, chunk_pairs) == want
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(params=_model_params().filter(lambda params: not isinstance(params, PabmParams)))
+def test_one_factor_is_within_rounding_of_the_two_factor_product(params):
+    # P_ij = (theta_i sqrt w)(theta_j sqrt w) takes five roundings and
+    # (theta_i w) theta_j two, each within 2^-53 relative, so they differ
+    # by at most 7 ulp; at most 5 were seen in 40M random pairs
+    theta = params.theta if isinstance(params, DcbmParams) else np.ones(params.n)
+    two = two_factor_oracle(theta, params.omega, params.labels)
+    assert np.all(np.abs(prob_matrix(params).p - two) <= 7 * np.spacing(two))
+
+
 @st.composite
 def _factored_cases(draw):
     """A factored form and its reference dense matrix: model parameters
@@ -502,10 +530,11 @@ def _sampler_cases(draw):
     labels = rng.integers(1, k + 1, n)
     kind = draw(st.sampled_from(["dense", "sparse", "zero", "zero first rows"]))
     high = {"dense": 1.5, "sparse": 0.05, "zero": 0.0, "zero first rows": 1.0}[kind]
-    left = rng.uniform(0.5, 1.0, (n, k)) * high
+    # products lam_i lam_j in high * [0.25, 1]
+    lam = rng.uniform(0.5, 1.0, (n, k)) * np.sqrt(high)
     if kind == "zero first rows":
-        left[:n // 2] = 0.0
-    return FactoredProb(left, rng.uniform(0.5, 1.0, (n, k)), labels)
+        lam[:n // 2] = 0.0
+    return FactoredProb(lam, labels)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -523,9 +552,9 @@ def test_sampler_without_edges_returns_an_empty_int64_array():
     labels = np.ones(30, dtype=np.int64)
     zero_first = np.ones((30, 1))
     zero_first[:20] = 0.0
-    for left, chunk_pairs in [(zero_first, 5), (np.zeros((30, 1)), 5),
-                              (np.zeros((30, 1)), blockmodels._CHUNK_PAIRS)]:
-        p = FactoredProb(left, np.ones((30, 1)), labels)
+    for lam, chunk_pairs in [(zero_first, 5), (np.zeros((30, 1)), 5),
+                             (np.zeros((30, 1)), blockmodels._CHUNK_PAIRS)]:
+        p = FactoredProb(lam, labels)
         g = sample_in_chunks(p, 3, chunk_pairs)
         assert g == chunked_loop_sample(p, 3, chunk_pairs)
         assert g.edges.dtype == np.int64
@@ -536,11 +565,11 @@ def _triangle_cases(n: int, seed: int) -> list[FactoredProb]:
     """A sparse and a dense form on n nodes, products past 1 included."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(1, 4, n)
-    return [FactoredProb(rng.uniform(0.5, 1.0, (n, 3)) * high, rng.uniform(0.5, 1.0, (n, 3)),
-                         labels) for high in (0.02, 1.5)]
+    return [FactoredProb(rng.uniform(0.5, 1.0, (n, 3)) * np.sqrt(high), labels)
+            for high in (0.02, 1.5)]
 
 
-@pytest.mark.parametrize("n", [511, 512, 513])
+@pytest.mark.parametrize("n", [723, 724, 725])
 def test_triangle_path_matches_the_chunked_path_around_the_cutoff(n):
     for p in _triangle_cases(n, n):
         for seed in (0, 1):
@@ -549,9 +578,10 @@ def test_triangle_path_matches_the_chunked_path_around_the_cutoff(n):
             # 2^12-pair chunks: the chunked path, in chunks of whole rows
             assert got == sample_in_chunks(p, seed, 1 << 12)
             assert got == chunked_loop_sample(p, seed, blockmodels._CHUNK_PAIRS)
-        # 512 nodes have 130,816 pairs; 513 have 131,328, past one chunk
-        assert ("triangle" in p.__dict__) == (n <= 512)
-        if n <= 512:
+        # 724 nodes have 261,726 pairs; 725 have 262,450, past
+        # _TRIANGLE_PAIRS = 2^18
+        assert ("triangle" in p.__dict__) == (n <= 724)
+        if n <= 724:
             assert p.triangle.size == n * (n - 1) // 2
 
 
@@ -585,8 +615,8 @@ def test_form_pickled_after_a_draw_round_trips():
             == [sample_graph(p, s, cache=True) for s in range(1, 6)])
 
 
-def test_no_triangle_is_cached_above_512_nodes():
-    p = constant_prob(513, 0.05)
+def test_no_triangle_is_cached_above_724_nodes():
+    p = constant_prob(725, 0.05)
     for seed in range(3):
         sample_graph(p, seed, cache=True)
     assert "triangle" not in p.__dict__
@@ -608,11 +638,10 @@ def test_sampler_on_tiny_graphs(n):
     theta, block = rng.uniform(0, 1, n), np.array([[2.5]])
     lam = rng.uniform(0, 1, (n, 1))
     forms = [
-        (FactoredProb(theta[:, None] * 2.5, theta[:, None], labels),
+        (FactoredProb(theta[:, None] * np.sqrt(block[labels - 1]), labels),
          dcbm_oracle(theta, block, labels)),
-        (FactoredProb(lam, lam, labels), pabm_oracle(lam, labels)),
-        (FactoredProb(np.full((n, 1), 0.5), np.ones((n, 1)), labels),
-         0.5 * (np.ones((n, n)) - np.eye(n))),
+        (FactoredProb(lam, labels), pabm_oracle(lam, labels)),
+        (FactoredProb(np.full((n, 1), 0.5), labels), 0.25 * (np.ones((n, n)) - np.eye(n))),
     ]
     for p, dense in forms:
         for seed in range(20):
@@ -623,13 +652,13 @@ def test_sampler_on_tiny_graphs(n):
 
 def test_factored_forms_validate():
     with pytest.raises(ValueError, match="lie in"):
-        FactoredProb(np.ones((2, 2)), np.ones((2, 2)), np.array([1, 3]))
+        FactoredProb(np.ones((2, 2)), np.array([1, 3]))
     with pytest.raises(ValueError, match="one row per node"):
-        FactoredProb(np.ones((3, 2)), np.ones((3, 2)), np.array([1, 2]))
-    with pytest.raises(ValueError, match="one shape"):
-        FactoredProb(np.ones((2, 2)), np.ones((2, 1)), np.array([1, 2]))
+        FactoredProb(np.ones((3, 2)), np.array([1, 2]))
+    with pytest.raises(ValueError, match="n x K matrix"):
+        FactoredProb(np.ones(2), np.array([1, 2]))
     with pytest.raises(ValueError, match="nonnegative"):
-        FactoredProb(np.ones((2, 1)), -np.ones((2, 1)), np.array([1, 1]))
+        FactoredProb(-np.ones((2, 1)), np.array([1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1027,9 +1056,9 @@ def test_fit_and_sample_at_n20000():
     redraw = sample_graph(fitted, seed=1)
     assert redraw.n == n
     refit = fit_sbm(redraw, params.labels)
-    # an SBM fit's left factor holds block row tau_i at node i
+    # an SBM fit's factor holds the square root of block row tau_i at node i
     first = np.unique(params.labels, return_index=True)[1]
-    block, reblock = fitted.left[first], refit.left[first]
+    block, reblock = fitted.lam[first] ** 2, refit.lam[first] ** 2
     sizes = np.bincount(params.labels)[1:].astype(np.float64)
     pairs = np.outer(sizes, sizes) - np.diag(sizes * (sizes + 1) / 2)
     se = np.sqrt(block * (1 - block) / pairs)

@@ -17,6 +17,7 @@ from blockselect.blockmodels import Beta
 from blockselect.cli import build_parser, main
 from blockselect.errors import ConfigError
 from blockselect.simharness import load_experiment_config
+from conftest import digest_environment
 
 TWO_CLIQUES = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"
 
@@ -685,7 +686,7 @@ def test_simulate_golden_bytes(tmp_path, case):
     digest.update((out / "table.csv").read_bytes())
     digest.update((out / "provenance.json").read_bytes())
     digest.update((out / "table.txt").read_bytes().split(b"\n", 1)[1])
-    assert digest.hexdigest() == expected
+    assert digest.hexdigest() == expected, digest_environment()
 
 
 def test_exit_code_mapping():
@@ -759,7 +760,8 @@ def test_cluster_pabm_outputs_are_identical_at_every_worker_count(
     )
     for out in ("pool", "one_cpu"):
         for name, digest in _PABM_CLUSTER_DIGESTS.items():
-            assert hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest() == digest
+            got = hashlib.sha256((tmp_path / out / name).read_bytes()).hexdigest()
+            assert got == digest, f"{out}/{name}: {digest_environment()}"
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from blockselect.blockmodels import Beta, beta_ratio_omega, gen_dcbm, gen_pabm, 
 from blockselect.errors import NumericalError
 from blockselect.spectral import ase
 
-from conftest import plant_monotone_failure, random_graph, solution_bytes
+from conftest import digest_environment, plant_monotone_failure, random_graph, solution_bytes
 
 
 def make_emb(rows) -> np.ndarray:
@@ -626,7 +626,7 @@ def test_minimizers_keep_the_recorded_solution_bytes(loss, name, seed):
     else:
         sol = minimize_q_subspace(emb, 3, r=1 if loss == "r1" else 3, n_restarts=20, seed=seed)
     digest = hashlib.sha256(repr(solution_bytes(sol)).encode()).hexdigest()
-    assert digest == _SOLUTION_DIGESTS[loss, name, seed]
+    assert digest == _SOLUTION_DIGESTS[loss, name, seed], digest_environment()
 
 
 # sha256 of ``repr(solution_bytes(...))`` of each baseline at k = 2, seed 0
@@ -646,7 +646,7 @@ def test_baselines_keep_the_recorded_solution_bytes(name):
                      target_avg_degree=10, seed=0)[0]
     sol = {"osc": osc, "sc_l": sc_l, "rsc_l": rsc_l}[name](g, 2, seed=0)
     digest = hashlib.sha256(repr(solution_bytes(sol)).encode()).hexdigest()
-    assert digest == _BASELINE_DIGESTS[name]
+    assert digest == _BASELINE_DIGESTS[name], digest_environment()
 
 
 # ---------------------------------------------------------------------------
