@@ -306,7 +306,8 @@ class FactoredProb:
     raised to its block maximum; rounding is monotone, so bound_i >= P_ij
     holds exactly, not just up to rounding. At n <= 724, a sampler asked to
     cache reads ``triangle`` instead: every pair's product, cached on first
-    use, at most 261,726 floats (2 MiB).
+    use, at most 261,726 floats (2 MiB). ``gen_pabm`` sums the same
+    triangle for its density target.
     """
 
     lam: np.ndarray = field(repr=False)
@@ -341,8 +342,8 @@ class FactoredProb:
 
     @cached_property
     def triangle(self) -> np.ndarray:
-        """The unclamped product of every pair i < j, in row-major order, for
-        small n; built in chunks of whole rows, so no pair index is held."""
+        """The unclamped product of every pair i < j, in row-major order, 8
+        bytes a pair; built in chunks of whole rows, so no pair index is held."""
         t, nodes = self.labels - 1, np.arange(self.n)
         step = max(1, _CHUNK_PAIRS // max(self.n, 1))
         parts = [np.empty(0)]
@@ -350,9 +351,6 @@ class FactoredProb:
             block = self.lam[rows][:, t] * self.lam[:, t[rows]].T  # [r, j]: the pair (rows[r], j)
             parts.append(block[rows[:, None] < nodes])
         return np.concatenate(parts)
-
-    def pair_probs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return np.minimum(self._raw(i, j), 1.0)
 
     def clamped_pairs(self) -> int:
         """Number of pairs i < j whose product exceeds 1 before the clamp;
@@ -418,8 +416,8 @@ def _chunk_hits(p: FactoredProb, rng: np.random.Generator, offsets: np.ndarray):
     bound = p.row_bounds
     t, k = p.labels - 1, p.lam.shape[1]
     # the flat factor, read with two ``take``s: P_ij = lam[i * k + t_j] *
-    # lam[j * k + t_i], the product ``pair_probs`` takes. Its clamp at 1
-    # is dropped, because u < 1 makes u < min(x, 1) the same test as u < x.
+    # lam[j * k + t_i], the product ``_raw`` takes. The clamp at 1 is
+    # dropped, because u < 1 makes u < min(x, 1) the same test as u < x.
     lam = p.lam.ravel()
     row_pairs = np.diff(offsets)
     buf = np.empty(min(offsets[-1], max(_CHUNK_PAIRS, n - 1)))
@@ -670,7 +668,9 @@ def gen_pabm(
     from ``offdiag_law``. When ``density_scale`` is set, lambda is
     multiplied by sqrt(s) with s chosen so the expected density equals the
     target; a target above 1 is an error before any draw, and an s that
-    would push entries above 1 is an error.
+    would push entries above 1 is an error. The expected density is the
+    sum of ``FactoredProb.triangle``, 8 bytes a pair, dropped once lambda
+    is scaled.
     """
     labels = _pabm_labels(n, k, density_scale)
     block = n // k
@@ -683,9 +683,9 @@ def gen_pabm(
             lam[rows, col] = law.sample(rng, block)
     if density_scale is not None:
         # the sum over the triangle in row-major order fixes lambda to the
-        # last bit, and with it the sampled graph; keep that order
-        probs = edge_probs(PabmParams(k=k, lam=lam, labels=labels))
-        pair_sum = float(probs.pair_probs(*np.triu_indices(n, 1)).sum())
+        # last bit, and with it the sampled graph; keep that order. lambda
+        # is in [0, 1], so no product needs the clamp at 1
+        pair_sum = float(edge_probs(PabmParams(k=k, lam=lam, labels=labels)).triangle.sum())
         current = pair_sum / (n * (n - 1) / 2) if n > 1 else 0.0
         if current <= 0:
             raise InfeasibleModelError("zero base density, cannot scale")

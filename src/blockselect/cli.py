@@ -13,8 +13,7 @@ Every run follows the one thread policy stated in ``_pool``: ``main``
 sets the BLAS thread variables before any handler loads numpy, which is
 why the heavy imports happen inside the handlers. The parallel work of a
 run goes to the process's warm worker pool, forked by its first pooled
-call, whose workers end with the process. ``--threads`` is still
-accepted, for old scripts, and has no effect.
+call, whose workers end with the process.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Community detection and blockmodel selection "
         "(SBM / DCBM / PABM) on simple undirected networks.",
     )
-    parser.add_argument("--threads", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_select = sub.add_parser(

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import os
+
+# the OpenBLAS kernel the suite's digests were recorded under, which every
+# x86-64 CPU with AVX2 runs; OpenBLAS reads it when numpy loads, and nothing
+# has loaded numpy when pytest imports this file
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+
 import ctypes
 import importlib
 import importlib.util
 import io
-import os
 import pkgutil
 import sys
 from pathlib import Path
@@ -84,20 +90,24 @@ def block_pids(monkeypatch, tmp_path):
 
 # the environment the suite's digests were recorded under: another BLAS
 # kernel or library version sums in another order and can move their bits
-RECORDED_UNDER = "SkylakeX, numpy 2.4.6, scipy 1.17.1"
+RECORDED_UNDER = "Haswell, numpy 2.4.6, scipy 1.17.1"
 
 
-def digest_environment() -> str:
-    """The message of a digest assert: ``RECORDED_UNDER``, and the OpenBLAS
-    kernel of the loaded libraries (``openblas_get_corename``) and the numpy
-    and scipy versions this run has."""
+def running_environment() -> str:
+    """The OpenBLAS kernel of the loaded libraries (``openblas_get_corename``)
+    and the numpy and scipy versions of this run, in ``RECORDED_UNDER``'s form."""
     cores = set()
     for (corename,) in _pool.openblas_symbols("get_corename"):
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         cores.add(corename().decode())
     kernel = "/".join(sorted(cores)) or "no OpenBLAS found"
-    running = f"{kernel}, numpy {np.__version__}, scipy {scipy.__version__}"
-    return f"recorded under {RECORDED_UNDER}; running under {running}"
+    return f"{kernel}, numpy {np.__version__}, scipy {scipy.__version__}"
+
+
+def digest_environment() -> str:
+    """The message of a digest assert: where its digests were recorded, and
+    where this run is."""
+    return f"recorded under {RECORDED_UNDER}; running under {running_environment()}"
 
 
 def solution_bytes(sol) -> tuple:

@@ -406,7 +406,7 @@ def test_criterion_13_select_byte_identical(tmp_path, karate_path):
     for name in ("run1", "run2"):
         out = tmp_path / name
         code = cli_main([
-            "--threads", "1", "select", str(karate_path), "--k", "2",
+            "select", str(karate_path), "--k", "2",
             "--boot", "200", "--seed", "17", "--out", str(out),
         ])
         assert code == 0

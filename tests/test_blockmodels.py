@@ -105,7 +105,6 @@ def test_a_pair_whose_product_rounds_past_one_is_clamped_and_always_drawn(cache)
                         labels=np.array([1, 1]))
     p = edge_probs(params)
     assert two_factor_oracle(params.theta, params.omega, params.labels)[0, 1] == 1.0
-    assert p.pair_probs(np.array([0]), np.array([1])).tolist() == [1.0]
     assert p.clamped_pairs() == 1
     assert prob_matrix(params).p[0, 1] == 1.0
     for seed in range(50):
@@ -361,7 +360,7 @@ def sample_in_chunks(p, seed: int, chunk_pairs: int) -> Graph:
 def chunked_loop_sample(p: FactoredProb, seed: int, chunk_pairs: int) -> Graph:
     """Reference sampler: the same uniforms, chunks and bound tests as
     ``sample_graph``, written as the plain loop that keeps each chunk's hit
-    rows and columns and reads P_ij through ``pair_probs``."""
+    rows and columns and reads P_ij as ``min(1, _raw(i, j))``."""
     n = p.n
     rng = np.random.default_rng(seed)
     if n < 2:
@@ -385,7 +384,7 @@ def chunked_loop_sample(p: FactoredProb, seed: int, chunk_pairs: int) -> Graph:
         row = np.searchsorted(local[1:], cand, side="right")
         col = cand - local[row] + row + start + 1
         row += start
-        hit = u[cand] < p.pair_probs(row, col)
+        hit = u[cand] < np.minimum(p._raw(row, col), 1.0)
         rows.append(row[hit])
         cols.append(col[hit])
         start = stop
@@ -503,7 +502,7 @@ def _factored_cases(draw):
 def test_pair_probs_and_row_bounds_match_reference_formulas(case):
     p, dense = case
     i, j = np.triu_indices(p.n, 1)
-    np.testing.assert_array_equal(p.pair_probs(i, j), dense[i, j])
+    np.testing.assert_array_equal(np.minimum(p._raw(i, j), 1.0), dense[i, j])
     assert np.all(p.row_bounds[i] >= dense[i, j])
 
 
@@ -838,6 +837,36 @@ def test_gen_pabm_density_scale_matches_dense_reference(n, k, seed):
     want = np.clip(base.lam * np.sqrt(0.05 / current), 0.0, 1.0)
     _, params = gen_pabm(n, k, density_scale=0.05, seed=seed)
     np.testing.assert_array_equal(params.lam, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 120), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       law=st.sampled_from(["uniform", "beta", "grid"]))
+def test_the_triangle_sums_to_the_clamped_pair_sum_gen_pabm_took(n, k, seed, law):
+    # gen_pabm's density target once summed min(1, P_ij) over the pair index
+    # lists of triu_indices; lambda in [0, 1] leaves no product to clamp, so
+    # the triangle's sum keeps every bit of it
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    lam = {"uniform": lambda: rng.uniform(0, 1, (n, k)),
+           "beta": lambda: rng.beta(2, 1, (n, k)),
+           "grid": lambda: rng.integers(0, 5, (n, k)) / 4}[law]()
+    p = edge_probs(PabmParams(k=k, lam=lam, labels=_random_labels(rng, n, k)))
+    want = float(np.minimum(p._raw(*np.triu_indices(n, 1)), 1.0).sum())
+    assert float(p.triangle.sum()) == want
+
+
+def test_gen_pabm_density_target_holds_no_pair_index():
+    # the sum over the 1.1M-pair triangle at n = 1500 takes 8 bytes a pair
+    # (a 17.5 MiB traced peak), where the pair index lists beside the
+    # products took 24 (43.0 MiB)
+    tracemalloc.start()
+    try:
+        gen_pabm(1500, 3, density_scale=0.05, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20, peak
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -14,7 +14,7 @@ import pytest
 
 import blockselect
 from blockselect.blockmodels import Beta
-from blockselect.cli import build_parser, main
+from blockselect.cli import main
 from blockselect.errors import ConfigError
 from blockselect.simharness import load_experiment_config
 from conftest import digest_environment
@@ -56,7 +56,7 @@ def test_select_deterministic_reports(tmp_path, karate_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert main([
-            "--threads", "1", "select", str(karate_path), "--k", "2",
+            "select", str(karate_path), "--k", "2",
             "--boot", "40", "--seed", "3", "--out", str(out),
         ]) == 0
         outs.append(out)
@@ -649,7 +649,7 @@ _SIMULATE_GOLDEN = {
         "methods = q2, rsc_l\n"
         "[grid.1]\nn = 64\nk = 2\nbeta = 0.3\ndensity = 0.1\ntheta_law = beta:2,2\n"
         "[grid.2]\nn = 64\nk = 2\nbeta = 0.3\navg_degree = 6\ntheta_law = powerlaw:1,3\n",
-        "22da2e6db00af07df1eba208dd14fe3492ec0a92e431eea700911526692ccbcc",
+        "c72a2093f2805d3abdab96b8a9af3a4c04144e10311bf69688d2e1a624e8ae06",
     ),
     "comm_det_pabm": (
         # a point with K^2 > n, which q3 cannot embed, is refused at load
@@ -730,10 +730,11 @@ def test_cluster_pabm_on_generated_network(tmp_path, capsys):
     assert meta["mislabel_rate"] <= 0.05
 
 
-# sha256 of the files the serial implementation wrote for the run below
-# with ``--threads 1``, before restart blocks ran on the worker pool
+# sha256 of the files the run below writes: first recorded from the serial
+# implementation, before restart blocks ran on the worker pool, and again
+# under the ``RECORDED_UNDER`` kernel
 _PABM_CLUSTER_DIGESTS = {
-    "cluster.json": "a3adfc6eeb9809145fbb529df0d55dd9d02f485507ea704fe98708f7704ef76a",
+    "cluster.json": "dcd96586297370a5be81b48ef211821e2a001873b1105b6e9d902987a6b6029d",
     "labels.csv": "50a3fd0e8bf28f527732e51e82a71e6b7a766ed515189f7a06a0dbc3ae85cea7",
 }
 
@@ -768,16 +769,15 @@ def test_cluster_pabm_outputs_are_identical_at_every_worker_count(
 # the thread policy
 # ---------------------------------------------------------------------------
 
-def test_threads_flag_is_accepted_hidden_and_changes_no_output(tmp_path, karate_path):
-    argv = ["select", str(karate_path), "--k", "2", "--boot", "20", "--seed", "3"]
-    outs = []
-    for flag in ([], ["--threads", "1"], ["--threads", "3"]):
-        out = tmp_path / f"out{len(outs)}"
-        assert main([*flag, *argv, "--out", str(out)]) == 0
-        outs.append(out)
-    for name in ("report.json", "labels.csv"):
-        assert len({(out / name).read_bytes() for out in outs}) == 1
-    assert "--threads" not in build_parser().format_help()
+def test_threads_flag_is_refused(tmp_path, karate_path, capsys):
+    # the flag had no effect, and is gone: argparse takes its value for the
+    # subcommand and exits 2 before anything runs
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1", "select", str(karate_path), "--k", "2",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid choice: '1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_runs_blas_on_one_thread_whatever_the_environment(tmp_path):

@@ -610,11 +610,11 @@ _SOLUTION_DIGESTS = {
     ("q1", "lines", 0): "f23e0fc07a338b313c9f42f77571865083e2f9c05a289fdaad667674efda94c7",
     ("q1", "lines", 1): "bc73826abb2754df72679d60985cd52196c4d643ec622caad85d9ca9511673c9",
     ("q1", "planes", 0): "4ba528b0f30c89cba3a7fb753ad0e3e332e191d953a698dd03b9b69f0315dd9c",
-    ("q1", "planes", 1): "3c6aab3f7f68729c63aa3e45c0c10970b056f5f01679de34d42991f25c258f96",
-    ("r1", "lines", 0): "104bbb080aaefba234644c9653b4249540c231c4a1f70365faf4c5d5c295af25",
-    ("r1", "lines", 1): "4ebf56eed26d6b72e7e7ce26b59e85d9e9d317a7c8b58ee848fb787e34bf837b",
-    ("rK", "planes", 0): "1c29f70665438d55c94ef6e1d5d11c32e54fa57036dc21372286837891d5f3f2",
-    ("rK", "planes", 1): "27054549af1bc8fd413bab334ed8b0fbfbedd93f2de0b002ef4e155e08e2dc11",
+    ("q1", "planes", 1): "254a65b90b2a6ca824bd9a8d704a86466fd44f0ea604faefb5aa9da72bbe83f7",
+    ("r1", "lines", 0): "be93015ba0b056fc223a0d7732383e19b958470cb7426469f6f6c5d66d700314",
+    ("r1", "lines", 1): "07599722b78640ababf075ad10276a4dfbd9d65f8c373064d795e6faff09bc7d",
+    ("rK", "planes", 0): "7668dd08eba1c6af56dd804aa963f187af1beafac6ef3ba4c2bb5b91eba7adf7",
+    ("rK", "planes", 1): "a88e86fcfa61958efa1695c2a6df39884a4e03a2a87b880d1b64207225285e35",
 }
 
 
@@ -631,9 +631,9 @@ def test_minimizers_keep_the_recorded_solution_bytes(loss, name, seed):
 
 # sha256 of ``repr(solution_bytes(...))`` of each baseline at k = 2, seed 0
 _BASELINE_DIGESTS = {
-    "osc": "71e3ad6a5c7e2a0d1c2583aaa5f1178b6d48b4bc4a697ac645f96ceb46a45e1f",
-    "sc_l": "02fd3ca09d82c071593e4b4bb3acc20bab3606d17290f0022586cefafe14c327",
-    "rsc_l": "63cdd2d7d4df72eb0f5559020620d339fe3c01444b4136c2005c1b2cd08fad9b",
+    "osc": "0dfd1f32044385bc373e27b5f44d5d0aef8535cf854fa83bd90baf128970fd97",
+    "sc_l": "aa70f0ebaaa29da049a212cceaea4f4e09b8aac5e84a950026dacde30d1a12e4",
+    "rsc_l": "e633f25c4aafb99d854de809e9babac1f07196ede98ab06409daeea83be80b0a",
 }
 
 

@@ -18,12 +18,12 @@ import pytest
 
 import blockselect
 import blockselect.modelselect as ms
-from blockselect import cluster
+from blockselect import _pool, cluster
 from blockselect.blockmodels import SbmParams, edge_probs, gen_pabm
 from blockselect.cli import main
 from blockselect.modelselect import ModelKind, detect
 
-from conftest import solution_bytes
+from conftest import RECORDED_UNDER, running_environment, solution_bytes
 
 # a two-block null the size of the karate club
 _NULL = edge_probs(SbmParams(
@@ -175,3 +175,10 @@ def test_the_workers_of_a_killed_process_exit():
     while not all(_ended(pid) for pid in pids) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert all(_ended(pid) for pid in pids)
+
+
+@pytest.mark.skipif(not _pool.openblas_symbols("get_corename"), reason="no OpenBLAS library found")
+def test_the_suite_runs_where_its_digests_were_recorded():
+    # the digest tests hold only under the kernel and versions they were
+    # recorded under; a runner without them fails here, under its own name
+    assert running_environment() == RECORDED_UNDER
