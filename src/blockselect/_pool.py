@@ -28,9 +28,11 @@ mask (``workers``), so ``taskset -c 0`` runs serially, in this process.
 BLAS runs on one thread everywhere: the workers already occupy every CPU,
 and some LAPACK results differ in the last bits between one thread and
 several. ``one_blas_thread`` pins every OpenBLAS library it finds around
-each pool run, detection and spectral-clustering baseline, which is all
-the BLAS work of a run; the workers are forked inside that pin and keep
-one thread for their life. The CLI also sets ``THREAD_VARS`` to 1 before
+each pool run, detection, spectral-clustering baseline and Lanczos solve,
+which is all the BLAS work of a run; the workers are forked inside that
+pin and keep one thread for their life. scipy's library, which only the
+Lanczos solve uses, may load after a pin was entered or a worker forked:
+the solve's own pin finds it. The CLI also sets ``THREAD_VARS`` to 1 before
 it loads numpy, which reaches the builds the pin cannot find (MKL numpy,
 or no /proc/self/maps). Outputs are therefore byte-identical at any
 worker count, and there is no other configuration.
@@ -61,10 +63,12 @@ def openblas_symbols(*fns: str) -> tuple[tuple[Callable, ...], ...]:
     each bundle one, under a ``scipy_`` prefix and a ``64_`` suffix or
     not). Finds none where /proc/self/maps does not exist.
 
-    Reading the maps and resolving the symbols take about 2 ms, so it is
-    done once: the modules that use this pool import numpy and
-    ``scipy.sparse.linalg``, which load both libraries, before anything
-    here runs.
+    Reading the maps and resolving the symbols take about 2 ms, so the
+    result is kept. numpy's library loads with numpy, before anything here
+    runs. scipy's loads later, with the first import of
+    ``scipy.sparse.linalg`` or ``scipy.sparse.csgraph``, and only the
+    Lanczos solve does BLAS work in it, so ``spectral`` clears the kept
+    result after it imports ``scipy.sparse.linalg``.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:

@@ -55,8 +55,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from . import _pool
 from ._seeds import _Words, derive_seed, pcg64_words
@@ -716,8 +714,11 @@ def mislabel_rate(est_labels: np.ndarray, true_labels: np.ndarray, k: int) -> fl
     (``min_weight_full_bipartite_matching``) on the confusion counts plus
     one: every entry is then stored, so a full matching exists, and each
     matching's total shifts by exactly k. The counts are integers, so the
-    maximum is exact.
+    maximum is exact. scipy loads at the first call.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     est = _integer_labels(est_labels, "est labels")
     true = _integer_labels(true_labels, "true labels")
     if est.shape != true.shape:

@@ -334,7 +334,10 @@ def _bootstrap_statistics(
     failures: list[tuple[int, str]] = []
     attempts = 0
     n_chunks = min(n_boot, _CHUNKS_PER_WORKER * _pool.workers())
-    bounds = [n_boot * i // n_chunks for i in range(n_chunks + 1)]
+    # the n_boot % n_chunks chunks one replicate longer run first, so the
+    # workers take them before the shorter ones and finish together
+    size, longer = divmod(n_boot, n_chunks)
+    bounds = [size * i + min(i, longer) for i in range(n_chunks + 1)]
     run_chunk = functools.partial(_replicate_chunk, p_hat, n_boot, seed, statistic)
     with _pool.ordered_results(run_chunk, list(zip(bounds, bounds[1:]))) as chunks:
         for chunk in chunks:

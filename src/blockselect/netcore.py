@@ -4,7 +4,8 @@ Graphs are simple and undirected: no self-loops, each unordered edge stored
 once as (i, j) with i < j, node indices dense 0-based integers. Files use
 arbitrary string identifiers which are mapped to indices in first-seen
 order. Dense n x n matrices are never materialized here; that happens only
-in the spectral module.
+in the spectral module. scipy loads at the first CSR adjacency or
+connected-component search, not with this module.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EdgeListParseError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +85,8 @@ class Graph:
         U is built from them with no sort, and the adjacency is U^T + U:
         the sum of two canonical CSR matrices, which comes out canonical.
         """
+        import scipy.sparse as sp
+
         m = self.edge_count
         if m == 0:
             return sp.csr_matrix((self.n, self.n), dtype=np.float64)
@@ -223,6 +227,8 @@ def largest_connected_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     containing the smallest node index. Nodes are re-indexed contiguously
     in increasing original order; returns the old -> new index mapping.
     """
+    from scipy.sparse.csgraph import connected_components
+
     if g.n == 0:
         return g, {}
     n_comp, member = connected_components(g.adjacency, directed=False)

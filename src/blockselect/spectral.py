@@ -14,6 +14,11 @@ large sparse ones go through ARPACK's implicitly restarted Lanczos with a
 fixed starting vector, so identical inputs always produce bit-identical
 embeddings.
 
+The dense path needs numpy alone: scipy loads at the first Lanczos solve
+or Laplacian embedding. Each solve runs under a BLAS pin of its own
+(``_pool.one_blas_thread``), entered after that import, since the import
+loads scipy's own OpenBLAS.
+
 ``stacked_ase`` embeds a group of graphs of one size, such as the
 replicates of a bootstrap, with each graph's ``ase`` rows bit for bit: one
 stacked ``eigh`` up to 512 nodes (``_DENSE_CUTOFF``, where ``ase`` is
@@ -22,15 +27,19 @@ always dense), ``ase`` graph by graph above.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from . import _pool
 from .errors import NumericalError
 from .netcore import Graph, degrees
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Dense path whenever n <= this or d is a large fraction of n; ARPACK needs
 # k well below n and is only worthwhile on genuinely sparse problems.
@@ -116,29 +125,56 @@ def _arpack_start_vector(n: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-class _SparseProduct(LinearOperator):
-    """A sparse matrix as the operator ARPACK multiplies by. Its ``matvec``
-    is the bare product: ``LinearOperator.matvec`` checks and reshapes its
-    argument on each of the hundreds of calls one embedding makes, and the
-    product it computes is the same."""
+@functools.cache
+def _sparse_linalg():
+    """``scipy.sparse.linalg``, imported at the first Lanczos solve. The
+    import loads scipy's own OpenBLAS, so the BLAS pin looks the loaded
+    libraries up again."""
+    import scipy.sparse.linalg
 
-    def __init__(self, matrix: sp.spmatrix):
-        super().__init__(matrix.dtype, matrix.shape)
-        self.matrix = matrix
+    _pool.openblas_symbols.cache_clear()
+    return scipy.sparse.linalg
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
 
-    _matvec = matvec
+def eigsh(*args, **kwargs):
+    """``scipy.sparse.linalg.eigsh``: the one Lanczos solver call."""
+    return _sparse_linalg().eigsh(*args, **kwargs)
+
+
+@functools.cache
+def _sparse_product() -> type:
+    """The ``_SparseProduct`` class, built at the first Lanczos solve, since
+    it subclasses scipy's ``LinearOperator``."""
+
+    class _SparseProduct(_sparse_linalg().LinearOperator):
+        """A sparse matrix as the operator ARPACK multiplies by. Its
+        ``matvec`` is the bare product: ``LinearOperator.matvec`` checks
+        and reshapes its argument on each of the hundreds of calls one
+        embedding makes, and the product it computes is the same."""
+
+        def __init__(self, matrix: sp.spmatrix):
+            super().__init__(matrix.dtype, matrix.shape)
+            self.matrix = matrix
+
+        def matvec(self, x: np.ndarray) -> np.ndarray:
+            return self.matrix @ x
+
+        _matvec = matvec
+
+    return _SparseProduct
 
 
 def _top_eigenpairs_sparse(matrix: sp.spmatrix, d: int):
+    linalg = _sparse_linalg()
     try:
-        values, vectors = eigsh(
-            _SparseProduct(matrix), k=d, which="LM",
-            v0=_arpack_start_vector(matrix.shape[0]),
-        )
-    except ArpackError as exc:
+        # scipy's OpenBLAS may have loaded inside an outer pin, which
+        # cannot have found it
+        with _pool.one_blas_thread():
+            values, vectors = eigsh(
+                _sparse_product()(matrix), k=d, which="LM",
+                v0=_arpack_start_vector(matrix.shape[0]),
+            )
+    except linalg.ArpackError as exc:
         n = matrix.shape[0]
         if n <= _DENSE_FALLBACK_MAX_N:
             return top_eigenpairs(matrix.toarray(), d)
@@ -228,6 +264,8 @@ def laplacian_embedding(g: Graph, d: int, regularize: bool = False) -> Embedding
     degree, and each nonzero row of the eigenvector matrix rescaled to unit
     Euclidean norm; zero rows stay zero.
     """
+    import scipy.sparse as sp
+
     if not 1 <= d <= g.n:
         raise ValueError(f"embedding dimension d must be in [1, {g.n}], got {d}")
     deg = degrees(g).astype(np.float64)

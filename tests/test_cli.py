@@ -818,6 +818,40 @@ def test_every_public_name_resolves():
         assert getattr(blockselect, name) is not None, name
 
 
+def test_a_small_graph_runs_without_scipy_sparse(tmp_path, karate_path):
+    # every graph of at most 512 nodes is embedded by a dense eigh, so
+    # select, cluster and generate on one never load scipy.sparse; the
+    # first Lanczos embedding does
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    runs = [
+        ["select", str(karate_path), "--k", "2", "--boot", "20", "--out", str(tmp_path / "s")],
+        ["cluster", str(karate_path), "--k", "2", "--model", "pabm",
+         "--out", str(tmp_path / "c")],
+        ["generate", "sbm", "--n", "40", "--k", "2", "--beta", "0.5", "--avg-degree", "6",
+         "--out", str(tmp_path / "g")],
+    ]
+    code = (
+        "import json, sys\n"
+        "import blockselect.modelselect, blockselect.simharness, blockselect.cli\n"
+        "def sparse(): return sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+        "loaded = [sparse()]\n"
+        f"for argv in {runs!r}:\n"
+        "    assert blockselect.cli.main(argv) == 0, argv\n"
+        "    loaded.append(sparse())\n"
+        "from blockselect.blockmodels import gen_pabm\n"
+        "from blockselect.spectral import ase\n"
+        "ase(gen_pabm(600, 2, density_scale=0.05, seed=3)[0], 2)\n"
+        "print(json.dumps([loaded, 'scipy.sparse.linalg' in sys.modules]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded, lanczos_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == [[]] * 4
+    assert lanczos_loaded
+
+
 def test_importing_modelselect_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 16 MB and 0.2 s to load; the mislabel
     # rate's assignment comes from scipy.sparse.csgraph, so neither the

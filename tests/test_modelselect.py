@@ -420,9 +420,10 @@ _SCENARIOS = {
     "budget_exceeded_early": _failing(0, range(41)),
     "not_retried": {(3, 0): NumericalError, (7, 1): InfeasibleModelError("at 7"),
                     (12, 0): InfeasibleModelError("at 12")},
-    # replicate 0 takes 42 attempts, replicate 1 raises at the 43rd
+    # replicate 0 takes 42 attempts and replicate 1 one, replicate 2 raises
+    # at the 44th; at 3 workers replicate 2 starts the second chunk
     "not_retried_after_long_retry": {**_failing(0, range(41)),
-                                     (1, 0): InfeasibleModelError("at 1")},
+                                     (2, 0): InfeasibleModelError("at 2")},
     "exhausted_before_not_retried": {**_failing(2, range(3 * _B)),
                                      (10, 0): InfeasibleModelError("at 10")},
     "not_retried_at_last_attempt": {**_failing(19, range(40)),

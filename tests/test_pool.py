@@ -3,6 +3,7 @@ until the worker count changes or a worker dies."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -182,3 +183,61 @@ def test_the_suite_runs_where_its_digests_were_recorded():
     # the digest tests hold only under the kernel and versions they were
     # recorded under; a runner without them fails here, under its own name
     assert running_environment() == RECORDED_UNDER
+
+
+_LATE_BLAS_CODE = """
+import json
+from blockselect import _pool, spectral
+from blockselect.blockmodels import SbmParams, edge_probs, gen_pabm, sample_graph
+from blockselect.modelselect import ModelKind, detect, test_sbm_vs_dcbm
+import numpy as np
+
+def counts():
+    return [get() for get, _ in _pool._openblas_thread_counts()]
+
+inside = []
+def recording_eigsh(*args, _original=spectral.eigsh, **kwargs):
+    inside.append(counts())
+    return _original(*args, **kwargs)
+
+def large_detect(seed):
+    inside.clear()
+    detect(gen_pabm(600, 2, density_scale=0.05, seed=seed)[0], 2, ModelKind.DCBM, 2)
+    return inside[:], counts()
+
+spectral.eigsh = recording_eigsh
+_pool.workers = lambda: 2
+small = sample_graph(edge_probs(SbmParams(
+    k=2, omega=np.array([[0.3, 0.05], [0.05, 0.3]]), labels=np.repeat([1, 2], 20))), 1)
+# forks the pool, then detects in this process, neither loading scipy
+test_sbm_vs_dcbm(small, 2, n_boot=4, restarts=2)
+detect(small, 2, ModelKind.DCBM, 2)
+small_counts = counts()
+main = large_detect(3)
+with _pool.ordered_results(large_detect, [4, 5]) as results:
+    workers = list(results)
+print(json.dumps({"small": small_counts, "main": main, "workers": workers}))
+"""
+
+
+def test_the_pin_covers_an_openblas_loaded_late():
+    # scipy's OpenBLAS loads with the first Lanczos solve, inside the pin of
+    # a detection in this process or in a worker forked before it loaded;
+    # the solve's own pin runs both libraries on one thread
+    src = str(Path(blockselect.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _LATE_BLAS_CODE],
+                         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="4"),
+                         capture_output=True, text=True, check=True, timeout=120)
+    got = json.loads(out.stdout.splitlines()[-1])
+    # numpy's library alone, at the count it took from the environment:
+    # OpenBLAS takes no more threads than there are CPUs
+    if len(got["small"]) != 1 or got["small"][0] == 1:
+        pytest.skip("needs numpy's OpenBLAS alone, on more than one thread")
+    (loaded,) = got["small"]
+    inside, after = got["main"]
+    # each wheel bundles its own library; both read 1 inside the solve, and
+    # after it the count each took from the environment
+    assert inside == [[1, 1]] and after == [loaded, loaded]
+    for inside, after in got["workers"]:
+        # a worker's numpy library keeps the pin it was forked in
+        assert inside == [[1, 1]] and sorted(after) == [1, loaded]

@@ -356,7 +356,7 @@ def test_lanczos_operator_gives_the_eigenpairs_of_the_matrix(n, p, d, laplacian,
         matrix = (sp.diags(inv_sqrt) @ matrix @ sp.diags(inv_sqrt)).tocsr()
     v0 = spectral._arpack_start_vector(n)
     want_values, want_vectors = eigsh(matrix, k=d, which="LM", v0=v0)
-    values, vectors = eigsh(spectral._SparseProduct(matrix), k=d, which="LM", v0=v0)
+    values, vectors = eigsh(spectral._sparse_product()(matrix), k=d, which="LM", v0=v0)
     assert values.tobytes() == want_values.tobytes()
     assert vectors.tobytes() == want_vectors.tobytes()
 
